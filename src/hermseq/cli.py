@@ -10,15 +10,15 @@ Subcommands:
 Field elements appear in CSV as prime-field coefficient vectors joined by
 ':' with the low-degree coefficient first ("0:1" is z in GF(4)); the same
 syntax is accepted for --a and --modulus.  Exit codes: 0 success, 1
-verification failure, 2 usage error.  HERMSEQ_THREADS caps the number of
-worker threads the verify suite may use.
+verification failure, 2 usage error (bad arguments, a field larger than
+field.MAX_FIELD_ORDER, or an --out path that cannot be written).  Every
+argument is validated before any output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
@@ -33,7 +33,7 @@ from .complexity import (
     TotalDegree,
     nonlinear_complexity,
 )
-from .field import Element, FieldContext, element_from_str, element_to_str
+from .field import Element, FieldContext, _is_prime, element_from_str, element_to_str
 from .sequence import build_sequence
 from .verify import run_suite
 
@@ -114,6 +114,8 @@ def _config(args: argparse.Namespace) -> RunConfig:
         cfg.ns = _collect(args.n, args.n_range, "n")
     if cfg.budget < 1:
         raise ValueError("--budget must be >= 1")
+    if cfg.p is not None and not _is_prime(cfg.p):
+        raise ValueError(f"--p must be prime, got {cfg.p}")
     return cfg
 
 
@@ -170,13 +172,14 @@ def cmd_complexity(cfg: RunConfig) -> int:
     for n in cfg.ns:
         if not 1 <= n <= top:
             raise ValueError(f"n must be in 1..{top}, got {n}")
+    modes = [(k, _mode_for(cfg, k)) for k in cfg.ks]
     with _out_stream(cfg.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "k", "mode", "result_kind", "value_or_lo", "hi"])
         for n in cfg.ns:
             prefix = seq.prefix(n)
-            for k in cfg.ks:
-                result = nonlinear_complexity(ctx, prefix, _mode_for(cfg, k),
+            for k, mode in modes:
+                result = nonlinear_complexity(ctx, prefix, mode,
                                               monomial_budget=cfg.budget)
                 if isinstance(result, Exact):
                     writer.writerow([n, k, cfg.mode, "exact",
@@ -192,21 +195,21 @@ def cmd_bounds(cfg: RunConfig) -> int:
         raise ValueError("--p is required")
     q = cfg.p ** cfg.e
     ell = cfg.ell if cfg.ell is not None else q
+    header = ["n", "k", "ell", "r1", "r2",
+              "N_collinear", "L_collinear",
+              "N_twopoint", "L_twopoint",
+              "N_refined", "L_refined"]
+    rows = []
+    for n in cfg.ns:
+        for k in cfg.ks:
+            params = BoundParams(n=n, q=q, k=k, ell=ell)
+            values = all_bounds(params)
+            rows.append([n, k, ell, params.r1, params.r2]
+                        + [values[name].decimal() for name in header[5:]])
     with _out_stream(cfg.out) as out:
         writer = csv.writer(out, lineterminator="\n")
-        header = ["n", "k", "ell", "r1", "r2",
-                  "N_collinear", "L_collinear",
-                  "N_twopoint", "L_twopoint",
-                  "N_refined", "L_refined"]
         writer.writerow(header)
-        for n in cfg.ns:
-            for k in cfg.ks:
-                params = BoundParams(n=n, q=q, k=k, ell=ell)
-                values = all_bounds(params)
-                writer.writerow(
-                    [n, k, ell, params.r1, params.r2]
-                    + [values[name].decimal() for name in header[5:]]
-                )
+        writer.writerows(rows)
     return EXIT_OK
 
 
@@ -225,19 +228,9 @@ def cmd_figures(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("HERMSEQ_THREADS")
-    if raw is None:
-        return 1
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError("HERMSEQ_THREADS must be >= 1")
-    return cap
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     specs = [(cfg.p, cfg.e)] if cfg.p is not None else None
-    results = run_suite(field_specs=specs, max_workers=_thread_cap())
+    results = run_suite(field_specs=specs)
     width = max(len(r.name) for r in results) + 2
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -323,7 +316,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config(args)
         return args.handler(cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,8 +27,6 @@ from .field import FieldContext, SpanTracker
 
 DEFAULT_MONOMIAL_BUDGET = 1 << 22
 
-_SEEN_CACHE_LIMIT = 1 << 20
-
 
 @dataclass(frozen=True)
 class PerVariable:
@@ -140,7 +138,6 @@ def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     powtab = _power_table(ctx, terms[: n - 1], max_exp)
     mul = ctx.mul
     one = ctx.one
-    seen: set = set()
     for alpha in _exponent_vectors(mode, m, cap):
         col = []
         for i in range(r):
@@ -149,11 +146,6 @@ def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
                 if a_j:
                     v = mul(v, powtab[i + j][a_j])
             col.append(v)
-        key = tuple(col)
-        if key in seen:
-            continue
-        if len(seen) < _SEEN_CACHE_LIMIT:
-            seen.add(key)
         if tracker.offer(col):
             return True
     return False

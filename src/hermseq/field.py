@@ -7,8 +7,8 @@ lexicographically smallest irreducible polynomial of degree 2e and epsilon is
 the lexicographically smallest generator of the multiplicative group, so two
 runs always agree element for element.
 
-All objects are immutable after construction and every operation is a pure
-function of its inputs; contexts can be shared freely across threads.
+Every operation is a pure function of its inputs.  The only state a context
+adds after construction is its fiber table, built once on first use.
 """
 
 from __future__ import annotations
@@ -19,6 +19,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 Element = tuple[int, ...]
+
+# Largest field order q^2 a context will tabulate.  Construction enumerates
+# every element and walks the whole multiplicative group, so set-up time and
+# memory grow with the field; the largest field any caller uses is q = 32
+# (1,024 elements).
+MAX_FIELD_ORDER = 1 << 16
 
 
 def _is_prime(n: int) -> bool:
@@ -138,6 +144,13 @@ class FieldContext:
             raise ValueError(f"characteristic must be prime, got {p}")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
+        # p >= 2, so a long exponent alone exceeds the ceiling; testing it
+        # first keeps a huge e from being raised to the power
+        if 2 * e > MAX_FIELD_ORDER.bit_length() or p ** (2 * e) > MAX_FIELD_ORDER:
+            raise ValueError(
+                f"GF({p}^{2 * e}) has more than {MAX_FIELD_ORDER} elements, "
+                "too many to tabulate"
+            )
         self.p = p
         self.e = e
         self.q = p ** e
@@ -154,7 +167,7 @@ class FieldContext:
         )
         self._exp, self._log = self._build_tables()
         self.epsilon: Element = self._exp[1]
-        self._fiber_matrix = None
+        self._fibers: Optional[dict[Element, tuple[Element, ...]]] = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -268,23 +281,15 @@ class FieldContext:
     def hermitian_fiber(self, a: Element) -> tuple[Element, ...]:
         """The q solutions b of b^q + b = a^(q+1), in canonical order.
 
-        b -> b^q + b is F_p-linear, so the fiber is solved as an affine
-        system over the prime field: one particular solution plus the
-        e-dimensional kernel.
+        The fibers of the trace partition the field, so one pass over the
+        canonically ordered elements buckets every fiber, already sorted.
         """
-        if self._fiber_matrix is None:
-            cols = []
-            for i in range(self.degree):
-                unit = tuple(1 if j == i else 0 for j in range(self.degree))
-                cols.append(self.rel_trace(unit))
-            self._fiber_matrix = cols
-        rhs = self.rel_norm(a)
-        sols = _solve_affine_mod_p(self._fiber_matrix, rhs, self.p)
-        if len(sols) != self.q:  # pragma: no cover - structural guarantee
-            raise ArithmeticError(
-                f"fiber above {a} has {len(sols)} points, expected {self.q}"
-            )
-        return tuple(sorted(sols))
+        if self._fibers is None:
+            fibers: dict[Element, list[Element]] = {}
+            for b in self.elements:
+                fibers.setdefault(self.rel_trace(b), []).append(b)
+            self._fibers = {t: tuple(bs) for t, bs in fibers.items()}
+        return self._fibers[self.rel_norm(a)]
 
     # -- misc -----------------------------------------------------------------
 
@@ -312,50 +317,6 @@ def element_from_str(text: str, ctx: FieldContext) -> Element:
     except ValueError as exc:
         raise ValueError(f"bad element string {text!r}") from exc
     return ctx.element(coeffs)
-
-
-def _solve_affine_mod_p(columns: list[Element], rhs: Element, p: int) -> list[Element]:
-    """Every solution of the square F_p system with the given columns."""
-    d = len(rhs)
-    rows = [[columns[c][r] for c in range(d)] + [rhs[r]] for r in range(d)]
-    pivot_of_row: list[int] = []
-    rank = 0
-    for col in range(d):
-        pivot = next((r for r in range(rank, d) if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv_lead = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(v * inv_lead) % p for v in rows[rank]]
-        for r in range(d):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
-        pivot_of_row.append(col)
-        rank += 1
-    for r in range(rank, d):
-        if rows[r][-1] % p:
-            return []
-    free_cols = [c for c in range(d) if c not in pivot_of_row]
-    particular = [0] * d
-    for r, col in enumerate(pivot_of_row):
-        particular[col] = rows[r][-1]
-    kernel = []
-    for f in free_cols:
-        vec = [0] * d
-        vec[f] = 1
-        for r, col in enumerate(pivot_of_row):
-            vec[col] = (-rows[r][f]) % p
-        kernel.append(vec)
-    solutions = []
-    for combo in itertools.product(range(p), repeat=len(free_cols)):
-        sol = list(particular)
-        for c, vec in zip(combo, kernel):
-            if c:
-                for i in range(d):
-                    sol[i] = (sol[i] + c * vec[i]) % p
-        solutions.append(tuple(sol))
-    return solutions
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ reproducible.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence as SeqT
+from typing import Iterable, Optional, Sequence as SeqT
 
 from . import bounds as bnd
 from .complexity import (
@@ -457,8 +456,7 @@ def check_figures() -> CheckResult:
 # suite orchestration
 # ---------------------------------------------------------------------------
 
-def run_suite(field_specs: Optional[SeqT[tuple[int, int]]] = None,
-              max_workers: int = 1) -> list[CheckResult]:
+def run_suite(field_specs: Optional[SeqT[tuple[int, int]]] = None) -> list[CheckResult]:
     """The default verification suite: per-field checks at the configured
     (p, e) pairs plus the global bound grids and figure regeneration.
 
@@ -467,40 +465,20 @@ def run_suite(field_specs: Optional[SeqT[tuple[int, int]]] = None,
     """
     if field_specs is None:
         field_specs = [(2, 1), (3, 1)]
-    jobs: list[Callable[[], object]] = []
+    results: list[CheckResult] = []
     for p, e in field_specs:
         ctx = FieldContext(p, e)
-
-        def per_field(ctx=ctx):
-            results = [check_field(ctx), check_structure(ctx)]
-            results.extend(check_sequence_layer(ctx))
-            if ctx.q == 2:
-                results.append(check_oracle_agreement(ctx))
-            if ctx.q <= 5:
-                for ell in range(2, ctx.q + 1):
-                    seq = build_sequence(ctx, ell)
-                    results.append(check_bound_consistency(ctx, seq, "per-variable"))
-                    results.append(check_bound_consistency(ctx, seq, "total-degree"))
-            return results
-
-        jobs.append(per_field)
-    jobs.extend([
-        check_n_improvement,
-        check_l_improvement,
-        check_l_twopoint_equivalence,
-        check_figures,
-    ])
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outputs = list(pool.map(lambda job: job(), jobs))
-    else:
-        outputs = [job() for job in jobs]
-
-    results: list[CheckResult] = []
-    for out in outputs:
-        if isinstance(out, CheckResult):
-            results.append(out)
-        else:
-            results.extend(out)
+        results.append(check_field(ctx))
+        results.append(check_structure(ctx))
+        results.extend(check_sequence_layer(ctx))
+        if ctx.q == 2:
+            results.append(check_oracle_agreement(ctx))
+        if ctx.q <= 5:
+            for ell in range(2, ctx.q + 1):
+                seq = build_sequence(ctx, ell)
+                results.append(check_bound_consistency(ctx, seq, "per-variable"))
+                results.append(check_bound_consistency(ctx, seq, "total-degree"))
+    for check in (check_n_improvement, check_l_improvement,
+                  check_l_twopoint_equivalence, check_figures):
+        results.append(check())
     return results

@@ -1,4 +1,5 @@
 import csv
+import time
 
 import pytest
 
@@ -172,6 +173,45 @@ def test_figures_bad_preset():
 
 
 # ---------------------------------------------------------------------------
+# usage errors shared by every subcommand
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--p", "4", "--k", "1", "--n", "5"],                # p not prime
+    ["bounds", "--p", "3", "--k", "1", "--n", "0"],                # n out of range
+    ["bounds", "--p", "3", "--k", "1", "--n", "7", "--ell", "9"],  # ell > q
+    ["bounds", "--p", "2", "--k", "3", "--n", "1"],                # k > q^2 - 2
+    ["complexity", "--p", "3", "--ell", "2", "--k", "0", "--n", "5"],
+])
+def test_usage_error_writes_nothing(argv, tmp_path, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["figures", "--preset", "fig1", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_field_too_large_refused_quickly(capsys):
+    start = time.perf_counter()
+    assert main(["sequence", "--p", "1000003", "--ell", "2"]) == EXIT_USAGE
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too many to tabulate" in captured.err
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
@@ -182,13 +222,6 @@ def test_verify_single_field_passes(capsys):
     assert code == EXIT_OK
     assert "RESULT:" in captured.out
     assert "FAIL" not in captured.out
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("HERMSEQ_THREADS", "0")
-    assert main(["verify", "--p", "2", "--e", "1"]) == EXIT_USAGE
-    monkeypatch.setenv("HERMSEQ_THREADS", "not-a-number")
-    assert main(["verify", "--p", "2", "--e", "1"]) == EXIT_USAGE
 
 
 def test_help_exits_zero():

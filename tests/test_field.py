@@ -48,6 +48,13 @@ def test_nonprime_p_rejected():
         FieldContext(4, 1)
 
 
+def test_field_too_large_rejected():
+    with pytest.raises(ValueError, match="too many to tabulate"):
+        FieldContext(257, 1)          # 257^2 = 66049 elements
+    with pytest.raises(ValueError, match="too many to tabulate"):
+        FieldContext(2, 10 ** 9)      # refused before 2^(2e) is computed
+
+
 def test_reducible_modulus_rejected():
     # z^2 + 1 = (z+1)^2 over F_2
     with pytest.raises(ValueError):
@@ -153,13 +160,14 @@ def test_fiber_examples(f4):
 
 
 def test_fiber_partitions_curve():
-    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1)]:
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]:
         ctx = FieldContext(p, e)
         total = 0
         for a in ctx.elements:
             fiber = ctx.hermitian_fiber(a)
             assert len(fiber) == ctx.q
             assert len(set(fiber)) == ctx.q
+            assert fiber == tuple(sorted(fiber))
             for b in fiber:
                 assert ctx.rel_trace(b) == ctx.rel_norm(a)
             total += len(fiber)

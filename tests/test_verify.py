@@ -60,8 +60,8 @@ def test_bound_properties_hold_for_every_a(f9):
                                              ks=(1, 2)).passed
 
 
-def test_suite_respects_worker_cap():
-    results = run_suite(field_specs=[(3, 1)], max_workers=2)
+def test_suite_single_field():
+    results = run_suite(field_specs=[(3, 1)])
     assert results
     assert all(r.passed for r in results)
     names = {r.name for r in results}
