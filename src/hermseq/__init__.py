@@ -34,7 +34,6 @@ from .curve import (
     AffinePlace,
     CollinearFamily,
     PoleError,
-    ScalingAutomorphism,
     affine_places,
     collinear_family,
     eval_quotient,
@@ -46,11 +45,9 @@ from .curve import (
 )
 from .field import (
     FieldContext,
-    LinearSystemOutcome,
     SpanTracker,
     element_from_str,
     element_to_str,
-    solve_linear_system,
 )
 from .sequence import Sequence, SequenceMeta, build_sequence, full_length
 

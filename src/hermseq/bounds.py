@@ -4,7 +4,10 @@ Six formulas are evaluated, three per degree discipline.  The "collinear"
 pair belongs to the sequence this package builds (length q*(q^2-2), from ell
 collinear places); the "twopoint" and "refined twopoint" pairs are the two
 earlier bounds for the related length-(q-1)*(q^2-1) construction with poles
-at just two places, kept here for comparison sweeps.  All arithmetic is done
+at just two places, kept here for comparison sweeps.  The two-point pairs
+are evaluated as plain formulas at every n that BoundParams accepts (up to
+q*(q^2-2)), including n past their own sequence length, where they are
+formula-level comparisons only.  All arithmetic is done
 in exact rationals; only output rendering converts to fixed-precision
 decimal strings.  A bound value <= 0 is reported as trivial, never clamped,
 so sweeps show exactly where each formula stops carrying information.
@@ -15,14 +18,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
+
+from .field import _least_prime_factor
 
 
 def prime_power(q: int) -> tuple[int, int]:
     """Decompose q = p^e with p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    p = next(f for f in range(2, q + 1) if q % f == 0)
+    p = _least_prime_factor(q)
     e = 0
     rest = q
     while rest % p == 0:
@@ -114,15 +119,6 @@ def _check_k(params: BoundParams, k_max: int) -> None:
         raise ValueError(f"k must be <= {k_max} for this bound, got {params.k}")
 
 
-def _check_twopoint_length(params: BoundParams, formula_only: bool) -> None:
-    native = (params.q - 1) * (params.q ** 2 - 1)
-    if not formula_only and params.n > native:
-        raise ValueError(
-            f"n = {params.n} exceeds the two-point sequence length {native}; "
-            "pass formula_only=True for a formula-level comparison"
-        )
-
-
 def collinear_n_bound(params: BoundParams) -> BoundValue:
     """Per-variable-degree lower bound for the collinear construction."""
     _check_k(params, params.q ** 2 - 2)
@@ -141,56 +137,50 @@ def collinear_l_bound(params: BoundParams) -> BoundValue:
     return BoundValue(Fraction(num, den))
 
 
-def twopoint_n_bound(params: BoundParams, formula_only: bool = False) -> BoundValue:
+def twopoint_n_bound(params: BoundParams) -> BoundValue:
     """Per-variable-degree bound of the original two-point construction."""
     _check_k(params, params.q ** 2 - 1)
-    _check_twopoint_length(params, formula_only)
     q, k, r1 = params.q, params.k, params.r1
     num = r1 * (q ** 2 - 1) - 1
     den = r1 + q * (q - 1) * k
     return BoundValue(Fraction(num, den))
 
 
-def twopoint_l_bound(params: BoundParams, formula_only: bool = False) -> BoundValue:
+def twopoint_l_bound(params: BoundParams) -> BoundValue:
     """Total-degree bound of the original two-point construction."""
     _check_k(params, params.q ** 2 - 1)
-    _check_twopoint_length(params, formula_only)
     q, k, r1 = params.q, params.k, params.r1
     num = r1 * (q ** 2 - 1) - (q ** 2 - q - 1) * k - 1
     den = r1 + k
     return BoundValue(Fraction(num, den))
 
 
-def refined_twopoint_n_bound(params: BoundParams,
-                             formula_only: bool = False) -> BoundValue:
+def refined_twopoint_n_bound(params: BoundParams) -> BoundValue:
     """Per-variable-degree bound of the refined two-point construction."""
     _check_k(params, params.q ** 2 - 1)
-    _check_twopoint_length(params, formula_only)
     q, k, r1 = params.q, params.k, params.r1
     num = r1 * (q ** 2 - 1) - (q - 1)
     den = r1 + 2 * k * (q - 1)
     return BoundValue(Fraction(num, den))
 
 
-def refined_twopoint_l_bound(params: BoundParams,
-                             formula_only: bool = False) -> BoundValue:
+def refined_twopoint_l_bound(params: BoundParams) -> BoundValue:
     """Total-degree bound of the refined two-point construction."""
     _check_k(params, params.q ** 2 - 1)
-    _check_twopoint_length(params, formula_only)
     q, k, r1 = params.q, params.k, params.r1
     num = r1 * (q ** 2 - 1) - (k + 1) * (q - 1)
     den = r1 + k * (q - 1)
     return BoundValue(Fraction(num, den))
 
 
-def all_bounds(params: BoundParams, formula_only: bool = True) -> dict[str, BoundValue]:
+def all_bounds(params: BoundParams) -> dict[str, BoundValue]:
     return {
         "N_collinear": collinear_n_bound(params),
         "L_collinear": collinear_l_bound(params),
-        "N_twopoint": twopoint_n_bound(params, formula_only),
-        "L_twopoint": twopoint_l_bound(params, formula_only),
-        "N_refined": refined_twopoint_n_bound(params, formula_only),
-        "L_refined": refined_twopoint_l_bound(params, formula_only),
+        "N_twopoint": twopoint_n_bound(params),
+        "L_twopoint": twopoint_l_bound(params),
+        "N_refined": refined_twopoint_n_bound(params),
+        "L_refined": refined_twopoint_l_bound(params),
     }
 
 
@@ -209,31 +199,21 @@ class SweepRow:
     l2: BoundValue
 
 
-def comparison_sweep(q: int, k: int, n_values: Iterable[int],
-                     ell: Optional[int] = None,
-                     general_ell: bool = False) -> list[SweepRow]:
-    """Collinear vs refined two-point bounds over a range of prefix lengths.
-
-    The standard comparison sets ell = q; any other ell must be asked for
-    explicitly with general_ell=True.
-    """
-    if ell is None:
-        ell = q
-    if ell != q and not general_ell:
-        raise ValueError("comparison quantities are defined at ell = q; "
-                         "pass general_ell=True to override")
+def comparison_sweep(q: int, k: int, n_values: Iterable[int]) -> list[SweepRow]:
+    """Collinear vs refined two-point bounds over a range of prefix lengths,
+    at ell = q, where the comparison quantities are defined."""
     ns = list(n_values)
     if not ns:
         raise ValueError("empty sweep range")
     rows = []
     for n in ns:
-        params = BoundParams(n=n, q=q, k=k, ell=ell)
+        params = BoundParams(n=n, q=q, k=k, ell=q)
         rows.append(SweepRow(
             n=n,
             n1=collinear_n_bound(params),
-            n2=refined_twopoint_n_bound(params, formula_only=True),
+            n2=refined_twopoint_n_bound(params),
             l1=collinear_l_bound(params),
-            l2=refined_twopoint_l_bound(params, formula_only=True),
+            l2=refined_twopoint_l_bound(params),
         ))
     return rows
 
@@ -247,7 +227,7 @@ def n_bound_improves(q: int, k: int, n: int) -> bool:
     two-point one at this evaluation point."""
     params = BoundParams(n=n, q=q, k=k, ell=q)
     lhs = collinear_n_bound(params)
-    rhs = refined_twopoint_n_bound(params, formula_only=True)
+    rhs = refined_twopoint_n_bound(params)
     return lhs.value > rhs.value
 
 
@@ -256,7 +236,7 @@ def l_bound_improves(q: int, k: int, n: int) -> bool:
     two-point one at this evaluation point."""
     params = BoundParams(n=n, q=q, k=k, ell=q)
     lhs = collinear_l_bound(params)
-    rhs = refined_twopoint_l_bound(params, formula_only=True)
+    rhs = refined_twopoint_l_bound(params)
     return lhs.value > rhs.value
 
 
@@ -278,7 +258,7 @@ def l_bound_improves_twopoint(q: int, k: int, n: int) -> bool:
     two-point one; exact rational comparison."""
     params = BoundParams(n=n, q=q, k=k, ell=q)
     lhs = collinear_l_bound(params)
-    rhs = twopoint_l_bound(params, formula_only=True)
+    rhs = twopoint_l_bound(params)
     return lhs.value > rhs.value
 
 
@@ -317,5 +297,5 @@ def figure_rows(preset_name: str) -> tuple[FigurePreset, list[tuple[int, BoundVa
     rows = []
     for n in preset.n_values:
         params = BoundParams(n=n, q=preset.q, k=preset.k, ell=preset.q)
-        rows.append((n, own(params), rival(params, formula_only=True)))
+        rows.append((n, own(params), rival(params)))
     return preset, rows

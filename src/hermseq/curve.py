@@ -101,36 +101,13 @@ def collinear_family(ctx: FieldContext, a: Element) -> CollinearFamily:
 # the coordinate-scaling automorphism and its orbits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalingAutomorphism:
-    """(x, y) -> (eps*x, eps^(q+1)*y) as an action on places.
-
-    On coordinates the induced place map divides by the scaling factors:
-    a place (u, v) moves to (eps^-1 u, eps^-(q+1) v), so that the scaled
-    function takes the old value at the moved place.
-    """
-    ctx: FieldContext
-
-    x_exponent = 1
-
-    @property
-    def y_exponent(self) -> int:
-        return self.ctx.q + 1
-
-    @property
-    def epsilon(self) -> Element:
-        return self.ctx.epsilon
-
-    @property
-    def order(self) -> int:
-        return self.ctx.order - 1
-
-    def apply(self, place: Place, j: int = 1) -> Place:
-        return scale_place(self.ctx, place, j)
-
-
 def scale_place(ctx: FieldContext, place: Place, j: int) -> Place:
-    """j-th power of the scaling action on a place; infinity is fixed."""
+    """j-th power of the scaling action on a place; infinity is fixed.
+
+    The map (x, y) -> (eps*x, eps^(q+1)*y) moves a place (u, v) to
+    (eps^-1 u, eps^-(q+1) v), dividing by the scaling factors, so that the
+    scaled function takes the old value at the moved place.
+    """
     if place is INFINITY:
         return INFINITY
     xf = ctx.pow(ctx.epsilon, -j)

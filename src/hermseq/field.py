@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(q^2), q = p^e, plus a streamed exact linear solver.
+"""Exact arithmetic in GF(q^2), q = p^e, plus a streamed span-membership test.
 
 Elements are coefficient tuples over the prime field, low degree first, and
 the canonical order on elements is plain tuple comparison of those vectors.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 Element = tuple[int, ...]
@@ -27,19 +26,20 @@ Element = tuple[int, ...]
 MAX_FIELD_ORDER = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def _least_prime_factor(n: int) -> int:
+    """Smallest prime dividing n >= 2, by trial division up to sqrt(n)."""
     if n % 2 == 0:
-        return False
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +140,19 @@ class FieldContext:
     """
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Iterable[int]] = None):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
         if e < 1:
             raise ValueError(f"extension degree must be >= 1, got {e}")
-        # p >= 2, so a long exponent alone exceeds the ceiling; testing it
-        # first keeps a huge e from being raised to the power
+        # The ceiling comes before the primality test, so a huge prime is
+        # refused without trial division.  Any prime is >= 2, so a long
+        # exponent alone exceeds the ceiling; testing it first keeps a huge
+        # e from being raised to the power.
         if 2 * e > MAX_FIELD_ORDER.bit_length() or p ** (2 * e) > MAX_FIELD_ORDER:
             raise ValueError(
                 f"GF({p}^{2 * e}) has more than {MAX_FIELD_ORDER} elements, "
                 "too many to tabulate"
             )
+        if not _is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p}")
         self.p = p
         self.e = e
         self.q = p ** e
@@ -224,9 +226,6 @@ class FieldContext:
                 f"coefficient vector longer than field degree {self.degree}"
             )
         return tuple(vec) + (0,) * (self.degree - len(vec))
-
-    def scalar(self, c: int) -> Element:
-        return self.element([c])
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -320,18 +319,8 @@ def element_from_str(text: str, ctx: FieldContext) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# streamed column-space solver over GF(q^2)
+# streamed span membership over GF(q^2)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearSystemOutcome:
-    """consistent: target lies in the span of the offered columns.
-    witness: column index -> coefficient, such that the indicated combination
-    of columns equals the target exactly (None when inconsistent or when
-    witness tracking was off)."""
-    consistent: bool
-    witness: Optional[dict[int, Element]]
-
 
 class SpanTracker:
     """Incremental row-reduced basis of a streamed column space.
@@ -342,14 +331,11 @@ class SpanTracker:
     span, which lets callers stop the stream early.
     """
 
-    def __init__(self, ctx: FieldContext, target, track_witness: bool = False):
+    def __init__(self, ctx: FieldContext, target):
         self.ctx = ctx
-        self._target = list(target)
-        self._residual = list(self._target)
-        self._pivots: dict[int, tuple[list[Element], Optional[dict[int, Element]]]] = {}
-        self._track = track_witness
-        self._witness: dict[int, Element] = {}
-        self._count = 0
+        self._residual = list(target)
+        # pivot row -> basis column, zero above its pivot and scaled to 1 there
+        self._pivots: dict[int, list[Element]] = {}
         self._consistent = all(v == ctx.zero for v in self._residual)
 
     @property
@@ -360,67 +346,30 @@ class SpanTracker:
     def rank(self) -> int:
         return len(self._pivots)
 
-    @property
-    def saturated(self) -> bool:
-        return len(self._pivots) == len(self._target)
-
     def offer(self, column) -> bool:
         """Fold one more column into the basis; True once target is spanned."""
         ctx = self.ctx
         zero, mul, sub = ctx.zero, ctx.mul, ctx.sub
         col = list(column)
-        if len(col) != len(self._target):
+        if len(col) != len(self._residual):
             raise ValueError(
-                f"column length {len(col)} != system length {len(self._target)}"
+                f"column length {len(col)} != system length {len(self._residual)}"
             )
-        idx = self._count
-        self._count += 1
         if self._consistent:
             return True
-        combo = {idx: ctx.one} if self._track else None
         for p_i in sorted(self._pivots):
             c = col[p_i]
             if c != zero:
-                bvec, bcombo = self._pivots[p_i]
-                col = [sub(x, mul(c, y)) for x, y in zip(col, bvec)]
-                if self._track:
-                    for t, w in bcombo.items():
-                        combo[t] = sub(combo.get(t, zero), mul(c, w))
+                col = [sub(x, mul(c, y)) for x, y in zip(col, self._pivots[p_i])]
         pivot = next((i for i, v in enumerate(col) if v != zero), None)
         if pivot is None:
             return False
         scale = ctx.inv(col[pivot])
         col = [mul(scale, v) for v in col]
-        if self._track:
-            combo = {t: mul(scale, w) for t, w in combo.items()}
-        self._pivots[pivot] = (col, combo)
+        self._pivots[pivot] = col
         c = self._residual[pivot]
         if c != zero:
             self._residual = [sub(x, mul(c, y)) for x, y in zip(self._residual, col)]
-            if self._track:
-                for t, w in combo.items():
-                    self._witness[t] = ctx.add(self._witness.get(t, zero), mul(c, w))
             if all(v == zero for v in self._residual):
                 self._consistent = True
         return self._consistent
-
-    def witness(self) -> Optional[dict[int, Element]]:
-        if not self._consistent or not self._track:
-            return None
-        return {t: w for t, w in self._witness.items() if w != self.ctx.zero}
-
-
-def solve_linear_system(columns, target, ctx: FieldContext,
-                        track_witness: bool = True) -> LinearSystemOutcome:
-    """Consistency (and a witness) of sum_i c_i * column_i = target.
-
-    Columns may be any iterable and are consumed only until the target is
-    known to lie in their span.
-    """
-    tracker = SpanTracker(ctx, list(target), track_witness=track_witness)
-    if tracker.consistent:
-        return LinearSystemOutcome(True, {} if track_witness else None)
-    for col in columns:
-        if tracker.offer(col):
-            return LinearSystemOutcome(True, tracker.witness())
-    return LinearSystemOutcome(False, None)

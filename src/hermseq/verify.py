@@ -29,10 +29,11 @@ from .curve import (
     collinear_family,
     eval_quotient,
     on_curve,
+    orbit,
     scale_place,
     zero_set,
 )
-from .field import FieldContext
+from .field import FieldContext, _least_prime_factor
 from .sequence import Sequence, build_sequence, full_length
 
 
@@ -54,15 +55,11 @@ def _result(name: str, failures: list[str], ok_detail: str) -> CheckResult:
 
 def _prime_factors(n: int) -> list[int]:
     out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        f = _least_prime_factor(n)
+        out.append(f)
+        while n % f == 0:
+            n //= f
     return out
 
 
@@ -130,7 +127,7 @@ def check_structure(ctx: FieldContext, seed: int = 0,
     fam = collinear_family(ctx, ctx.epsilon)
     orbits = []
     for pl in fam.places:
-        orb = {scale_place(ctx, pl, j) for j in range(n_order)}
+        orb = set(orbit(ctx, pl))
         if len(orb) != n_order:
             failures.append(f"orbit of {pl} has {len(orb)} places")
         orbits.append(orb)

@@ -31,6 +31,7 @@ def test_prime_power():
     assert prime_power(32) == (2, 5)
     assert prime_power(9) == (3, 2)
     assert prime_power(7) == (7, 1)
+    assert prime_power(1_000_000_007) == (1_000_000_007, 1)
     for bad in (0, 1, 6, 12, 100):
         with pytest.raises(ValueError):
             prime_power(bad)
@@ -127,13 +128,9 @@ def test_twopoint_values():
 
 
 def test_refined_values():
-    v = refined_twopoint_n_bound(
-        BoundParams(n=32704, q=32, k=5, ell=32), formula_only=True
-    )
+    v = refined_twopoint_n_bound(BoundParams(n=32704, q=32, k=5, ell=32))
     assert v.value == Fraction(31682, 341)
-    v = refined_twopoint_l_bound(
-        BoundParams(n=32704, q=32, k=20, ell=32), formula_only=True
-    )
+    v = refined_twopoint_l_bound(BoundParams(n=32704, q=32, k=20, ell=32))
     assert v.value == Fraction(31062, 651)
 
 
@@ -142,11 +139,11 @@ def test_refined_degenerate_at_zero_ratio():
     assert v.is_trivial
 
 
-def test_twopoint_length_guard():
-    params = BoundParams(n=32704, q=32, k=5, ell=32)  # beyond 31*1023
-    with pytest.raises(ValueError):
-        twopoint_n_bound(params)
-    twopoint_n_bound(params, formula_only=True)
+def test_twopoint_formula_beyond_native_length():
+    # n = 32704 is past the two-point length 31*1023; the formula still
+    # evaluates, here with r1 = 31
+    v = twopoint_n_bound(BoundParams(n=32704, q=32, k=5, ell=32))
+    assert v.value == Fraction(31712, 4991)
 
 
 def test_k_range_guards():
@@ -196,9 +193,6 @@ def test_sweep_first_window_row():
 def test_sweep_validation():
     with pytest.raises(ValueError):
         comparison_sweep(3, 2, [])
-    with pytest.raises(ValueError):
-        comparison_sweep(3, 2, [7], ell=2)
-    comparison_sweep(3, 2, [7], ell=2, general_ell=True)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,14 @@ def test_field_too_large_refused_quickly(capsys):
     assert "too many to tabulate" in captured.err
 
 
+def test_bounds_large_prime_quickly(capsys):
+    start = time.perf_counter()
+    assert main(["bounds", "--p", "1000000007", "--k", "1", "--n", "1"]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 2 and rows[1][:3] == ["1", "1", "1000000007"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

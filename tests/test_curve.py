@@ -6,7 +6,6 @@ from hermseq.curve import (
     INFINITY,
     AffinePlace,
     PoleError,
-    ScalingAutomorphism,
     TangentLine,
     TangentQuotient,
     VerticalLine,
@@ -116,17 +115,6 @@ def test_scale_exact_order(p, e):
             j for j in range(1, n + 1) if scale_place(ctx, place, j) == place
         )
         assert period == n
-
-
-def test_automorphism_wrapper(f4):
-    sigma = ScalingAutomorphism(f4)
-    assert sigma.order == 3
-    assert sigma.x_exponent == 1
-    assert sigma.y_exponent == 3
-    assert sigma.epsilon == f4.epsilon
-    pl = AffinePlace(f4.one, f4.epsilon)
-    assert sigma.apply(pl, 2) == scale_place(f4, pl, 2)
-    assert sigma.apply(INFINITY) is INFINITY
 
 
 # ---------------------------------------------------------------------------
