@@ -7,7 +7,6 @@ from .bounds import (
     BoundValue,
     collinear_l_bound,
     collinear_n_bound,
-    comparison_sweep,
     figure_rows,
     l_bound_improves,
     l_bound_improves_twopoint,

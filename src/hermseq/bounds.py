@@ -4,13 +4,13 @@ Six formulas are evaluated, three per degree discipline.  The "collinear"
 pair belongs to the sequence this package builds (length q*(q^2-2), from ell
 collinear places); the "twopoint" and "refined twopoint" pairs are the two
 earlier bounds for the related length-(q-1)*(q^2-1) construction with poles
-at just two places, kept here for comparison sweeps.  The two-point pairs
-are evaluated as plain formulas at every n that BoundParams accepts (up to
-q*(q^2-2)), including n past their own sequence length, where they are
-formula-level comparisons only.  All arithmetic is done
-in exact rationals; only output rendering converts to fixed-precision
-decimal strings.  A bound value <= 0 is reported as trivial, never clamped,
-so sweeps show exactly where each formula stops carrying information.
+at just two places.  The two-point pairs are evaluated as plain formulas at
+every n that BoundParams accepts (up to q*(q^2-2)), including n past their
+own sequence length, where they are formula-level comparisons only.  All
+arithmetic is done in exact rationals; only output rendering converts to
+decimal strings with DECIMAL_PLACES digits.  A bound value <= 0 is
+reported as trivial, never clamped, so a grid of rows shows exactly where
+each formula stops carrying information.
 """
 
 from __future__ import annotations
@@ -18,15 +18,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable
 
-from .field import _least_prime_factor
+from .field import _is_prime, _least_prime_factor
+
+DECIMAL_PLACES = 6
 
 
 def prime_power(q: int) -> tuple[int, int]:
     """Decompose q = p^e with p prime, or raise ValueError."""
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
+    if _is_prime(q):
+        return q, 1
     p = _least_prime_factor(q)
     e = 0
     rest = q
@@ -96,22 +100,22 @@ class BoundValue:
         """A bound <= 0 says nothing about a complexity."""
         return self.value <= 0
 
-    def decimal(self, places: int = 6) -> str:
-        return decimal_string(self.value, places)
+    def decimal(self) -> str:
+        return decimal_string(self.value)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
 
 
-def decimal_string(value: Fraction, places: int = 6) -> str:
-    """Exact fixed-precision rendering, round half away from zero."""
+def decimal_string(value: Fraction) -> str:
+    """Exact rendering with DECIMAL_PLACES digits, round half away from zero."""
     sign = "-" if value < 0 else ""
     num, den = abs(value.numerator), value.denominator
-    scaled, rem = divmod(num * 10 ** places, den)
+    scaled, rem = divmod(num * 10 ** DECIMAL_PLACES, den)
     if 2 * rem >= den:
         scaled += 1
-    whole, frac = divmod(scaled, 10 ** places)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    whole, frac = divmod(scaled, 10 ** DECIMAL_PLACES)
+    return f"{sign}{whole}.{frac:0{DECIMAL_PLACES}d}"
 
 
 def _check_k(params: BoundParams, k_max: int) -> None:
@@ -185,59 +189,27 @@ def all_bounds(params: BoundParams) -> dict[str, BoundValue]:
 
 
 # ---------------------------------------------------------------------------
-# comparison sweeps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One prefix length: collinear bounds (n1, l1) next to the refined
-    two-point bounds (n2, l2)."""
-    n: int
-    n1: BoundValue
-    n2: BoundValue
-    l1: BoundValue
-    l2: BoundValue
-
-
-def comparison_sweep(q: int, k: int, n_values: Iterable[int]) -> list[SweepRow]:
-    """Collinear vs refined two-point bounds over a range of prefix lengths,
-    at ell = q, where the comparison quantities are defined."""
-    ns = list(n_values)
-    if not ns:
-        raise ValueError("empty sweep range")
-    rows = []
-    for n in ns:
-        params = BoundParams(n=n, q=q, k=k, ell=q)
-        rows.append(SweepRow(
-            n=n,
-            n1=collinear_n_bound(params),
-            n2=refined_twopoint_n_bound(params),
-            l1=collinear_l_bound(params),
-            l2=refined_twopoint_l_bound(params),
-        ))
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # pointwise improvement claims
 # ---------------------------------------------------------------------------
+
+def _beats(own: Callable[[BoundParams], BoundValue],
+           rival: Callable[[BoundParams], BoundValue],
+           q: int, k: int, n: int) -> bool:
+    """own strictly exceeds rival at (n, q, k) with ell = q; exact."""
+    params = BoundParams(n=n, q=q, k=k, ell=q)
+    return own(params).value > rival(params).value
+
 
 def n_bound_improves(q: int, k: int, n: int) -> bool:
     """Collinear per-variable bound (at ell = q) strictly beats the refined
     two-point one at this evaluation point."""
-    params = BoundParams(n=n, q=q, k=k, ell=q)
-    lhs = collinear_n_bound(params)
-    rhs = refined_twopoint_n_bound(params)
-    return lhs.value > rhs.value
+    return _beats(collinear_n_bound, refined_twopoint_n_bound, q, k, n)
 
 
 def l_bound_improves(q: int, k: int, n: int) -> bool:
     """Collinear total-degree bound (at ell = q) strictly beats the refined
     two-point one at this evaluation point."""
-    params = BoundParams(n=n, q=q, k=k, ell=q)
-    lhs = collinear_l_bound(params)
-    rhs = refined_twopoint_l_bound(params)
-    return lhs.value > rhs.value
+    return _beats(collinear_l_bound, refined_twopoint_l_bound, q, k, n)
 
 
 def l_twopoint_condition(q: int, k: int, n: int) -> bool:
@@ -256,10 +228,7 @@ def l_twopoint_condition(q: int, k: int, n: int) -> bool:
 def l_bound_improves_twopoint(q: int, k: int, n: int) -> bool:
     """Collinear total-degree bound (ell = q) strictly beats the original
     two-point one; exact rational comparison."""
-    params = BoundParams(n=n, q=q, k=k, ell=q)
-    lhs = collinear_l_bound(params)
-    rhs = twopoint_l_bound(params)
-    return lhs.value > rhs.value
+    return _beats(collinear_l_bound, twopoint_l_bound, q, k, n)
 
 
 # ---------------------------------------------------------------------------

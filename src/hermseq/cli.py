@@ -20,50 +20,24 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from contextlib import nullcontext
 from typing import Optional
 
 from .bounds import BoundParams, all_bounds, figure_rows
 from .complexity import (
     DEFAULT_MONOMIAL_BUDGET,
-    Bracket,
     Exact,
     PerVariable,
     TotalDegree,
     nonlinear_complexity,
 )
 from .field import Element, FieldContext, _is_prime, element_from_str, element_to_str
-from .sequence import build_sequence
+from .sequence import Sequence, build_sequence
 from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    p: Optional[int] = None
-    e: int = 1
-    modulus: Optional[tuple[int, ...]] = None
-    a: Optional[str] = None
-    ell: Optional[int] = None
-    ks: list[int] = dc_field(default_factory=list)
-    ns: list[int] = dc_field(default_factory=list)
-    mode: str = "per-variable"
-    budget: int = DEFAULT_MONOMIAL_BUDGET
-    out: Optional[str] = None
-    preset: Optional[str] = None
-
-    def field_context(self) -> FieldContext:
-        if self.p is None:
-            raise ValueError("--p is required for this subcommand")
-        return FieldContext(self.p, self.e, self.modulus)
-
-    def element_a(self, ctx: FieldContext) -> Optional[Element]:
-        return element_from_str(self.a, ctx) if self.a is not None else None
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -101,51 +75,47 @@ def _collect(single: Optional[int], rng: Optional[str], what: str) -> list[int]:
     raise ValueError(f"one of --{what} / --{what}-range is required")
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.command)
-    for name in ("p", "e", "a", "ell", "mode", "budget", "out", "preset"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
+def _config(args: argparse.Namespace) -> argparse.Namespace:
+    """Validate the parsed arguments and normalise them in place: --modulus
+    becomes a tuple, --k/--k-range becomes args.ks, --n/--n-range args.ns."""
     if getattr(args, "modulus", None) is not None:
-        cfg.modulus = _parse_int_list(args.modulus, "modulus")
+        args.modulus = _parse_int_list(args.modulus, "modulus")
     if hasattr(args, "k"):
-        cfg.ks = _collect(args.k, args.k_range, "k")
+        args.ks = _collect(args.k, args.k_range, "k")
     if hasattr(args, "n"):
-        cfg.ns = _collect(args.n, args.n_range, "n")
-    if cfg.budget < 1:
+        args.ns = _collect(args.n, args.n_range, "n")
+    if getattr(args, "budget", 1) < 1:
         raise ValueError("--budget must be >= 1")
-    if cfg.p is not None and not _is_prime(cfg.p):
-        raise ValueError(f"--p must be prime, got {cfg.p}")
-    return cfg
+    if getattr(args, "p", None) is not None and not _is_prime(args.p):
+        raise ValueError(f"--p must be prime, got {args.p}")
+    return args
 
 
-@contextmanager
 def _out_stream(path: Optional[str]):
     if path is None:
-        yield sys.stdout
-    else:
-        handle = open(path, "w", newline="")
-        try:
-            yield handle
-        finally:
-            handle.close()
-
-
-def _mode_for(cfg: RunConfig, k: int):
-    return PerVariable(k) if cfg.mode == "per-variable" else TotalDegree(k)
+        return nullcontext(sys.stdout)
+    return open(path, "w", newline="")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_sequence(cfg: RunConfig) -> int:
-    ctx = cfg.field_context()
-    if cfg.ell is None:
+def _field_and_sequence(args: argparse.Namespace) -> tuple[FieldContext, Sequence]:
+    """The field from --p/--e/--modulus and the sequence from --ell/--a."""
+    if args.p is None:
+        raise ValueError("--p is required for this subcommand")
+    ctx = FieldContext(args.p, args.e, args.modulus)
+    if args.ell is None:
         raise ValueError("--ell is required")
-    seq = build_sequence(ctx, cfg.ell, cfg.element_a(ctx))
+    a = element_from_str(args.a, ctx) if args.a is not None else None
+    return ctx, build_sequence(ctx, args.ell, a)
+
+
+def cmd_sequence(args: argparse.Namespace) -> int:
+    ctx, seq = _field_and_sequence(args)
     steps = ctx.order - 2
-    with _out_stream(cfg.out) as out:
+    with _out_stream(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["index", "i", "j", "value"])
         for idx, term in enumerate(seq.terms, start=1):
@@ -163,62 +133,60 @@ def parse_sequence_values(text: str, ctx: FieldContext) -> list[Element]:
     return [element_from_str(row[3], ctx) for row in rows[1:] if row]
 
 
-def cmd_complexity(cfg: RunConfig) -> int:
-    ctx = cfg.field_context()
-    if cfg.ell is None:
-        raise ValueError("--ell is required")
-    seq = build_sequence(ctx, cfg.ell, cfg.element_a(ctx))
+def cmd_complexity(args: argparse.Namespace) -> int:
+    ctx, seq = _field_and_sequence(args)
     top = len(seq)
-    for n in cfg.ns:
+    for n in args.ns:
         if not 1 <= n <= top:
             raise ValueError(f"n must be in 1..{top}, got {n}")
-    modes = [(k, _mode_for(cfg, k)) for k in cfg.ks]
-    with _out_stream(cfg.out) as out:
+    mode_cls = PerVariable if args.mode == "per-variable" else TotalDegree
+    modes = [(k, mode_cls(k)) for k in args.ks]
+    with _out_stream(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "k", "mode", "result_kind", "value_or_lo", "hi"])
-        for n in cfg.ns:
+        for n in args.ns:
             prefix = seq.prefix(n)
             for k, mode in modes:
                 result = nonlinear_complexity(ctx, prefix, mode,
-                                              monomial_budget=cfg.budget)
+                                              monomial_budget=args.budget)
                 if isinstance(result, Exact):
-                    writer.writerow([n, k, cfg.mode, "exact",
+                    writer.writerow([n, k, args.mode, "exact",
                                      result.value, result.value])
                 else:
-                    writer.writerow([n, k, cfg.mode, "bracket",
+                    writer.writerow([n, k, args.mode, "bracket",
                                      result.lo, result.hi])
     return EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
-    if cfg.p is None:
+def cmd_bounds(args: argparse.Namespace) -> int:
+    if args.p is None:
         raise ValueError("--p is required")
-    q = cfg.p ** cfg.e
-    ell = cfg.ell if cfg.ell is not None else q
+    q = args.p ** args.e
+    ell = args.ell if args.ell is not None else q
     header = ["n", "k", "ell", "r1", "r2",
               "N_collinear", "L_collinear",
               "N_twopoint", "L_twopoint",
               "N_refined", "L_refined"]
     rows = []
-    for n in cfg.ns:
-        for k in cfg.ks:
+    for n in args.ns:
+        for k in args.ks:
             params = BoundParams(n=n, q=q, k=k, ell=ell)
             values = all_bounds(params)
             rows.append([n, k, ell, params.r1, params.r2]
                         + [values[name].decimal() for name in header[5:]])
-    with _out_stream(cfg.out) as out:
+    with _out_stream(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     return EXIT_OK
 
 
-def cmd_figures(cfg: RunConfig) -> int:
-    if cfg.preset is None:
+def cmd_figures(args: argparse.Namespace) -> int:
+    if args.preset is None:
         raise ValueError("--preset is required (fig1 or fig2)")
-    preset, rows = figure_rows(cfg.preset)
+    preset, rows = figure_rows(args.preset)
     label = preset.family  # N for fig1, L for fig2
-    with _out_stream(cfg.out) as out:
+    with _out_stream(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow([
             "n", f"{label}1", f"{label}2", f"{label}1_exact", f"{label}2_exact",
@@ -228,8 +196,8 @@ def cmd_figures(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    specs = [(cfg.p, cfg.e)] if cfg.p is not None else None
+def cmd_verify(args: argparse.Namespace) -> int:
+    specs = [(args.p, args.e)] if args.p is not None else None
     results = run_suite(field_specs=specs)
     width = max(len(r.name) for r in results) + 2
     for r in results:
@@ -314,8 +282,7 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        cfg = _config(args)
-        return args.handler(cfg)
+        return args.handler(_config(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

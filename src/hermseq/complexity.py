@@ -71,11 +71,6 @@ class Bracket:
 ComplexityResult = Union[Exact, Bracket]
 
 
-def _term_tuple(t) -> tuple:
-    terms = getattr(t, "terms", None)
-    return terms if terms is not None else tuple(t)
-
-
 def _sum_bounded_vectors(m: int, per_cap: int, total: int) -> Iterator[tuple[int, ...]]:
     """Exponent vectors of length m, entries <= per_cap, sum <= total, in
     lexicographic order."""
@@ -124,7 +119,7 @@ def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     One linear unknown per admissible monomial, one equation per window;
     columns are streamed so only a row-bounded basis is ever held.
     """
-    terms = _term_tuple(t)
+    terms = tuple(t)
     n = len(terms)
     if not 1 <= m <= n - 1:
         raise ValueError(f"window length must be in 1..{n - 1}, got {m}")
@@ -162,7 +157,7 @@ def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode,
     """
     if monomial_budget < 1:
         raise ValueError("monomial budget must be >= 1")
-    terms = _term_tuple(t)
+    terms = tuple(t)
     n = len(terms)
     if all(v == ctx.zero for v in terms):
         return Exact(0)
@@ -187,7 +182,7 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     monomial basis of the mode and tests the recurrence on all windows.
     Refuses when the candidate count exceeds 2**24.
     """
-    terms = _term_tuple(t)
+    terms = tuple(t)
     n = len(terms)
     if not 1 <= m <= n - 1:
         raise ValueError(f"window length must be in 1..{n - 1}, got {m}")
@@ -235,7 +230,7 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
 def linear_complexity(ctx: FieldContext, t) -> int:
     """Length of the shortest homogeneous linear recurrence generating t,
     by the classical iterative synthesis algorithm."""
-    terms = _term_tuple(t)
+    terms = tuple(t)
     n = len(terms)
     zero, one = ctx.zero, ctx.one
     conn = [one]          # connection polynomial, constant term first

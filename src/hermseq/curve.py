@@ -9,6 +9,8 @@ family of q collinear places on the vertical line x = a, which carries:
   * the tangent quotient (x - a)^q / (product of the first ell-1 tangents),
     the rational function evaluated along scaling orbits to build sequences.
 
+zero_set takes any function of a place; where it raises PoleError is a pole.
+
 The scaling map (x, y) -> (eps*x, eps^(q+1)*y), eps the primitive element,
 acts on places with exact order q^2 - 1; iterating it over the family places
 sweeps out q disjoint orbits that miss precisely the q places with x = 0.
@@ -19,7 +21,7 @@ Everything is immutable and side-effect free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from .field import Element, FieldContext
 
@@ -161,68 +163,18 @@ def eval_quotient(fam: CollinearFamily, ell: int, place: Place) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# symbolic function descriptors and zero sets
+# zero sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerticalLine:
-    """The function x - a."""
-    a: Element
-
-
-@dataclass(frozen=True)
-class YCoordinate:
-    """The coordinate function y."""
-
-
-@dataclass(frozen=True)
-class TangentLine:
-    fam: CollinearFamily
-    i: int
-
-    def __post_init__(self):
-        if not 1 <= self.i <= self.fam.q:
-            raise ValueError(f"tangent index must be in 1..{self.fam.q}")
-
-
-@dataclass(frozen=True)
-class TangentQuotient:
-    fam: CollinearFamily
-    ell: int
-
-    def __post_init__(self):
-        if not 2 <= self.ell <= self.fam.q:
-            raise ValueError(f"ell must be in 2..{self.fam.q}")
-
-
-CurveFunction = Union[VerticalLine, YCoordinate, TangentLine, TangentQuotient]
-
-
-def evaluate(ctx: FieldContext, fn: CurveFunction, place: Place) -> Element:
-    if place is INFINITY:
-        raise PoleError("all supported functions have a pole at infinity")
-    if isinstance(fn, VerticalLine):
-        return ctx.sub(place.x, fn.a)
-    if isinstance(fn, YCoordinate):
-        return place.y
-    if isinstance(fn, TangentLine):
-        return eval_tangent(fn.fam, fn.i, place)
-    if isinstance(fn, TangentQuotient):
-        return eval_quotient(fn.fam, fn.ell, place)
-    raise TypeError(f"not a curve function: {fn!r}")
-
-
-def affine_poles(fn: CurveFunction) -> frozenset[AffinePlace]:
-    if isinstance(fn, TangentQuotient):
-        return frozenset(fn.fam.places[: fn.ell - 1])
-    return frozenset()
-
-
-def zero_set(ctx: FieldContext, fn: CurveFunction) -> tuple[AffinePlace, ...]:
-    """All affine places where the function vanishes (poles excluded)."""
-    poles = affine_poles(fn)
-    return tuple(
-        place
-        for place in affine_places(ctx)
-        if place not in poles and evaluate(ctx, fn, place) == ctx.zero
-    )
+def zero_set(ctx: FieldContext, fn: Callable[[Place], Element]) -> tuple[AffinePlace, ...]:
+    """All affine places where fn vanishes; places where fn raises
+    PoleError are poles and are left out."""
+    zeros = []
+    for place in affine_places(ctx):
+        try:
+            value = fn(place)
+        except PoleError:
+            continue
+        if value == ctx.zero:
+            zeros.append(place)
+    return tuple(zeros)

@@ -38,8 +38,33 @@ def _least_prime_factor(n: int) -> int:
     return n
 
 
+# The first 13 primes.  No composite below _MILLER_RABIN_EXACT_BELOW is a
+# strong probable prime to all of them as bases (Sorenson and Webster, 2015).
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and _least_prime_factor(n) == n
+    """Exact primality: Miller-Rabin on the bases _SMALL_PRIMES below
+    _MILLER_RABIN_EXACT_BELOW, trial division at or above it."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        return _least_prime_factor(n) == n
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for base in _SMALL_PRIMES:
+        x = pow(base, d, n)
+        # n is a strong probable prime to this base iff x = 1 or some
+        # x^(2^r), r < s, is -1
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

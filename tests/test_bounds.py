@@ -9,7 +9,6 @@ from hermseq.bounds import (
     all_bounds,
     collinear_l_bound,
     collinear_n_bound,
-    comparison_sweep,
     decimal_string,
     l_bound_improves,
     l_bound_improves_twopoint,
@@ -76,8 +75,7 @@ def test_decimal_string():
     assert decimal_string(Fraction(32673, 192)) == "170.171875"
     assert decimal_string(Fraction(3, 4)) == "0.750000"
     assert decimal_string(Fraction(-15, 10)) == "-1.500000"
-    assert decimal_string(Fraction(1, 3), places=3) == "0.333"
-    assert decimal_string(Fraction(2, 3), places=3) == "0.667"
+    assert decimal_string(Fraction(2, 3)) == "0.666667"
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +88,10 @@ def test_collinear_n_values():
     v = collinear_n_bound(BoundParams(n=4, q=2, k=1, ell=2))
     assert v.value == Fraction(3, 4)
     assert v.ceiling == 1
+    # first window: at n = q^2 - 2 = 7 the floor ratio r2 is 1, so
+    # (1*7 - (ell-1)) / (1 + k*q*(q+1-ell)) = 5/7
+    v = collinear_n_bound(BoundParams(n=7, q=3, k=2, ell=3))
+    assert v.value == Fraction(5, 7)
 
 
 def test_collinear_n_trivial_below_window():
@@ -162,37 +164,6 @@ def test_all_bounds_keys():
         "N_twopoint", "L_twopoint",
         "N_refined", "L_refined",
     }
-
-
-# ---------------------------------------------------------------------------
-# sweeps
-# ---------------------------------------------------------------------------
-
-def test_sweep_endpoint_row():
-    rows = comparison_sweep(32, 5, [1023, 32704])
-    assert rows[-1].n1.value == Fraction(32673, 192)
-    assert rows[-1].n2.value == Fraction(31682, 341)
-    assert rows[-1].n1.value > rows[-1].n2.value
-
-
-def test_sweep_fig2_endpoint():
-    rows = comparison_sweep(32, 20, [32704])
-    assert rows[0].l1.value == Fraction(32653, 652)
-    assert rows[0].l2.value == Fraction(31062, 651)
-    assert rows[0].l1.value > rows[0].l2.value
-
-
-def test_sweep_first_window_row():
-    # at n = q^2 - 2 the collinear floor ratio is exactly 1
-    rows = comparison_sweep(3, 2, [7])
-    params = BoundParams(n=7, q=3, k=2, ell=3)
-    assert params.r2 == 1
-    assert rows[0].n1.value == Fraction(1 * 7 - 2, 1 + 2 * 3)
-
-
-def test_sweep_validation():
-    with pytest.raises(ValueError):
-        comparison_sweep(3, 2, [])
 
 
 # ---------------------------------------------------------------------------

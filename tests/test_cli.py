@@ -182,6 +182,8 @@ def test_figures_bad_preset():
     ["bounds", "--p", "3", "--k", "1", "--n", "7", "--ell", "9"],  # ell > q
     ["bounds", "--p", "2", "--k", "3", "--n", "1"],                # k > q^2 - 2
     ["complexity", "--p", "3", "--ell", "2", "--k", "0", "--n", "5"],
+    ["complexity", "--p", "3", "--k", "1", "--n", "5"],            # no --ell
+    ["complexity", "--ell", "2", "--k", "1", "--n", "5"],          # no --p
 ])
 def test_usage_error_writes_nothing(argv, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
@@ -203,20 +205,22 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
 
 
 def test_field_too_large_refused_quickly(capsys):
-    start = time.perf_counter()
-    assert main(["sequence", "--p", "1000003", "--ell", "2"]) == EXIT_USAGE
-    assert time.perf_counter() - start < 1.0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "too many to tabulate" in captured.err
+    for p in ("1000003", "2305843009213693951"):   # the second is 2^61 - 1
+        start = time.perf_counter()
+        assert main(["sequence", "--p", p, "--ell", "2"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too many to tabulate" in captured.err
 
 
 def test_bounds_large_prime_quickly(capsys):
-    start = time.perf_counter()
-    assert main(["bounds", "--p", "1000000007", "--k", "1", "--n", "1"]) == EXIT_OK
-    assert time.perf_counter() - start < 1.0
-    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
-    assert len(rows) == 2 and rows[1][:3] == ["1", "1", "1000000007"]
+    for p in ("1000000007", "2305843009213693951"):
+        start = time.perf_counter()
+        assert main(["bounds", "--p", p, "--k", "1", "--n", "1"]) == EXIT_OK
+        assert time.perf_counter() - start < 1.0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 2 and rows[1][:3] == ["1", "1", p]
 
 
 # ---------------------------------------------------------------------------

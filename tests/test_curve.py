@@ -6,15 +6,10 @@ from hermseq.curve import (
     INFINITY,
     AffinePlace,
     PoleError,
-    TangentLine,
-    TangentQuotient,
-    VerticalLine,
-    YCoordinate,
     affine_places,
     collinear_family,
     eval_quotient,
     eval_tangent,
-    evaluate,
     on_curve,
     orbit,
     scale_place,
@@ -218,26 +213,26 @@ def test_quotient_rejects_bad_ell(f9):
 def test_zero_sets(p, e):
     ctx = FieldContext(p, e)
     fam = collinear_family(ctx, ctx.epsilon)
-    assert set(zero_set(ctx, VerticalLine(fam.a))) == set(fam.places)
+    assert set(zero_set(ctx, lambda pl: ctx.sub(pl.x, fam.a))) == set(fam.places)
     for i in range(1, ctx.q + 1):
-        assert zero_set(ctx, TangentLine(fam, i)) == (fam.place(i),)
-    assert zero_set(ctx, YCoordinate()) == (AffinePlace(ctx.zero, ctx.zero),)
+        assert zero_set(ctx, lambda pl: eval_tangent(fam, i, pl)) == (fam.place(i),)
+    assert zero_set(ctx, lambda pl: pl.y) == (AffinePlace(ctx.zero, ctx.zero),)
 
 
 def test_zero_set_quotient_excludes_poles(f9):
+    # the first ell - 1 family places are poles, the rest are zeros
     fam = collinear_family(f9, f9.epsilon)
-    zs = zero_set(f9, TangentQuotient(fam, 2))
+    zs = zero_set(f9, lambda pl: eval_quotient(fam, 2, pl))
     assert set(zs) == {fam.place(2), fam.place(3)}
+    zs = zero_set(f9, lambda pl: eval_quotient(fam, 3, pl))
+    assert zs == (fam.place(3),)
 
 
 def test_descriptor_validation(f9):
     fam = collinear_family(f9, f9.epsilon)
-    with pytest.raises(ValueError):
-        TangentLine(fam, 0)
-    with pytest.raises(ValueError):
-        TangentQuotient(fam, 1)
-    with pytest.raises(PoleError):
-        evaluate(f9, YCoordinate(), INFINITY)
+    for i in (0, 4):
+        with pytest.raises(ValueError):
+            eval_tangent(fam, i, fam.place(1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -7,6 +8,7 @@ import pytest
 from hermseq.field import (
     FieldContext,
     SpanTracker,
+    _is_prime,
     element_from_str,
     element_to_str,
 )
@@ -46,6 +48,16 @@ def test_f9_epsilon_order_exhaustive(f9):
 def test_nonprime_p_rejected():
     with pytest.raises(ValueError):
         FieldContext(4, 1)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(10 ** 5):
+        want = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert _is_prime(n) == want, n
+    # a Carmichael number, the least strong pseudoprime to bases 2, 3, 5
+    # and 7, and the least one to the first 12 primes (so 12 bases miss it)
+    for n in (561, 3215031751, 318665857834031151167461):
+        assert not _is_prime(n)
 
 
 def test_field_too_large_rejected():
