@@ -4,7 +4,6 @@ rational evaluation of the competing lower-bound formulas."""
 
 from .bounds import (
     BoundParams,
-    BoundValue,
     collinear_l_bound,
     collinear_n_bound,
     figure_rows,
@@ -48,6 +47,6 @@ from .field import (
     element_from_str,
     element_to_str,
 )
-from .sequence import Sequence, SequenceMeta, build_sequence, full_length
+from .sequence import build_sequence, full_length
 
 __version__ = "0.1.0"

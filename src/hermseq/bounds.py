@@ -8,9 +8,10 @@ at just two places.  The two-point pairs are evaluated as plain formulas at
 every n that BoundParams accepts (up to q*(q^2-2)), including n past their
 own sequence length, where they are formula-level comparisons only.  All
 arithmetic is done in exact rationals; only output rendering converts to
-decimal strings with DECIMAL_PLACES digits.  A bound value <= 0 is
-reported as trivial, never clamped, so a grid of rows shows exactly where
-each formula stops carrying information.
+decimal strings with DECIMAL_PLACES digits.  Every formula returns a plain
+Fraction: math.ceil gives the complexity it implies, and a value <= 0 is
+trivial, never clamped, so a grid of rows shows exactly where each formula
+stops carrying information.
 """
 
 from __future__ import annotations
@@ -20,26 +21,40 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .field import _is_prime, _least_prime_factor
+from .field import _SMALL_PRIMES, _is_prime
 
 DECIMAL_PLACES = 6
 
 
+def _integer_root(n: int, e: int) -> int:
+    """floor(n ** (1/e)) for n >= 1, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // e)  # 2^ceil(bits/e) is above the root
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^e with p prime, or raise ValueError."""
+    """Decompose q = p^e with p prime, or raise ValueError.
+
+    p is the least prime of _SMALL_PRIMES dividing q if there is one.
+    Otherwise every prime factor exceeds 2^5, so e <= bits(q) // 5, and p
+    is the exact e-th root of q for the largest such e whose root is prime.
+    """
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    if _is_prime(q):
-        return q, 1
-    p = _least_prime_factor(q)
-    e = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        e += 1
-    if rest != 1:
-        raise ValueError(f"q must be a prime power, got {q}")
-    return p, e
+    small = [p for p in _SMALL_PRIMES if q % p == 0]
+    if small:
+        candidates = [(small[0], round(math.log(q, small[0])))]
+    else:
+        candidates = ((_integer_root(q, e), e)
+                      for e in range(q.bit_length() // 5, 0, -1))
+    for p, e in candidates:
+        if p ** e == q and _is_prime(p):
+            return p, e
+    raise ValueError(f"q must be a prime power, got {q}")
 
 
 @dataclass(frozen=True)
@@ -79,34 +94,6 @@ class BoundParams:
         return self.r2 - self.r1
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    value: Fraction
-
-    @property
-    def numerator(self) -> int:
-        return self.value.numerator
-
-    @property
-    def denominator(self) -> int:
-        return self.value.denominator
-
-    @property
-    def ceiling(self) -> int:
-        return math.ceil(self.value)
-
-    @property
-    def is_trivial(self) -> bool:
-        """A bound <= 0 says nothing about a complexity."""
-        return self.value <= 0
-
-    def decimal(self) -> str:
-        return decimal_string(self.value)
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
-
-
 def decimal_string(value: Fraction) -> str:
     """Exact rendering with DECIMAL_PLACES digits, round half away from zero."""
     sign = "-" if value < 0 else ""
@@ -123,61 +110,61 @@ def _check_k(params: BoundParams, k_max: int) -> None:
         raise ValueError(f"k must be <= {k_max} for this bound, got {params.k}")
 
 
-def collinear_n_bound(params: BoundParams) -> BoundValue:
+def collinear_n_bound(params: BoundParams) -> Fraction:
     """Per-variable-degree lower bound for the collinear construction."""
     _check_k(params, params.q ** 2 - 2)
     q, k, ell, r2 = params.q, params.k, params.ell, params.r2
     num = r2 * (q ** 2 - 2) - (ell - 1)
     den = r2 + k * q * (q + 1 - ell)
-    return BoundValue(Fraction(num, den))
+    return Fraction(num, den)
 
 
-def collinear_l_bound(params: BoundParams) -> BoundValue:
+def collinear_l_bound(params: BoundParams) -> Fraction:
     """Total-degree lower bound for the collinear construction."""
     _check_k(params, params.q ** 2 - 2)
     q, k, ell, r2 = params.q, params.k, params.ell, params.r2
     num = r2 * (q ** 2 - 2) - (ell - 1) - k * ((q - ell) * (q + 1) + 1)
     den = r2 + k * (ell - 1)
-    return BoundValue(Fraction(num, den))
+    return Fraction(num, den)
 
 
-def twopoint_n_bound(params: BoundParams) -> BoundValue:
+def twopoint_n_bound(params: BoundParams) -> Fraction:
     """Per-variable-degree bound of the original two-point construction."""
     _check_k(params, params.q ** 2 - 1)
     q, k, r1 = params.q, params.k, params.r1
     num = r1 * (q ** 2 - 1) - 1
     den = r1 + q * (q - 1) * k
-    return BoundValue(Fraction(num, den))
+    return Fraction(num, den)
 
 
-def twopoint_l_bound(params: BoundParams) -> BoundValue:
+def twopoint_l_bound(params: BoundParams) -> Fraction:
     """Total-degree bound of the original two-point construction."""
     _check_k(params, params.q ** 2 - 1)
     q, k, r1 = params.q, params.k, params.r1
     num = r1 * (q ** 2 - 1) - (q ** 2 - q - 1) * k - 1
     den = r1 + k
-    return BoundValue(Fraction(num, den))
+    return Fraction(num, den)
 
 
-def refined_twopoint_n_bound(params: BoundParams) -> BoundValue:
+def refined_twopoint_n_bound(params: BoundParams) -> Fraction:
     """Per-variable-degree bound of the refined two-point construction."""
     _check_k(params, params.q ** 2 - 1)
     q, k, r1 = params.q, params.k, params.r1
     num = r1 * (q ** 2 - 1) - (q - 1)
     den = r1 + 2 * k * (q - 1)
-    return BoundValue(Fraction(num, den))
+    return Fraction(num, den)
 
 
-def refined_twopoint_l_bound(params: BoundParams) -> BoundValue:
+def refined_twopoint_l_bound(params: BoundParams) -> Fraction:
     """Total-degree bound of the refined two-point construction."""
     _check_k(params, params.q ** 2 - 1)
     q, k, r1 = params.q, params.k, params.r1
     num = r1 * (q ** 2 - 1) - (k + 1) * (q - 1)
     den = r1 + k * (q - 1)
-    return BoundValue(Fraction(num, den))
+    return Fraction(num, den)
 
 
-def all_bounds(params: BoundParams) -> dict[str, BoundValue]:
+def all_bounds(params: BoundParams) -> dict[str, Fraction]:
     return {
         "N_collinear": collinear_n_bound(params),
         "L_collinear": collinear_l_bound(params),
@@ -192,12 +179,12 @@ def all_bounds(params: BoundParams) -> dict[str, BoundValue]:
 # pointwise improvement claims
 # ---------------------------------------------------------------------------
 
-def _beats(own: Callable[[BoundParams], BoundValue],
-           rival: Callable[[BoundParams], BoundValue],
+def _beats(own: Callable[[BoundParams], Fraction],
+           rival: Callable[[BoundParams], Fraction],
            q: int, k: int, n: int) -> bool:
     """own strictly exceeds rival at (n, q, k) with ell = q; exact."""
     params = BoundParams(n=n, q=q, k=k, ell=q)
-    return own(params).value > rival(params).value
+    return own(params) > rival(params)
 
 
 def n_bound_improves(q: int, k: int, n: int) -> bool:
@@ -253,7 +240,7 @@ FIGURE_PRESETS = {
 }
 
 
-def figure_rows(preset_name: str) -> tuple[FigurePreset, list[tuple[int, BoundValue, BoundValue]]]:
+def figure_rows(preset_name: str) -> tuple[FigurePreset, list[tuple[int, Fraction, Fraction]]]:
     """Rows (n, collinear bound, refined two-point bound) for a preset."""
     preset = FIGURE_PRESETS.get(preset_name)
     if preset is None:

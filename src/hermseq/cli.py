@@ -23,7 +23,7 @@ import sys
 from contextlib import nullcontext
 from typing import Optional
 
-from .bounds import BoundParams, all_bounds, figure_rows
+from .bounds import BoundParams, all_bounds, decimal_string, figure_rows
 from .complexity import (
     DEFAULT_MONOMIAL_BUDGET,
     Exact,
@@ -32,7 +32,7 @@ from .complexity import (
     nonlinear_complexity,
 )
 from .field import Element, FieldContext, _is_prime, element_from_str, element_to_str
-from .sequence import Sequence, build_sequence
+from .sequence import build_sequence
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -101,7 +101,7 @@ def _out_stream(path: Optional[str]):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _field_and_sequence(args: argparse.Namespace) -> tuple[FieldContext, Sequence]:
+def _field_and_sequence(args: argparse.Namespace) -> tuple[FieldContext, tuple[Element, ...]]:
     """The field from --p/--e/--modulus and the sequence from --ell/--a."""
     if args.p is None:
         raise ValueError("--p is required for this subcommand")
@@ -113,12 +113,12 @@ def _field_and_sequence(args: argparse.Namespace) -> tuple[FieldContext, Sequenc
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    ctx, seq = _field_and_sequence(args)
+    ctx, terms = _field_and_sequence(args)
     steps = ctx.order - 2
     with _out_stream(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["index", "i", "j", "value"])
-        for idx, term in enumerate(seq.terms, start=1):
+        for idx, term in enumerate(terms, start=1):
             i = (idx - 1) // steps + 1
             j = (idx - 1) % steps + 1
             writer.writerow([idx, i, j, element_to_str(term)])
@@ -134,8 +134,8 @@ def parse_sequence_values(text: str, ctx: FieldContext) -> list[Element]:
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
-    ctx, seq = _field_and_sequence(args)
-    top = len(seq)
+    ctx, terms = _field_and_sequence(args)
+    top = len(terms)
     for n in args.ns:
         if not 1 <= n <= top:
             raise ValueError(f"n must be in 1..{top}, got {n}")
@@ -145,7 +145,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "k", "mode", "result_kind", "value_or_lo", "hi"])
         for n in args.ns:
-            prefix = seq.prefix(n)
+            prefix = terms[:n]
             for k, mode in modes:
                 result = nonlinear_complexity(ctx, prefix, mode,
                                               monomial_budget=args.budget)
@@ -173,7 +173,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             params = BoundParams(n=n, q=q, k=k, ell=ell)
             values = all_bounds(params)
             rows.append([n, k, ell, params.r1, params.r2]
-                        + [values[name].decimal() for name in header[5:]])
+                        + [decimal_string(values[name]) for name in header[5:]])
     with _out_stream(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
@@ -192,7 +192,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
             "n", f"{label}1", f"{label}2", f"{label}1_exact", f"{label}2_exact",
         ])
         for n, own, rival in rows:
-            writer.writerow([n, own.decimal(), rival.decimal(), str(own), str(rival)])
+            writer.writerow([n, decimal_string(own), decimal_string(rival),
+                             str(own), str(rival)])
     return EXIT_OK
 
 

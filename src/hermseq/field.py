@@ -26,18 +26,6 @@ Element = tuple[int, ...]
 MAX_FIELD_ORDER = 1 << 16
 
 
-def _least_prime_factor(n: int) -> int:
-    """Smallest prime dividing n >= 2, by trial division up to sqrt(n)."""
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
-
-
 # The first 13 primes.  No composite below _MILLER_RABIN_EXACT_BELOW is a
 # strong probable prime to all of them as bases (Sorenson and Webster, 2015).
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -45,15 +33,16 @@ _MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
-    """Exact primality: Miller-Rabin on the bases _SMALL_PRIMES below
-    _MILLER_RABIN_EXACT_BELOW, trial division at or above it."""
+    """Exact primality: Miller-Rabin on the bases _SMALL_PRIMES.  Raises
+    ValueError for an n at or above _MILLER_RABIN_EXACT_BELOW that no small
+    prime divides, where those bases no longer decide."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     if n >= _MILLER_RABIN_EXACT_BELOW:
-        return _least_prime_factor(n) == n
+        raise ValueError(f"{n} is too large to test for primality exactly")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

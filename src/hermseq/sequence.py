@@ -4,13 +4,13 @@ The full sequence has q*(q^2 - 2) terms, laid out row-major: the i-th row
 (i = 1..q) holds the quotient values at the 1st through (q^2-2)-th orbit
 steps of the i-th family place.  No term is ever zero: the quotient only
 vanishes at family places themselves (orbit step 0), which the step range
-1..q^2-2 never revisits.
+1..q^2-2 never revisits.  A sequence is the plain tuple of its terms; the
+caller already holds the field, ell and the line that produced it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .curve import collinear_family, eval_quotient, scale_place
 from .field import Element, FieldContext
@@ -20,38 +20,8 @@ def full_length(q: int) -> int:
     return q * (q * q - 2)
 
 
-@dataclass(frozen=True)
-class SequenceMeta:
-    """Provenance of a built sequence: enough to reproduce it exactly."""
-    q: int
-    a: Element
-    ell: int
-    epsilon: Element
-    modulus: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Sequence:
-    terms: tuple[Element, ...]
-    meta: SequenceMeta
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self) -> Iterator[Element]:
-        return iter(self.terms)
-
-    def __getitem__(self, idx):
-        return self.terms[idx]
-
-    def prefix(self, n: int) -> "Sequence":
-        """First n terms, metadata preserved."""
-        if not 1 <= n <= len(self.terms):
-            raise ValueError(f"prefix length must be in 1..{len(self.terms)}, got {n}")
-        return Sequence(self.terms[:n], self.meta)
-
-
-def build_sequence(ctx: FieldContext, ell: int, a: Optional[Element] = None) -> Sequence:
+def build_sequence(ctx: FieldContext, ell: int,
+                   a: Optional[Element] = None) -> tuple[Element, ...]:
     """Build the full q*(q^2-2)-term sequence for the line x = a.
 
     a defaults to the primitive element, the canonical nonzero choice.
@@ -69,4 +39,4 @@ def build_sequence(ctx: FieldContext, ell: int, a: Optional[Element] = None) -> 
         base = fam.places[i - 1]
         for j in range(1, steps + 1):
             terms.append(eval_quotient(fam, ell, scale_place(ctx, base, j)))
-    return Sequence(tuple(terms), SequenceMeta(ctx.q, a, ell, ctx.epsilon, ctx.modulus))
+    return tuple(terms)

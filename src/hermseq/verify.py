@@ -9,10 +9,11 @@ fixed seeds and are fully reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence as SeqT
+from typing import Iterable, Optional, Sequence
 
 from . import bounds as bnd
 from .complexity import (
@@ -31,8 +32,8 @@ from .curve import (
     scale_place,
     zero_set,
 )
-from .field import FieldContext, _least_prime_factor
-from .sequence import Sequence, build_sequence, full_length
+from .field import Element, FieldContext
+from .sequence import build_sequence, full_length
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,17 @@ def _result(name: str, failures: list[str], ok_detail: str) -> CheckResult:
 
 
 def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, by trial division."""
     out = []
-    while n > 1:
-        f = _least_prime_factor(n)
-        out.append(f)
-        while n % f == 0:
-            n //= f
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
@@ -196,32 +202,33 @@ def _substitution_failures(ctx: FieldContext, fam) -> list[str]:
 # sequence layer
 # ---------------------------------------------------------------------------
 
-def check_nonzero_terms(ctx: FieldContext, seq: Sequence) -> CheckResult:
-    name = f"sequence-terms[q={ctx.q},ell={seq.meta.ell}]"
+def check_nonzero_terms(ctx: FieldContext, terms: Sequence[Element],
+                        ell: int) -> CheckResult:
+    name = f"sequence-terms[q={ctx.q},ell={ell}]"
     failures = []
-    if len(seq) != full_length(ctx.q):
-        failures.append(f"length {len(seq)}, expected {full_length(ctx.q)}")
-    zeros = [idx for idx, t in enumerate(seq) if t == ctx.zero]
+    if len(terms) != full_length(ctx.q):
+        failures.append(f"length {len(terms)}, expected {full_length(ctx.q)}")
+    zeros = [idx for idx, t in enumerate(terms) if t == ctx.zero]
     if zeros:
         failures.append(f"zero terms at positions {zeros[:5]}")
-    return _result(name, failures, f"{len(seq)} nonzero terms")
+    return _result(name, failures, f"{len(terms)} nonzero terms")
 
 
 def check_sequence_layer(ctx: FieldContext) -> list[CheckResult]:
     """Nonzero terms and recomputed corner terms of the sequence at every
     ell in 2..q for q <= 5, and at ell in {2, q} above that."""
     ells = range(2, ctx.q + 1) if ctx.q <= 5 else (2, ctx.q)
+    fam = collinear_family(ctx, ctx.epsilon)
+    steps = ctx.order - 2
     results = []
     for ell in ells:
-        seq = build_sequence(ctx, ell)
-        results.append(check_nonzero_terms(ctx, seq))
-        fam = collinear_family(ctx, seq.meta.a)
-        steps = ctx.order - 2
+        terms = build_sequence(ctx, ell)
+        results.append(check_nonzero_terms(ctx, terms, ell))
         mismatch = None
         for i in (1, ctx.q):
             for j in (1, steps):
                 want = eval_quotient(fam, ell, scale_place(ctx, fam.place(i), j))
-                if seq[(i - 1) * steps + (j - 1)] != want:
+                if terms[(i - 1) * steps + (j - 1)] != want:
                     mismatch = (i, j)
         results.append(_result(
             f"sequence-layout[q={ctx.q},ell={ell}]",
@@ -235,7 +242,8 @@ def check_sequence_layer(ctx: FieldContext) -> list[CheckResult]:
 # complexity layer: bound consistency and oracle agreement
 # ---------------------------------------------------------------------------
 
-def check_bound_consistency(ctx: FieldContext, seq: Sequence, kind: str,
+def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
+                            ell: int, kind: str,
                             ks: Optional[Iterable[int]] = None) -> CheckResult:
     """Every prefix/degree point must respect the matching collinear bound.
 
@@ -251,7 +259,7 @@ def check_bound_consistency(ctx: FieldContext, seq: Sequence, kind: str,
         bound_fn, mode_cls = bnd.collinear_l_bound, TotalDegree
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    q, ell = seq.meta.q, seq.meta.ell
+    q = ctx.q
     if ks is None:
         ks = range(1, q * q - 1)
     name = f"bound-{kind}[q={q},ell={ell}]"
@@ -259,12 +267,12 @@ def check_bound_consistency(ctx: FieldContext, seq: Sequence, kind: str,
     checked = 0
     for k in ks:
         mode = mode_cls(k)
-        for n in range(1, len(seq) + 1):
-            ceiling = bound_fn(bnd.BoundParams(n=n, q=q, k=k, ell=ell)).ceiling
+        for n in range(1, len(terms) + 1):
+            ceiling = math.ceil(bound_fn(bnd.BoundParams(n=n, q=q, k=k, ell=ell)))
             checked += 1
             if ceiling < 1:
                 continue
-            prefix = seq.terms[:n]
+            prefix = terms[:n]
             if all(t == ctx.zero for t in prefix):
                 failures.append(f"k={k} n={n}: zero prefix but bound {ceiling}")
                 continue
@@ -322,8 +330,8 @@ def check_oracle_agreement(ctx: FieldContext) -> CheckResult:
     constructed = build_sequence(ctx, 2)
     for m in (1, 2):
         for k in (1, 2):
-            compare(constructed.terms, m, PerVariable(k))
-            compare(constructed.terms, m, TotalDegree(k))
+            compare(constructed, m, PerVariable(k))
+            compare(constructed, m, TotalDegree(k))
     return _result(name, failures, f"{compared} comparisons over {sequences} sequences")
 
 
@@ -438,14 +446,14 @@ def check_figures() -> CheckResult:
             failures.append(f"{preset_name}: {len(rows)} rows")
         prev_own = prev_rival = None
         for n, own, rival in rows:
-            if own.value <= rival.value:
+            if own <= rival:
                 failures.append(f"{preset_name}: no dominance at n={n}")
                 break
-            if prev_own is not None and (own.value < prev_own or rival.value < prev_rival):
+            if prev_own is not None and (own < prev_own or rival < prev_rival):
                 failures.append(f"{preset_name}: column decreases at n={n}")
                 break
-            prev_own, prev_rival = own.value, rival.value
-        if rows[-1][1].value != own_end or rows[-1][2].value != rival_end:
+            prev_own, prev_rival = own, rival
+        if rows[-1][1] != own_end or rows[-1][2] != rival_end:
             failures.append(f"{preset_name}: endpoint values drifted")
     return _result(name, failures, "fig1 and fig2 regenerated and dominated")
 
@@ -454,7 +462,7 @@ def check_figures() -> CheckResult:
 # suite orchestration
 # ---------------------------------------------------------------------------
 
-def run_suite(field_specs: Optional[SeqT[tuple[int, int]]] = None) -> list[CheckResult]:
+def run_suite(field_specs: Optional[Sequence[tuple[int, int]]] = None) -> list[CheckResult]:
     """The default verification suite: per-field checks at the configured
     (p, e) pairs plus the global bound grids and figure regeneration.
 
@@ -473,9 +481,9 @@ def run_suite(field_specs: Optional[SeqT[tuple[int, int]]] = None) -> list[Check
             results.append(check_oracle_agreement(ctx))
         if ctx.q <= 5:
             for ell in range(2, ctx.q + 1):
-                seq = build_sequence(ctx, ell)
-                results.append(check_bound_consistency(ctx, seq, "per-variable"))
-                results.append(check_bound_consistency(ctx, seq, "total-degree"))
+                terms = build_sequence(ctx, ell)
+                results.append(check_bound_consistency(ctx, terms, ell, "per-variable"))
+                results.append(check_bound_consistency(ctx, terms, ell, "total-degree"))
     for check in (check_n_improvement, check_l_improvement,
                   check_l_twopoint_equivalence, check_figures):
         results.append(check())

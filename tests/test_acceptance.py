@@ -5,7 +5,10 @@ lines as they complete.
 """
 
 import csv
+import gzip
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,7 +46,7 @@ def _bound_criterion(num: int, kind: str, bound_fn, mode_cls, desc: str):
     for q, ctx in _contexts().items():
         for ell in range(2, q + 1):
             seq = build_sequence(ctx, ell)
-            result = check_bound_consistency(ctx, seq, kind)
+            result = check_bound_consistency(ctx, seq, ell, kind)
             if not result.passed:
                 failures.append(f"q={q} ell={ell}: {result.detail}")
             grid_points += (q * q - 2) * len(seq)
@@ -56,10 +59,8 @@ def _bound_criterion(num: int, kind: str, bound_fn, mode_cls, desc: str):
             seq = build_sequence(ctx, ell)
             for k in ks:
                 for n in ns:
-                    ceiling = bound_fn(
-                        BoundParams(n=n, q=q, k=k, ell=ell)
-                    ).ceiling
-                    res = nonlinear_complexity(ctx, seq.prefix(n), mode_cls(k),
+                    ceiling = math.ceil(bound_fn(BoundParams(n=n, q=q, k=k, ell=ell)))
+                    res = nonlinear_complexity(ctx, seq[:n], mode_cls(k),
                                                monomial_budget=1 << 16)
                     achieved = res.value if isinstance(res, Exact) else res.lo
                     exact_checked += 1
@@ -138,6 +139,10 @@ def test_criterion_8_figure_regeneration(tmp_path):
         if code != EXIT_OK:
             failures.append(f"{preset}: exit {code}")
             continue
+        reference = (Path(__file__).resolve().parent.parent / "perfbench"
+                     / "reference" / "emit-q32" / f"{preset}.csv.gz")
+        if path.read_bytes() != gzip.decompress(reference.read_bytes()):
+            failures.append(f"{preset}: differs from {reference.name}")
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         body = rows[1:]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,6 @@ import pytest
 
 from hermseq.bounds import (
     BoundParams,
-    BoundValue,
     all_bounds,
     collinear_l_bound,
     collinear_n_bound,
@@ -31,7 +31,9 @@ def test_prime_power():
     assert prime_power(9) == (3, 2)
     assert prime_power(7) == (7, 1)
     assert prime_power(1_000_000_007) == (1_000_000_007, 1)
-    for bad in (0, 1, 6, 12, 100):
+    assert prime_power((10**9 + 7) ** 2) == (10**9 + 7, 2)
+    assert prime_power((10**13 + 37) ** 2) == (10**13 + 37, 2)
+    for bad in (0, 1, 6, 12, 36, 100, 43 * 47):
         with pytest.raises(ValueError):
             prime_power(bad)
 
@@ -60,17 +62,6 @@ def test_floor_ratios_stay_adjacent():
         assert params.lam in (0, 1)
 
 
-def test_bound_value_helpers():
-    bv = BoundValue(Fraction(3, 4))
-    assert bv.numerator == 3 and bv.denominator == 4
-    assert bv.ceiling == 1
-    assert not bv.is_trivial
-    assert str(bv) == "3/4"
-    assert BoundValue(Fraction(-15, 10)).is_trivial
-    assert BoundValue(Fraction(0)).is_trivial
-    assert BoundValue(Fraction(-15, 10)).ceiling == -1
-
-
 def test_decimal_string():
     assert decimal_string(Fraction(32673, 192)) == "170.171875"
     assert decimal_string(Fraction(3, 4)) == "0.750000"
@@ -84,14 +75,14 @@ def test_decimal_string():
 
 def test_collinear_n_values():
     v = collinear_n_bound(BoundParams(n=32704, q=32, k=5, ell=32))
-    assert v.value == Fraction(32673, 192)
+    assert v == Fraction(32673, 192)
     v = collinear_n_bound(BoundParams(n=4, q=2, k=1, ell=2))
-    assert v.value == Fraction(3, 4)
-    assert v.ceiling == 1
+    assert v == Fraction(3, 4)
+    assert math.ceil(v) == 1
     # first window: at n = q^2 - 2 = 7 the floor ratio r2 is 1, so
     # (1*7 - (ell-1)) / (1 + k*q*(q+1-ell)) = 5/7
     v = collinear_n_bound(BoundParams(n=7, q=3, k=2, ell=3))
-    assert v.value == Fraction(5, 7)
+    assert v == Fraction(5, 7)
 
 
 def test_collinear_n_trivial_below_window():
@@ -99,15 +90,15 @@ def test_collinear_n_trivial_below_window():
     for q, ell in [(3, 2), (3, 3), (5, 4)]:
         for n in (1, q * q - 3):
             v = collinear_n_bound(BoundParams(n=n, q=q, k=1, ell=ell))
-            assert v.is_trivial
+            assert v <= 0
 
 
 def test_collinear_l_values():
     v = collinear_l_bound(BoundParams(n=32704, q=32, k=20, ell=32))
-    assert v.value == Fraction(32653, 652)
+    assert v == Fraction(32653, 652)
     v = collinear_l_bound(BoundParams(n=21, q=3, k=7, ell=2))
-    assert v.value == Fraction(-15, 10)
-    assert v.is_trivial
+    assert v == Fraction(-15, 10)
+    assert v <= 0
 
 
 def test_collinear_l_at_max_ell_simplifies():
@@ -118,34 +109,34 @@ def test_collinear_l_at_max_ell_simplifies():
         expected = Fraction(
             params.r2 * (q * q - 2) - (q - 1) - k, params.r2 + k * (q - 1)
         )
-        assert v.value == expected
+        assert v == expected
 
 
 def test_twopoint_values():
     v = twopoint_n_bound(BoundParams(n=31713, q=32, k=5, ell=32))
-    assert v.value == Fraction(31712, 4991)
+    assert v == Fraction(31712, 4991)
     # numerator goes negative for large k at small r1
     v = twopoint_l_bound(BoundParams(n=8, q=3, k=7, ell=3))
-    assert v.value < 0
+    assert v < 0
 
 
 def test_refined_values():
     v = refined_twopoint_n_bound(BoundParams(n=32704, q=32, k=5, ell=32))
-    assert v.value == Fraction(31682, 341)
+    assert v == Fraction(31682, 341)
     v = refined_twopoint_l_bound(BoundParams(n=32704, q=32, k=20, ell=32))
-    assert v.value == Fraction(31062, 651)
+    assert v == Fraction(31062, 651)
 
 
 def test_refined_degenerate_at_zero_ratio():
     v = refined_twopoint_n_bound(BoundParams(n=7, q=3, k=1, ell=3))
-    assert v.is_trivial
+    assert v <= 0
 
 
 def test_twopoint_formula_beyond_native_length():
     # n = 32704 is past the two-point length 31*1023; the formula still
     # evaluates, here with r1 = 31
     v = twopoint_n_bound(BoundParams(n=32704, q=32, k=5, ell=32))
-    assert v.value == Fraction(31712, 4991)
+    assert v == Fraction(31712, 4991)
 
 
 def test_k_range_guards():

@@ -1,5 +1,7 @@
 import csv
+import gzip
 import time
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,9 @@ from hermseq.cli import EXIT_OK, EXIT_USAGE, main, parse_sequence_values
 from hermseq.complexity import Exact, PerVariable, nonlinear_complexity
 from hermseq.field import FieldContext, element_from_str
 from hermseq.sequence import build_sequence
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def _read_csv(path):
@@ -82,7 +87,7 @@ def test_complexity_csv_matches_in_process(tmp_path):
     assert len(rows) == 1 + 4 * 2
     for row in rows[1:]:
         n, k = int(row[0]), int(row[1])
-        result = nonlinear_complexity(ctx, seq.prefix(n), PerVariable(k))
+        result = nonlinear_complexity(ctx, seq[:n], PerVariable(k))
         assert row[2] == "per-variable"
         assert row[3] == "exact"
         assert int(row[4]) == result.value
@@ -110,6 +115,8 @@ def test_complexity_usage(tmp_path):
     assert main(["complexity", "--p", "2", "--ell", "2", "--k", "1",
                  "--n", "9"]) == EXIT_USAGE                        # n too big
     assert main(["complexity", "--p", "2", "--ell", "2", "--k", "1",
+                 "--n", "0"]) == EXIT_USAGE                        # n too small
+    assert main(["complexity", "--p", "2", "--ell", "2", "--k", "1",
                  "--n", "2", "--budget", "0"]) == EXIT_USAGE
 
 
@@ -119,12 +126,12 @@ def test_sequence_round_trip(tmp_path):
     ctx = FieldContext(3, 1)
     parsed = parse_sequence_values(seq_out.read_text(), ctx)
     built = build_sequence(ctx, 2)
-    assert parsed == list(built.terms)
+    assert parsed == list(built)
     # feeding the re-parsed terms through the engine matches the in-process path
     for n in (5, 13, 21):
         for k in (1, 2):
             assert nonlinear_complexity(ctx, parsed[:n], PerVariable(k)) == \
-                nonlinear_complexity(ctx, built.prefix(n), PerVariable(k))
+                nonlinear_complexity(ctx, built[:n], PerVariable(k))
 
 
 def test_parse_sequence_values_rejects_garbage():
@@ -184,6 +191,9 @@ def test_figures_bad_preset():
     ["complexity", "--p", "3", "--ell", "2", "--k", "0", "--n", "5"],
     ["complexity", "--p", "3", "--k", "1", "--n", "5"],            # no --ell
     ["complexity", "--ell", "2", "--k", "1", "--n", "5"],          # no --p
+    # p = 2^89 - 1 is too large for an exact primality test
+    ["sequence", "--p", "618970019642690137449562111", "--ell", "2"],
+    ["bounds", "--p", "618970019642690137449562111", "--k", "1", "--n", "1"],
 ])
 def test_usage_error_writes_nothing(argv, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
@@ -215,12 +225,13 @@ def test_field_too_large_refused_quickly(capsys):
 
 
 def test_bounds_large_prime_quickly(capsys):
-    for p in ("1000000007", "2305843009213693951"):
+    for p, e in ((1000000007, 1), (2305843009213693951, 1), (1000000007, 2)):
         start = time.perf_counter()
-        assert main(["bounds", "--p", p, "--k", "1", "--n", "1"]) == EXIT_OK
+        assert main(["bounds", "--p", str(p), "--e", str(e),
+                     "--k", "1", "--n", "1"]) == EXIT_OK
         assert time.perf_counter() - start < 1.0
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
-        assert len(rows) == 2 and rows[1][:3] == ["1", "1", p]
+        assert len(rows) == 2 and rows[1][:3] == ["1", "1", str(p ** e)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +245,8 @@ def test_verify_single_field_passes(capsys):
     assert code == EXIT_OK
     assert "RESULT:" in captured.out
     assert "FAIL" not in captured.out
+    with gzip.open(REFERENCE / "prove-q4" / "verify.txt.gz", "rt") as fh:
+        assert captured.out == fh.read()
 
 
 def test_help_exits_zero():

@@ -285,7 +285,7 @@ def test_affine_degree_one_sandwich(f4):
     # L(t) >= complexity under TotalDegree(1) >= L(t) - 1
     rng = random.Random(11)
     cases = [_random_terms(f4, rng, rng.randrange(2, 7)) for _ in range(15)]
-    cases.append(build_sequence(f4, 2).terms)
+    cases.append(build_sequence(f4, 2))
     for t in cases:
         lin = linear_complexity(f4, t)
         res = nonlinear_complexity(f4, t, TotalDegree(1))

@@ -58,6 +58,9 @@ def test_is_prime_matches_trial_division():
     # and 7, and the least one to the first 12 primes (so 12 bases miss it)
     for n in (561, 3215031751, 318665857834031151167461):
         assert not _is_prime(n)
+    # above 3.3e24 the 13 bases no longer decide; 2^89 - 1 is refused
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime(2 ** 89 - 1)
 
 
 def test_field_too_large_rejected():

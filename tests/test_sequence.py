@@ -2,7 +2,7 @@ import pytest
 
 from hermseq.curve import collinear_family, eval_quotient, scale_place
 from hermseq.field import FieldContext
-from hermseq.sequence import Sequence, build_sequence, full_length
+from hermseq.sequence import build_sequence, full_length
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +28,8 @@ def test_built_lengths(f4, f9):
 
 
 def test_default_a_is_epsilon(f9):
-    seq = build_sequence(f9, 2)
-    assert seq.meta.a == f9.epsilon
-    assert seq.meta.epsilon == f9.epsilon
-    assert seq.meta.modulus == f9.modulus
-    assert seq.meta.q == 3
-    assert seq.meta.ell == 2
+    for ell in (2, 3):
+        assert build_sequence(f9, ell) == build_sequence(f9, ell, f9.epsilon)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1)])
@@ -48,7 +44,7 @@ def test_all_terms_nonzero(p, e):
 def test_terms_match_independent_recomputation(f9):
     for ell in (2, 3):
         seq = build_sequence(f9, ell)
-        fam = collinear_family(f9, seq.meta.a)
+        fam = collinear_family(f9, f9.epsilon)
         steps = f9.order - 2
         for i in range(1, 4):
             for j in range(1, steps + 1):
@@ -67,18 +63,6 @@ def test_varying_a_keeps_terms_nonzero(f9):
             assert all(t != f9.zero for t in seq)
 
 
-def test_prefix(f9):
-    seq = build_sequence(f9, 2)
-    assert seq.prefix(len(seq)) == seq
-    one = seq.prefix(1)
-    assert len(one) == 1
-    assert one.meta == seq.meta
-    with pytest.raises(ValueError):
-        seq.prefix(0)
-    with pytest.raises(ValueError):
-        seq.prefix(len(seq) + 1)
-
-
 def test_bad_ell(f4):
     with pytest.raises(ValueError):
         build_sequence(f4, 1)
@@ -91,4 +75,4 @@ def test_known_q2_sequence(f4):
     z = f4.epsilon
     z1 = f4.add(z, f4.one)
     seq = build_sequence(f4, 2)
-    assert seq.terms == (f4.one, z, z1, z1)
+    assert seq == (f4.one, z, z1, z1)

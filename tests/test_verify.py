@@ -1,7 +1,7 @@
 import pytest
 
 from hermseq.field import FieldContext
-from hermseq.sequence import Sequence, build_sequence
+from hermseq.sequence import build_sequence
 from hermseq.verify import (
     check_nonzero_terms,
     check_bound_consistency,
@@ -16,27 +16,24 @@ def f9():
 
 def test_intact_sequence_passes(f9):
     seq = build_sequence(f9, 3)
-    assert check_nonzero_terms(f9, seq).passed
-    assert check_bound_consistency(f9, seq, "per-variable").passed
-    assert check_bound_consistency(f9, seq, "total-degree").passed
+    assert check_nonzero_terms(f9, seq, 3).passed
+    assert check_bound_consistency(f9, seq, 3, "per-variable").passed
+    assert check_bound_consistency(f9, seq, 3, "total-degree").passed
 
 
 def test_corrupt_constant_sequence_breaks_bound_check(f9):
     # a constant sequence has complexity 1 everywhere, far below the bounds
-    seq = build_sequence(f9, 3)
-    corrupted = Sequence((f9.one,) * len(seq), seq.meta)
-    result = check_bound_consistency(f9, corrupted, "per-variable")
+    corrupted = (f9.one,) * len(build_sequence(f9, 3))
+    result = check_bound_consistency(f9, corrupted, 3, "per-variable")
     assert not result.passed
-    result = check_bound_consistency(f9, corrupted, "total-degree")
+    result = check_bound_consistency(f9, corrupted, 3, "total-degree")
     assert not result.passed
 
 
 def test_corrupt_zero_term_breaks_term_check(f9):
-    seq = build_sequence(f9, 2)
-    terms = list(seq.terms)
+    terms = list(build_sequence(f9, 2))
     terms[5] = f9.zero
-    corrupted = Sequence(tuple(terms), seq.meta)
-    result = check_nonzero_terms(f9, corrupted)
+    result = check_nonzero_terms(f9, tuple(terms), 2)
     assert not result.passed
     assert "positions [5]" in result.detail
 
@@ -44,7 +41,7 @@ def test_corrupt_zero_term_breaks_term_check(f9):
 def test_bound_check_kind_validated(f9):
     seq = build_sequence(f9, 2)
     with pytest.raises(ValueError):
-        check_bound_consistency(f9, seq, "cubic")
+        check_bound_consistency(f9, seq, 2, "cubic")
 
 
 def test_bound_properties_hold_for_every_a(f9):
@@ -54,10 +51,10 @@ def test_bound_properties_hold_for_every_a(f9):
             continue
         for ell in (2, 3):
             seq = build_sequence(f9, ell, a)
-            assert check_bound_consistency(f9, seq, "per-variable",
-                                             ks=(1, 2)).passed
-            assert check_bound_consistency(f9, seq, "total-degree",
-                                             ks=(1, 2)).passed
+            assert check_bound_consistency(f9, seq, ell, "per-variable",
+                                           ks=(1, 2)).passed
+            assert check_bound_consistency(f9, seq, ell, "total-degree",
+                                           ks=(1, 2)).passed
 
 
 def test_suite_single_field():
