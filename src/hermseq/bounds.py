@@ -16,6 +16,7 @@ stops carrying information.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,11 @@ from typing import Callable
 from .field import _SMALL_PRIMES, _is_prime
 
 DECIMAL_PLACES = 6
+
+# q must stay below 2^MAX_Q_BITS (about 10^903) for its bounds to be printed.
+# A bound's whole part is below about q^2, so its decimal string stays well
+# inside Python's default limit of 4,300 digits for int-to-string conversion.
+MAX_Q_BITS = 3000
 
 
 def _integer_root(n: int, e: int) -> int:
@@ -36,8 +42,12 @@ def _integer_root(n: int, e: int) -> int:
         x = y
 
 
+@functools.lru_cache
 def prime_power(q: int) -> tuple[int, int]:
     """Decompose q = p^e with p prime, or raise ValueError.
+
+    Every BoundParams calls this, and a sweep builds thousands for one q, so
+    results are cached; a ValueError is not, so a bad q raises every time.
 
     p is the least prime of _SMALL_PRIMES dividing q if there is one.
     Otherwise every prime factor exceeds 2^5, so e <= bits(q) // 5, and p
@@ -95,12 +105,15 @@ class BoundParams:
 
 
 def decimal_string(value: Fraction) -> str:
-    """Exact rendering with DECIMAL_PLACES digits, round half away from zero."""
-    sign = "-" if value < 0 else ""
+    """Exact rendering with DECIMAL_PLACES digits, round half away from zero.
+
+    The magnitude is rounded first, so a value that rounds to zero prints
+    without a sign."""
     num, den = abs(value.numerator), value.denominator
     scaled, rem = divmod(num * 10 ** DECIMAL_PLACES, den)
     if 2 * rem >= den:
         scaled += 1
+    sign = "-" if value < 0 and scaled else ""
     whole, frac = divmod(scaled, 10 ** DECIMAL_PLACES)
     return f"{sign}{whole}.{frac:0{DECIMAL_PLACES}d}"
 

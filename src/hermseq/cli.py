@@ -23,7 +23,7 @@ import sys
 from contextlib import nullcontext
 from typing import Optional
 
-from .bounds import BoundParams, all_bounds, decimal_string, figure_rows
+from .bounds import MAX_Q_BITS, BoundParams, all_bounds, decimal_string, figure_rows
 from .complexity import (
     DEFAULT_MONOMIAL_BUDGET,
     Exact,
@@ -161,6 +161,11 @@ def cmd_complexity(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.p is None:
         raise ValueError("--p is required")
+    # p >= 2^(bits(p) - 1) bounds q from below before q is computed
+    if args.e >= 1 and (args.e * (args.p.bit_length() - 1) >= MAX_Q_BITS
+                        or (args.p ** args.e).bit_length() > MAX_Q_BITS):
+        raise ValueError(f"q = {args.p}^{args.e} is 2^{MAX_Q_BITS} or more, "
+                         "too large to print its bounds")
     q = args.p ** args.e
     ell = args.ell if args.ell is not None else q
     header = ["n", "k", "ell", "r1", "r2",

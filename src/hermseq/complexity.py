@@ -10,10 +10,13 @@ The complexity is the least window length m admitting such an f; 0 is
 reserved for the all-zero sequence and a single nonzero term has complexity
 1.  Existence of f for fixed m is a linear-consistency question in the
 monomial coefficients, solved by streaming one column per admissible
-monomial into the incremental span tracker, with one row per window.  A
-brute-force oracle that enumerates entire coefficient assignments provides
-an independent ground truth at tiny sizes, and the classical iterative
-synthesis algorithm computes plain linear complexity for sanity relations.
+monomial into the incremental span tracker, with one row per window.  The
+solver maps the terms to integer codes once (FieldContext.code) and builds
+every power and column with the context's code tables.  A brute-force
+oracle that enumerates entire coefficient assignments provides an
+independent ground truth at tiny sizes, and the classical iterative
+synthesis algorithm computes plain linear complexity for sanity relations;
+both stay on tuple arithmetic, so they share no arithmetic with the solver.
 """
 
 from __future__ import annotations
@@ -117,31 +120,33 @@ def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     """Is there a recurrence polynomial of window length m under `mode`?
 
     One linear unknown per admissible monomial, one equation per window;
-    columns are streamed so only a row-bounded basis is ever held.
+    columns are streamed so only a row-bounded basis is ever held.  The
+    column of monomial alpha holds prod_j t_{i+j}^alpha_j at window i, in
+    codes.
     """
-    terms = tuple(t)
-    n = len(terms)
+    code = ctx.code
+    codes = [code(v) for v in t]
+    n = len(codes)
     if not 1 <= m <= n - 1:
         raise ValueError(f"window length must be in 1..{n - 1}, got {m}")
     r = n - m
-    target = list(terms[m:])
-    tracker = SpanTracker(ctx, target)
+    tracker = SpanTracker(ctx, codes[m:])
     if tracker.consistent:
         return True
     cap = ctx.order - 1
-    max_exp = min(mode.k, cap)
-    powtab = _power_table(ctx, terms[: n - 1], max_exp)
-    mul = ctx.mul
-    one = ctx.one
+    mul = ctx.code_tables()[0]
+    # powers[a][i] is the code of t_i^a over the first n - 1 terms, so
+    # variable j of window i reads powers[a][i + j]
+    powers = [[code(ctx.one)] * (n - 1)]
+    for _ in range(min(mode.k, cap)):
+        powers.append([mul[v][w] for v, w in zip(powers[-1], codes)])
     for alpha in _exponent_vectors(mode, m, cap):
-        col = []
-        for i in range(r):
-            v = one
-            for j, a_j in enumerate(alpha):
-                if a_j:
-                    v = mul(v, powtab[i + j][a_j])
-            col.append(v)
-        if tracker.offer(col):
+        col = None
+        for j, a_j in enumerate(alpha):
+            if a_j:
+                factor = powers[a_j][j:j + r]
+                col = factor if col is None else [mul[v][w] for v, w in zip(col, factor)]
+        if tracker.offer(powers[0][:r] if col is None else col):
             return True
     return False
 

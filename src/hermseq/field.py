@@ -7,12 +7,17 @@ lexicographically smallest irreducible polynomial of degree 2e and epsilon is
 the lexicographically smallest generator of the multiplicative group, so two
 runs always agree element for element.
 
-Every operation is a pure function of its inputs.  The only state a context
-adds after construction is its fiber table, built once on first use.
+Every operation is a pure function of its inputs.  The solver works on
+integer codes instead of tuples: code(a) is a's index in the canonical order,
+so zero is 0.  Two pieces of state are built on first use and then cached on
+the context: the fiber table and the mul/sub/inv tables over codes.
+Construction builds neither, so callers that never run the solver never pay
+for the code tables.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import Iterable, Optional
@@ -24,6 +29,15 @@ Element = tuple[int, ...]
 # memory grow with the field; the largest field any caller uses is q = 32
 # (1,024 elements).
 MAX_FIELD_ORDER = 1 << 16
+
+# Largest field order whose code tables are built whole, as lists of rows.
+# A list row is found faster than a row built on access (a q = 4 complexity
+# profile runs about 25% slower on the latter), and at 1,024 elements a
+# 60-term solver run already reads 1,023 of the 1,024 mul rows, so building
+# whole costs no extra memory.  Above this order a whole table would hold
+# 16M or more entries (134 MB at 4,096 elements), so rows are built on
+# first access and memory follows the rows a solver run reads.
+EAGER_TABLE_ORDER = 1 << 10
 
 
 # The first 13 primes.  No composite below _MILLER_RABIN_EXACT_BELOW is a
@@ -184,6 +198,7 @@ class FieldContext:
         self._exp, self._log = self._build_tables()
         self.epsilon: Element = self._exp[1]
         self._fibers: Optional[dict[Element, tuple[Element, ...]]] = None
+        self._code_tables: Optional[tuple] = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -240,6 +255,16 @@ class FieldContext:
                 f"coefficient vector longer than field degree {self.degree}"
             )
         return tuple(vec) + (0,) * (self.degree - len(vec))
+
+    def code(self, a: Element) -> int:
+        """a's index in `elements`: its coefficients read as base-p digits,
+        the low-degree coefficient most significant.  Zero is 0, one is
+        p^(2e-1)."""
+        c = 0
+        p = self.p
+        for x in a:
+            c = c * p + x
+        return c
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -304,6 +329,53 @@ class FieldContext:
             self._fibers = {t: tuple(bs) for t, bs in fibers.items()}
         return self._fibers[self.rel_norm(a)]
 
+    # -- arithmetic on codes --------------------------------------------------
+
+    def code_tables(self) -> tuple:
+        """(mul, sub, inv) over codes, built on first use and cached:
+        mul[a][b] and sub[a][b] are the codes of a*b and a-b, inv[a] that of
+        1/a (inv[0] is None).
+
+        Up to EAGER_TABLE_ORDER elements mul and sub are lists of rows;
+        above it they are dicts that build each row on first access.  Every
+        entry refers to one shared int object per code, so a table costs one
+        pointer per entry.
+        """
+        if self._code_tables is None:
+            p, order, n = self.p, self.order, self.order - 1
+            ints = list(range(order))
+            exp = [ints[self.code(x)] for x in self._exp]
+            log = [0] * order
+            for i, c in enumerate(exp):
+                log[c] = i
+            log_units = log[1:]
+
+            def mul_row(a: int) -> list[int]:
+                if a == 0:
+                    return [0] * order
+                rotated = exp[log[a]:] + exp[:log[a]]
+                return [0] + [rotated[i] for i in log_units]
+
+            def sub_row(a: int) -> list[int]:
+                # one base-p digit at a time, least significant first:
+                # entry b holds the code of the digitwise difference a - b
+                row, weight = [0], 1
+                for _ in range(self.degree):
+                    digit = a // weight % p
+                    row = [(digit - d) % p * weight + s
+                           for d in range(p) for s in row]
+                    weight *= p
+                return [ints[c] for c in row]
+
+            if order <= EAGER_TABLE_ORDER:
+                mul = [mul_row(a) for a in range(order)]
+                sub = [sub_row(a) for a in range(order)]
+            else:
+                mul, sub = _LazyRows(mul_row), _LazyRows(sub_row)
+            inv = [None] + [exp[-log[a] % n] for a in range(1, order)]
+            self._code_tables = (mul, sub, inv)
+        return self._code_tables
+
     # -- misc -----------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -317,6 +389,18 @@ class FieldContext:
 
     def __hash__(self) -> int:
         return hash((self.p, self.e, self.modulus))
+
+
+class _LazyRows(dict):
+    """Table rows keyed by code, each built by build_row on first access."""
+
+    def __init__(self, build_row):
+        super().__init__()
+        self._build_row = build_row
+
+    def __missing__(self, a: int) -> list[int]:
+        row = self[a] = self._build_row(a)
+        return row
 
 
 def element_to_str(a: Element) -> str:
@@ -337,20 +421,28 @@ def element_from_str(text: str, ctx: FieldContext) -> Element:
 # ---------------------------------------------------------------------------
 
 class SpanTracker:
-    """Incremental row-reduced basis of a streamed column space.
+    """Incremental echelon basis of a streamed column space, over codes.
 
-    Columns arrive one at a time; at most len(target) of them are kept as
-    basis vectors, so arbitrarily many columns can be streamed in bounded
-    memory. offer() reports True as soon as the target enters the current
-    span, which lets callers stop the stream early.
+    target and every column are sequences of element codes (FieldContext.
+    code).  Columns arrive one at a time; at most len(target) of them are
+    kept as basis vectors, so arbitrarily many columns can be streamed in
+    bounded memory.  offer() reports True as soon as the target enters the
+    current span, which lets callers stop the stream early.
+
+    Each basis vector's pivot is its first nonzero row and the vector is
+    scaled to 1 there; it is stored from the pivot on, since it is zero
+    above.  A column is reduced in increasing pivot order, so it ends zero
+    at every pivot, and the residual target is kept zero there too.  The
+    target is spanned exactly when the residual is zero.
     """
 
     def __init__(self, ctx: FieldContext, target):
-        self.ctx = ctx
+        self._mul, self._sub, self._inv = ctx.code_tables()
         self._residual = list(target)
-        # pivot row -> basis column, zero above its pivot and scaled to 1 there
-        self._pivots: dict[int, list[Element]] = {}
-        self._consistent = all(v == ctx.zero for v in self._residual)
+        # (pivot row, basis vector from the pivot on, with 1 at the pivot),
+        # in increasing pivot order
+        self._basis: list[tuple[int, list[int]]] = []
+        self._consistent = not any(self._residual)
 
     @property
     def consistent(self) -> bool:
@@ -358,12 +450,10 @@ class SpanTracker:
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self._basis)
 
     def offer(self, column) -> bool:
         """Fold one more column into the basis; True once target is spanned."""
-        ctx = self.ctx
-        zero, mul, sub = ctx.zero, ctx.mul, ctx.sub
         col = list(column)
         if len(col) != len(self._residual):
             raise ValueError(
@@ -371,19 +461,22 @@ class SpanTracker:
             )
         if self._consistent:
             return True
-        for p_i in sorted(self._pivots):
+        mul, sub = self._mul, self._sub
+        for p_i, basis_vec in self._basis:
             c = col[p_i]
-            if c != zero:
-                col = [sub(x, mul(c, y)) for x, y in zip(col, self._pivots[p_i])]
-        pivot = next((i for i, v in enumerate(col) if v != zero), None)
+            if c:
+                mc = mul[c]
+                col[p_i:] = [sub[x][mc[y]] for x, y in zip(col[p_i:], basis_vec)]
+        pivot = next((i for i, v in enumerate(col) if v), None)
         if pivot is None:
             return False
-        scale = ctx.inv(col[pivot])
-        col = [mul(scale, v) for v in col]
-        self._pivots[pivot] = col
-        c = self._residual[pivot]
-        if c != zero:
-            self._residual = [sub(x, mul(c, y)) for x, y in zip(self._residual, col)]
-            if all(v == zero for v in self._residual):
-                self._consistent = True
+        scale = mul[self._inv[col[pivot]]]
+        vec = [scale[v] for v in col[pivot:]]
+        bisect.insort(self._basis, (pivot, vec))  # pivots are distinct
+        residual = self._residual
+        c = residual[pivot]
+        if c:
+            mc = mul[c]
+            residual[pivot:] = [sub[x][mc[y]] for x, y in zip(residual[pivot:], vec)]
+            self._consistent = not any(residual)
         return self._consistent

@@ -252,6 +252,11 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
     proof obligation N >= ceil(bound) is discharged by a single infeasibility
     check at window length ceil-1 (recurrence feasibility is monotone in the
     window length).
+
+    Feasibility is also monotone in the prefix length: a recurrence on a
+    longer prefix holds on every shorter one.  So for each k one proof per
+    distinct window length m serves every longer prefix whose obligation is
+    the same m, and those prefixes make no further call.
     """
     if kind == "per-variable":
         bound_fn, mode_cls = bnd.collinear_n_bound, PerVariable
@@ -267,6 +272,7 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
     checked = 0
     for k in ks:
         mode = mode_cls(k)
+        proven: set[int] = set()  # window lengths infeasible on a shorter prefix
         for n in range(1, len(terms) + 1):
             ceiling = math.ceil(bound_fn(bnd.BoundParams(n=n, q=q, k=k, ell=ell)))
             checked += 1
@@ -282,10 +288,14 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
             if m > n - 1:
                 failures.append(f"k={k} n={n}: bound {ceiling} exceeds n-1")
                 continue
+            if m in proven:
+                continue
             if exists_recurrence(ctx, prefix, m, mode):
                 failures.append(
                     f"k={k} n={n}: recurrence of length {m} exists below bound"
                 )
+            else:
+                proven.add(m)
             if len(failures) > 6:
                 return _result(name, failures, "")
     return _result(name, failures, f"{checked} grid points")

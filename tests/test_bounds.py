@@ -67,6 +67,9 @@ def test_decimal_string():
     assert decimal_string(Fraction(3, 4)) == "0.750000"
     assert decimal_string(Fraction(-15, 10)) == "-1.500000"
     assert decimal_string(Fraction(2, 3)) == "0.666667"
+    # a negative value that rounds to zero has no sign
+    assert decimal_string(Fraction(-1, 10 ** 7)) == "0.000000"
+    assert decimal_string(Fraction(-1, 2 * 10 ** 6)) == "-0.000001"
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,7 @@ def test_figures_bad_preset():
     # p = 2^89 - 1 is too large for an exact primality test
     ["sequence", "--p", "618970019642690137449562111", "--ell", "2"],
     ["bounds", "--p", "618970019642690137449562111", "--k", "1", "--n", "1"],
+    ["bounds", "--p", "3", "--e", "200000", "--k", "1", "--n", "1"],  # q too large
 ])
 def test_usage_error_writes_nothing(argv, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE

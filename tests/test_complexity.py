@@ -239,6 +239,65 @@ def test_oracle_matches_solver_spot(f4):
                 brute_force_oracle(f4, t, m, mode)
 
 
+def _dense_rank(ctx, rows):
+    """Rank by Gauss-Jordan elimination on coefficient tuples."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != ctx.zero), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        scale = ctx.inv(rows[rank][col])
+        rows[rank] = [ctx.mul(scale, v) for v in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col] != ctx.zero:
+                f = row[col]
+                rows[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def _reference_exists(ctx, terms, m, mode):
+    """exists_recurrence rebuilt on tuple arithmetic: one column per
+    admissible monomial from ctx.mul and ctx.pow, and a recurrence exists
+    iff appending the target column leaves the dense rank unchanged."""
+    k = mode.k
+    monomials = [alpha for alpha in itertools.product(range(k + 1), repeat=m)
+                 if isinstance(mode, PerVariable) or sum(alpha) <= k]
+    rows = []
+    for i in range(len(terms) - m):
+        row = []
+        for alpha in monomials:
+            v = ctx.one
+            for j, a in enumerate(alpha):
+                v = ctx.mul(v, ctx.pow(terms[i + j], a))
+            row.append(v)
+        rows.append(row + [terms[i + m]])
+    return _dense_rank(ctx, [row[:-1] for row in rows]) == _dense_rank(ctx, rows)
+
+
+# GF(9), GF(16), GF(25), and GF(37^2), whose code-table rows are built on access
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (37, 1)])
+def test_engine_matches_dense_reference(p, e):
+    ctx = FieldContext(p, e)
+    rng = random.Random(p * 10 + e)
+    outcomes = set()
+    for _ in range(60):
+        m = rng.randrange(1, 5)
+        n = m + rng.randrange(1, 13)
+        # a small alphabet repeats windows, so consistency is decided by more
+        # than the column count
+        alphabet = rng.sample(ctx.elements, rng.choice((2, 3, ctx.order)))
+        t = tuple(rng.choice(alphabet) for _ in range(n))
+        k = rng.randrange(1, 4)
+        for mode in (PerVariable(k), TotalDegree(k)):
+            got = exists_recurrence(ctx, t, m, mode)
+            assert got == _reference_exists(ctx, t, m, mode), (t, m, mode)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # linear complexity
 # ---------------------------------------------------------------------------

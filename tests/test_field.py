@@ -146,6 +146,47 @@ def test_unit_group_order_exhaustive():
 # trace / norm / fiber
 # ---------------------------------------------------------------------------
 
+# ---------------------------------------------------------------------------
+# integer codes
+# ---------------------------------------------------------------------------
+
+def test_code_is_canonical_index(f9):
+    for ctx in (f9, FieldContext(2, 2)):
+        assert [ctx.code(a) for a in ctx.elements] == list(range(ctx.order))
+        assert ctx.code(ctx.zero) == 0
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
+def test_code_tables_match_tuple_arithmetic(p, e):
+    ctx = FieldContext(p, e)
+    mul, sub, inv = ctx.code_tables()
+    code = ctx.code
+    for a, b in itertools.product(ctx.elements, repeat=2):
+        assert mul[code(a)][code(b)] == code(ctx.mul(a, b))
+        assert sub[code(a)][code(b)] == code(ctx.sub(a, b))
+    for a in ctx.elements[1:]:
+        assert inv[code(a)] == code(ctx.inv(a))
+
+
+def test_code_tables_rows_on_access_above_eager_order():
+    # GF(37^2) has 1,369 elements, above EAGER_TABLE_ORDER
+    ctx = FieldContext(37, 1)
+    mul, sub, inv = ctx.code_tables()
+    rng = random.Random(37)
+    code = ctx.code
+    for _ in range(200):
+        a, b = rng.choice(ctx.elements), rng.choice(ctx.elements)
+        assert mul[code(a)][code(b)] == code(ctx.mul(a, b))
+        assert sub[code(a)][code(b)] == code(ctx.sub(a, b))
+    assert len(mul) <= 200 and len(sub) <= 200
+
+
+def test_code_tables_built_on_first_use():
+    ctx = FieldContext(2, 5)
+    assert ctx._code_tables is None
+    assert ctx.code_tables() is ctx.code_tables()
+
+
 def test_rel_trace_examples(f4):
     z = f4.epsilon
     assert f4.rel_trace(z) == f4.one        # z^2 + z = 1
@@ -241,9 +282,11 @@ def _span_enumeration_consistent(columns, target, ctx):
 
 
 def _streamed_consistent(columns, target, ctx):
-    """Stream the columns into a SpanTracker until the target is spanned."""
-    tracker = SpanTracker(ctx, target)
-    return tracker.consistent or any(tracker.offer(col) for col in columns)
+    """Stream the columns into a SpanTracker, as codes, until the target is
+    spanned."""
+    tracker = SpanTracker(ctx, [ctx.code(v) for v in target])
+    return tracker.consistent or any(
+        tracker.offer([ctx.code(v) for v in col]) for col in columns)
 
 
 def test_solver_standard_basis(f4):
@@ -300,12 +343,13 @@ def test_solver_against_span_enumeration_f4_sampled_3x3(f4):
 
 
 def test_tracker_early_exit(f4):
-    tracker = SpanTracker(f4, [f4.one, f4.one])
+    one, zero = f4.code(f4.one), f4.code(f4.zero)
+    tracker = SpanTracker(f4, [one, one])
     assert not tracker.consistent
-    assert tracker.offer([f4.one, f4.one])
+    assert tracker.offer([one, one])
     # one column spans the target; once consistent, later offers add no pivot
     assert tracker.rank == 1
-    assert tracker.offer([f4.one, f4.zero])
+    assert tracker.offer([one, zero])
     assert tracker.rank == 1
 
 

@@ -57,6 +57,15 @@ def test_bound_properties_hold_for_every_a(f9):
                                            ks=(1, 2)).passed
 
 
+def test_bound_consistency_q5_slowest_rows():
+    # a slice of `verify --p 5`, ell = q = 5 with k = 1, 2, 3 in both kinds,
+    # so that exact bound verification at q = 5 stays in the fast suite
+    ctx = FieldContext(5, 1)
+    seq = build_sequence(ctx, 5)
+    for kind in ("per-variable", "total-degree"):
+        assert check_bound_consistency(ctx, seq, 5, kind, ks=(1, 2, 3)).passed
+
+
 def test_suite_single_field():
     results = run_suite(field_specs=[(3, 1)])
     assert results
