@@ -17,9 +17,7 @@ from .bounds import (
     twopoint_n_bound,
 )
 from .complexity import (
-    Bracket,
     DegreeMode,
-    Exact,
     PerVariable,
     TotalDegree,
     brute_force_oracle,

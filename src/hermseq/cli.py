@@ -2,7 +2,7 @@
 
 Subcommands:
     sequence    emit the constructed sequence (index,i,j,value)
-    complexity  exact/bracketed complexities of sequence prefixes
+    complexity  exact complexities of sequence prefixes
     bounds      all six lower-bound formulas over a parameter grid
     figures     the two comparison presets (q=32, k=5 and k=20)
     verify      run the self-check suite; nonzero exit on any failure
@@ -24,13 +24,7 @@ from contextlib import nullcontext
 from typing import Optional
 
 from .bounds import MAX_Q_BITS, BoundParams, all_bounds, decimal_string, figure_rows
-from .complexity import (
-    DEFAULT_MONOMIAL_BUDGET,
-    Exact,
-    PerVariable,
-    TotalDegree,
-    nonlinear_complexity,
-)
+from .complexity import PerVariable, TotalDegree, nonlinear_complexity
 from .field import Element, FieldContext, _is_prime, element_from_str, element_to_str
 from .sequence import build_sequence
 from .verify import run_suite
@@ -84,8 +78,6 @@ def _config(args: argparse.Namespace) -> argparse.Namespace:
         args.ks = _collect(args.k, args.k_range, "k")
     if hasattr(args, "n"):
         args.ns = _collect(args.n, args.n_range, "n")
-    if getattr(args, "budget", 1) < 1:
-        raise ValueError("--budget must be >= 1")
     if getattr(args, "p", None) is not None and not _is_prime(args.p):
         raise ValueError(f"--p must be prime, got {args.p}")
     return args
@@ -147,14 +139,8 @@ def cmd_complexity(args: argparse.Namespace) -> int:
         for n in args.ns:
             prefix = terms[:n]
             for k, mode in modes:
-                result = nonlinear_complexity(ctx, prefix, mode,
-                                              monomial_budget=args.budget)
-                if isinstance(result, Exact):
-                    writer.writerow([n, k, args.mode, "exact",
-                                     result.value, result.value])
-                else:
-                    writer.writerow([n, k, args.mode, "bracket",
-                                     result.lo, result.hi])
+                value = nonlinear_complexity(ctx, prefix, mode)
+                writer.writerow([n, k, args.mode, "exact", value, value])
     return EXIT_OK
 
 
@@ -203,7 +189,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    specs = [(args.p, args.e)] if args.p is not None else None
+    specs = None
+    if args.p is not None:
+        specs = [(args.p, 1 if args.e is None else args.e)]
+    elif args.e is not None:
+        raise ValueError("--e needs --p")
     results = run_suite(field_specs=specs)
     width = max(len(r.name) for r in results) + 2
     for r in results:
@@ -251,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-range", dest="n_range", metavar="LO:HI[:STEP]")
     sp.add_argument("--mode", choices=["per-variable", "total-degree"],
                     default="per-variable")
-    sp.add_argument("--budget", type=int, default=DEFAULT_MONOMIAL_BUDGET,
-                    help="monomial budget before bracketing")
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_complexity)
 
@@ -274,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the self-check suite")
     sp.add_argument("--p", type=int,
                     help="restrict the per-field checks to this field")
-    sp.add_argument("--e", type=int, default=1)
+    sp.add_argument("--e", type=int)
     sp.set_defaults(handler=cmd_verify)
 
     return parser

@@ -8,11 +8,14 @@ f(x_1, .., x_m) with t_{i+m} = f(t_i, .., t_{i+m-1}) on every window:
 
 The complexity is the least window length m admitting such an f; 0 is
 reserved for the all-zero sequence and a single nonzero term has complexity
-1.  Existence of f for fixed m is a linear-consistency question in the
-monomial coefficients, solved by streaming one column per admissible
-monomial into the incremental span tracker, with one row per window.  The
-solver maps the terms to integer codes once (FieldContext.code) and builds
-every power and column with the context's code tables.  A brute-force
+1.  Existence of f for fixed m is a linear-consistency question with one
+equation per window.  Its unknowns are not the monomial coefficients, of
+which there are (k+1)^m in per-variable mode, but the coefficients of a
+chain of suffix levels (_Chain) that spans the same functions on the
+windows with at most k+1 columns per distinct window.  The solver maps the
+terms to integer codes once (FieldContext.code), builds every power and
+column with the context's code tables, and reduces both the levels and the
+final consistency test through the incremental span tracker.  A brute-force
 oracle that enumerates entire coefficient assignments provides an
 independent ground truth at tiny sizes, and the classical iterative
 synthesis algorithm computes plain linear complexity for sanity relations;
@@ -22,13 +25,11 @@ both stay on tuple arithmetic, so they share no arithmetic with the solver.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Union
 
 from .field import FieldContext, SpanTracker
-
-DEFAULT_MONOMIAL_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -54,26 +55,6 @@ class TotalDegree:
 DegreeMode = Union[PerVariable, TotalDegree]
 
 
-@dataclass(frozen=True)
-class Exact:
-    value: int
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """The true complexity lies in [lo, hi]; everything below lo is proven
-    infeasible, hi = n-1 is the unconditional upper end."""
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty bracket [{self.lo}, {self.hi}]")
-
-
-ComplexityResult = Union[Exact, Bracket]
-
-
 def _sum_bounded_vectors(m: int, per_cap: int, total: int) -> Iterator[tuple[int, ...]]:
     """Exponent vectors of length m, entries <= per_cap, sum <= total, in
     lexicographic order."""
@@ -83,27 +64,6 @@ def _sum_bounded_vectors(m: int, per_cap: int, total: int) -> Iterator[tuple[int
     for first in range(min(per_cap, total) + 1):
         for rest in _sum_bounded_vectors(m - 1, per_cap, total - first):
             yield (first,) + rest
-
-
-def _exponent_vectors(mode: DegreeMode, m: int, cap: int) -> Iterator[tuple[int, ...]]:
-    # exponents above q^2-1 never yield new functions (x^(q^2) = x pointwise),
-    # so they are capped; the degree constraint itself is unchanged by this
-    if isinstance(mode, PerVariable):
-        return itertools.product(range(min(mode.k, cap) + 1), repeat=m)
-    return _sum_bounded_vectors(m, min(mode.k, cap), mode.k)
-
-
-def monomial_count(mode: DegreeMode, m: int, cap: int) -> int:
-    """Number of admissible exponent vectors for window length m."""
-    if isinstance(mode, PerVariable):
-        return (min(mode.k, cap) + 1) ** m
-    c = min(mode.k, cap)
-    k = mode.k
-    # bounded-entry compositions with one unconstrained slack variable
-    total = 0
-    for j in range(k // (c + 1) + 1):
-        total += (-1) ** j * math.comb(m, j) * math.comb(m + k - j * (c + 1), m)
-    return total
 
 
 def _power_table(ctx: FieldContext, terms, up_to: int) -> list[list]:
@@ -116,68 +76,106 @@ def _power_table(ctx: FieldContext, terms, up_to: int) -> list[list]:
     return table
 
 
+class _Chain:
+    """Suffix levels of one code sequence under one degree mode.
+
+    Level L describes the admissible polynomials in L variables on the
+    windows codes[j:j+L] of codes[:-1]: at[j] is the point number of window
+    j (equal windows share a point), and basis holds (degree tag, values on
+    the points) for a basis of those functions.  Level 0 is the constant 1
+    on the empty window.  Level L+1 is spanned by x_1^a * h for
+    a <= min(k, q^2-1) and h in level L; in total-degree mode only
+    a + tag(h) <= k is offered, lowest degree first, so the vectors tagged
+    <= d span the polynomials of degree <= d.  A level stops once its rank
+    equals its number of points.  Exponents above q^2-1 never yield new
+    functions (x^(q^2) = x pointwise), so they are capped; the degree
+    constraint itself is unchanged by this.
+    """
+
+    def __init__(self, ctx: FieldContext, codes: list[int], mode: DegreeMode):
+        self.ctx, self.codes, self.mode = ctx, codes, mode
+        self.mul = mul = ctx.code_tables()[0]
+        one = ctx.code(ctx.one)
+        # powers[a][c] is the code of c^a, for every code c inside a window
+        self.powers = [dict.fromkeys(codes[:-1], one)]
+        for _ in range(min(mode.k, ctx.order - 1)):
+            self.powers.append({c: mul[v][c] for c, v in self.powers[-1].items()})
+        self.at = [0] * len(codes)
+        self.basis = [(0, [one])]
+
+    def products(self, points):
+        """(degree, values) of every admissible x_1^a * h with h in the
+        current level, lowest degree first, on points given as (code of x_1,
+        point number of the suffix window)."""
+        total = isinstance(self.mode, TotalDegree)
+        products = sorted(((a + tag if total else 0, pa, h)
+                           for a, pa in enumerate(self.powers) for tag, h in self.basis
+                           if not total or a + tag <= self.mode.k),
+                          key=itemgetter(0))
+        mul = self.mul
+        for degree, pa, h in products:
+            yield degree, [mul[pa[c]][h[s]] for c, s in points]
+
+    def grow(self) -> None:
+        """Replace the current level by the next one."""
+        number: dict[tuple[int, int], int] = {}
+        self.at = [number.setdefault(window, len(number))
+                   for window in zip(self.codes, self.at[1:])]
+        tracker = SpanTracker(self.ctx, [0] * len(number))
+        basis = []
+        for degree, col in self.products(list(number)):
+            entry = tracker.insert(col)
+            if entry is not None:
+                pivot, vec = entry
+                basis.append((degree, [0] * pivot + vec))
+                if len(basis) == len(number):
+                    break
+        self.basis = basis
+
+    def spans_target(self, m: int) -> bool:
+        """Taking the current level as level m-1: do the products x_1^a * h
+        on the windows codes[i:i+m] span the target codes[m:]?"""
+        tracker = SpanTracker(self.ctx, self.codes[m:])
+        rows = list(zip(self.codes, self.at[1:]))
+        return tracker.consistent or any(
+            tracker.offer(col) for _, col in self.products(rows))
+
+
 def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     """Is there a recurrence polynomial of window length m under `mode`?
 
-    One linear unknown per admissible monomial, one equation per window;
-    columns are streamed so only a row-bounded basis is ever held.  The
-    column of monomial alpha holds prod_j t_{i+j}^alpha_j at window i, in
-    codes.
+    One equation per window; the unknowns are the coefficients of x_1^a * h
+    with h running over level m-1 of the suffix chain (_Chain).
     """
-    code = ctx.code
-    codes = [code(v) for v in t]
+    codes = [ctx.code(v) for v in t]
     n = len(codes)
     if not 1 <= m <= n - 1:
         raise ValueError(f"window length must be in 1..{n - 1}, got {m}")
-    r = n - m
-    tracker = SpanTracker(ctx, codes[m:])
-    if tracker.consistent:
-        return True
-    cap = ctx.order - 1
-    mul = ctx.code_tables()[0]
-    # powers[a][i] is the code of t_i^a over the first n - 1 terms, so
-    # variable j of window i reads powers[a][i + j]
-    powers = [[code(ctx.one)] * (n - 1)]
-    for _ in range(min(mode.k, cap)):
-        powers.append([mul[v][w] for v, w in zip(powers[-1], codes)])
-    for alpha in _exponent_vectors(mode, m, cap):
-        col = None
-        for j, a_j in enumerate(alpha):
-            if a_j:
-                factor = powers[a_j][j:j + r]
-                col = factor if col is None else [mul[v][w] for v, w in zip(col, factor)]
-        if tracker.offer(powers[0][:r] if col is None else col):
-            return True
-    return False
+    chain = _Chain(ctx, codes, mode)
+    for _ in range(m - 1):
+        chain.grow()
+    return chain.spans_target(m)
 
 
-def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode,
-                         monomial_budget: int = DEFAULT_MONOMIAL_BUDGET) -> ComplexityResult:
-    """Least window length admitting a recurrence under `mode`.
+def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode) -> int:
+    """Least window length admitting a recurrence under `mode`, as an int.
 
-    Returns Exact(0) for the all-zero sequence and Exact(1) for a single
-    nonzero term.  The search walks m upward; if the monomial count for the
-    next m would exceed the budget the result so far is returned as
-    Bracket(m, n-1): everything below m was fully proven infeasible.
+    Returns 0 for the all-zero sequence and 1 for a single nonzero term.
+    The search walks m upward on one suffix chain, so each level is built
+    once per call; it ends by m = n-1, which the constant recurrence
+    f = t_n always admits.
     """
-    if monomial_budget < 1:
-        raise ValueError("monomial budget must be >= 1")
-    terms = tuple(t)
-    n = len(terms)
-    if all(v == ctx.zero for v in terms):
-        return Exact(0)
-    if n == 1:
-        return Exact(1)
-    cap = ctx.order - 1
-    for m in range(1, n):
-        if monomial_count(mode, m, cap) > monomial_budget:
-            if m == n - 1:
-                # the constant polynomial f = t_n always realizes m = n-1
-                return Exact(n - 1)
-            return Bracket(m, n - 1)
-        if exists_recurrence(ctx, terms, m, mode):
-            return Exact(m)
-    raise AssertionError("m = n-1 always admits the constant recurrence")
+    codes = [ctx.code(v) for v in t]
+    if not any(codes):
+        return 0
+    if len(codes) == 1:
+        return 1
+    chain = _Chain(ctx, codes, mode)
+    m = 1
+    while not chain.spans_target(m):
+        chain.grow()
+        m += 1
+    return m
 
 
 def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:

@@ -427,7 +427,8 @@ class SpanTracker:
     code).  Columns arrive one at a time; at most len(target) of them are
     kept as basis vectors, so arbitrarily many columns can be streamed in
     bounded memory.  offer() reports True as soon as the target enters the
-    current span, which lets callers stop the stream early.
+    current span, which lets callers stop the stream early; insert() only
+    grows the basis, for callers that want the span itself.
 
     Each basis vector's pivot is its first nonzero row and the vector is
     scaled to 1 there; it is stored from the pivot on, since it is zero
@@ -452,31 +453,35 @@ class SpanTracker:
     def rank(self) -> int:
         return len(self._basis)
 
-    def offer(self, column) -> bool:
-        """Fold one more column into the basis; True once target is spanned."""
-        col = list(column)
-        if len(col) != len(self._residual):
-            raise ValueError(
-                f"column length {len(col)} != system length {len(self._residual)}"
-            )
-        if self._consistent:
-            return True
+    def _reduce(self, col: list[int]) -> Optional[int]:
+        """Reduce col in place, in increasing pivot order, so that it is zero
+        at every pivot; return its first nonzero row, or None if it is zero."""
         mul, sub = self._mul, self._sub
         for p_i, basis_vec in self._basis:
             c = col[p_i]
             if c:
                 mc = mul[c]
                 col[p_i:] = [sub[x][mc[y]] for x, y in zip(col[p_i:], basis_vec)]
-        pivot = next((i for i, v in enumerate(col) if v), None)
+        return next((i for i, v in enumerate(col) if v), None)
+
+    def insert(self, column) -> Optional[tuple[int, list[int]]]:
+        """Reduce one column against the basis.  If anything is left, add it
+        and return it as (pivot, vector from the pivot on); else None."""
+        col = list(column)
+        if len(col) != len(self._residual):
+            raise ValueError(
+                f"column length {len(col)} != system length {len(self._residual)}"
+            )
+        pivot = self._reduce(col)
         if pivot is None:
-            return False
-        scale = mul[self._inv[col[pivot]]]
-        vec = [scale[v] for v in col[pivot:]]
-        bisect.insort(self._basis, (pivot, vec))  # pivots are distinct
-        residual = self._residual
-        c = residual[pivot]
-        if c:
-            mc = mul[c]
-            residual[pivot:] = [sub[x][mc[y]] for x, y in zip(residual[pivot:], vec)]
-            self._consistent = not any(residual)
+            return None
+        scale = self._mul[self._inv[col[pivot]]]
+        entry = (pivot, [scale[v] for v in col[pivot:]])
+        bisect.insort(self._basis, entry)  # pivots are distinct
+        return entry
+
+    def offer(self, column) -> bool:
+        """Fold one more column into the basis; True once target is spanned."""
+        if not self._consistent and self.insert(column) is not None:
+            self._consistent = self._reduce(self._residual) is None
         return self._consistent

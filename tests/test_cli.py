@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from hermseq.cli import EXIT_OK, EXIT_USAGE, main, parse_sequence_values
-from hermseq.complexity import Exact, PerVariable, nonlinear_complexity
+from hermseq.complexity import PerVariable, nonlinear_complexity
 from hermseq.field import FieldContext, element_from_str
 from hermseq.sequence import build_sequence
 
@@ -90,21 +90,8 @@ def test_complexity_csv_matches_in_process(tmp_path):
         result = nonlinear_complexity(ctx, seq[:n], PerVariable(k))
         assert row[2] == "per-variable"
         assert row[3] == "exact"
-        assert int(row[4]) == result.value
-        assert int(row[5]) == result.value
-
-
-def test_complexity_bracket_row(tmp_path):
-    out = tmp_path / "cx.csv"
-    # budget 2 cannot even afford the three m=1 monomials at k=2
-    code = main([
-        "complexity", "--p", "2", "--ell", "2", "--mode", "per-variable",
-        "--k", "2", "--n", "4", "--budget", "2", "--out", str(out),
-    ])
-    assert code == EXIT_OK
-    rows = _read_csv(out)
-    assert rows[1][3] == "bracket"
-    assert rows[1][4] == "1" and rows[1][5] == "3"
+        assert int(row[4]) == result
+        assert int(row[5]) == result
 
 
 def test_complexity_usage(tmp_path):
@@ -116,8 +103,6 @@ def test_complexity_usage(tmp_path):
                  "--n", "9"]) == EXIT_USAGE                        # n too big
     assert main(["complexity", "--p", "2", "--ell", "2", "--k", "1",
                  "--n", "0"]) == EXIT_USAGE                        # n too small
-    assert main(["complexity", "--p", "2", "--ell", "2", "--k", "1",
-                 "--n", "2", "--budget", "0"]) == EXIT_USAGE
 
 
 def test_sequence_round_trip(tmp_path):
@@ -248,6 +233,14 @@ def test_verify_single_field_passes(capsys):
     assert "FAIL" not in captured.out
     with gzip.open(REFERENCE / "prove-q4" / "verify.txt.gz", "rt") as fh:
         assert captured.out == fh.read()
+
+
+def test_verify_e_without_p_is_usage_error(capsys):
+    # without --p the default suite would run and silently ignore --e
+    assert main(["verify", "--e", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_help_exits_zero():
