@@ -108,12 +108,12 @@ class _Chain:
         current level, lowest degree first, on points given as (code of x_1,
         point number of the suffix window)."""
         total = isinstance(self.mode, TotalDegree)
-        products = sorted(((a + tag if total else 0, pa, h)
-                           for a, pa in enumerate(self.powers) for tag, h in self.basis
-                           if not total or a + tag <= self.mode.k),
-                          key=itemgetter(0))
+        factors = sorted(((a + tag if total else 0, pa, h)
+                          for a, pa in enumerate(self.powers) for tag, h in self.basis
+                          if not total or a + tag <= self.mode.k),
+                         key=itemgetter(0))
         mul = self.mul
-        for degree, pa, h in products:
+        for degree, pa, h in factors:
             yield degree, [mul[pa[c]][h[s]] for c, s in points]
 
     def grow(self) -> None:
