@@ -22,7 +22,6 @@ from .complexity import (
     TotalDegree,
     brute_force_oracle,
     exists_recurrence,
-    linear_complexity,
     nonlinear_complexity,
 )
 from .curve import (

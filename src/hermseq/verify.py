@@ -306,8 +306,10 @@ def check_oracle_agreement(ctx: FieldContext) -> CheckResult:
     n <= 6, m <= 2, k <= 2, both modes) and on the full constructed ell = 2
     sequence.
 
-    Every sequence runs all cheap configurations; the expensive per-variable
-    k=2, m=2 enumeration (4^9 candidates at q = 2) runs on every fourth one.
+    Every sequence runs window 1 under all four modes and window 2 under
+    three; per-variable k=2 at window 2, the largest case (9 monomial
+    columns), runs on every fourth sequence.  The oracle meets in the
+    middle, so even that case tabulates only 4^4 + 4^5 partial sums.
     """
     name = "oracle-agreement"
     sequences = 200

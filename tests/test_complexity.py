@@ -10,7 +10,6 @@ from hermseq.complexity import (
     TotalDegree,
     brute_force_oracle,
     exists_recurrence,
-    linear_complexity,
     nonlinear_complexity,
 )
 from hermseq.field import FieldContext
@@ -204,6 +203,84 @@ def test_oracle_matches_solver_spot(f4):
                 brute_force_oracle(f4, t, m, mode)
 
 
+def _monomial_count(m, mode):
+    if isinstance(mode, PerVariable):
+        return (mode.k + 1) ** m
+    return math.comb(m + mode.k, m)
+
+
+# GF(9) and GF(4): the oracle's arithmetic in odd characteristic too, up to
+# the sizes its guard allows, with both outcomes in each field
+@pytest.mark.parametrize("p,cases", [(3, 120), (2, 40)])
+def test_oracle_matches_solver_random(p, cases):
+    ctx = FieldContext(p, 1)
+    rng = random.Random(40 + p)
+    outcomes = set()
+    compared = 0
+    for _ in range(cases):
+        m = rng.randrange(1, 4)
+        n = m + rng.randrange(2, 7)
+        alphabet = rng.sample(ctx.elements, rng.choice((2, 3, ctx.order)))
+        t = tuple(rng.choice(alphabet) for _ in range(n))
+        for mode in (PerVariable(1), PerVariable(2), TotalDegree(1), TotalDegree(2)):
+            if ctx.order ** _monomial_count(m, mode) > 1 << 24:
+                continue  # refused by the oracle's guard
+            got = brute_force_oracle(ctx, t, m, mode)
+            assert got == exists_recurrence(ctx, t, m, mode), (t, m, mode)
+            outcomes.add(got)
+            compared += 1
+    assert outcomes == {True, False}
+    assert compared > cases
+
+
+def test_oracle_builds_no_code_tables():
+    # SpanTracker and the suffix chain both build the context's code tables,
+    # so none built means the oracle used neither: it shares no arithmetic
+    # and no elimination with the solver
+    ctx = FieldContext(3, 1)
+    rng = random.Random(12)
+    for _ in range(5):
+        t = _random_terms(ctx, rng, 5)
+        for mode in (PerVariable(1), TotalDegree(2)):
+            brute_force_oracle(ctx, t, 2, mode)
+    assert ctx._code_tables is None
+
+
+def _max_order_complexity(ctx, terms):
+    """Least m >= 1 at which every length-m window has a single successor,
+    0 for the all-zero sequence: the maximum-order complexity, found by
+    comparing windows only."""
+    if all(v == ctx.zero for v in terms):
+        return 0
+    m = 1
+    while True:
+        successor = {}
+        if all(successor.setdefault(terms[i:i + m], terms[i + m]) == terms[i + m]
+               for i in range(len(terms) - m)):
+            return m
+        m += 1
+
+
+# GF(4), GF(9), GF(16)
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_full_degree_is_maximum_order_complexity(p, e):
+    # PerVariable(q^2 - 1) admits every function F^m -> F (Jansen and
+    # Boekee, CRYPTO '89), so its complexity is the maximum-order complexity
+    ctx = FieldContext(p, e)
+    rng = random.Random(p * 10 + e)
+    mode = PerVariable(ctx.order - 1)
+    assert nonlinear_complexity(ctx, (ctx.zero,) * 6, mode) == 0
+    values = set()
+    for _ in range(60):
+        n = rng.randrange(1, 25)
+        alphabet = rng.sample(ctx.elements, rng.choice((2, 3)))
+        t = tuple(rng.choice(alphabet) for _ in range(n))
+        want = _max_order_complexity(ctx, t)
+        assert nonlinear_complexity(ctx, t, mode) == want, t
+        values.add(want)
+    assert len(values) >= 4
+
+
 def _dense_rank(ctx, rows):
     """Rank by Gauss-Jordan elimination on coefficient tuples."""
     rows = [list(row) for row in rows]
@@ -303,6 +380,43 @@ def test_per_variable_bound_proof_at_q7():
 # ---------------------------------------------------------------------------
 # linear complexity
 # ---------------------------------------------------------------------------
+
+def linear_complexity(ctx, t):
+    """Length of the shortest homogeneous linear recurrence generating t,
+    by the classical iterative synthesis algorithm."""
+    terms = tuple(t)
+    n = len(terms)
+    zero, one = ctx.zero, ctx.one
+    conn = [one]          # connection polynomial, constant term first
+    prev = [one]
+    length = 0
+    shift = 1
+    last_disc = one
+    for i in range(n):
+        disc = terms[i]
+        for j in range(1, length + 1):
+            if j < len(conn) and conn[j] != zero:
+                disc = ctx.add(disc, ctx.mul(conn[j], terms[i - j]))
+        if disc == zero:
+            shift += 1
+            continue
+        coef = ctx.mul(disc, ctx.inv(last_disc))
+        update = list(conn)
+        needed = len(prev) + shift
+        if len(update) < needed:
+            update.extend([zero] * (needed - len(update)))
+        for idx, pv in enumerate(prev):
+            update[idx + shift] = ctx.sub(update[idx + shift], ctx.mul(coef, pv))
+        if 2 * length <= i:
+            prev = conn
+            last_disc = disc
+            length = i + 1 - length
+            shift = 1
+        else:
+            shift += 1
+        conn = update
+    return length
+
 
 def _brute_linear_complexity(ctx, terms):
     n = len(terms)
