@@ -80,6 +80,8 @@ def _config(args: argparse.Namespace) -> argparse.Namespace:
         args.ns = _collect(args.n, args.n_range, "n")
     if getattr(args, "p", None) is not None and not _is_prime(args.p):
         raise ValueError(f"--p must be prime, got {args.p}")
+    if getattr(args, "e", None) is not None and args.e < 1:
+        raise ValueError(f"extension degree must be >= 1, got {args.e}")
     return args
 
 
@@ -148,8 +150,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if args.p is None:
         raise ValueError("--p is required")
     # p >= 2^(bits(p) - 1) bounds q from below before q is computed
-    if args.e >= 1 and (args.e * (args.p.bit_length() - 1) >= MAX_Q_BITS
-                        or (args.p ** args.e).bit_length() > MAX_Q_BITS):
+    if (args.e * (args.p.bit_length() - 1) >= MAX_Q_BITS
+            or (args.p ** args.e).bit_length() > MAX_Q_BITS):
         raise ValueError(f"q = {args.p}^{args.e} is 2^{MAX_Q_BITS} or more, "
                          "too large to print its bounds")
     q = args.p ** args.e
@@ -220,21 +222,22 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, help="prime characteristic")
         sp.add_argument("--e", type=int, default=1,
                         help="extension degree, q = p^e (default 1)")
+
+    def add_sequence_args(sp):
+        add_field_args(sp)
         sp.add_argument("--modulus",
                         help="':'-joined coefficients (low degree first) of a "
                              "degree-2e irreducible over F_p")
+        sp.add_argument("--a", help="x-coordinate of the line (default: epsilon)")
+        sp.add_argument("--ell", type=int, help="number of marked places, 2..q")
 
     sp = sub.add_parser("sequence", help="emit the constructed sequence")
-    add_field_args(sp)
-    sp.add_argument("--a", help="x-coordinate of the line (default: epsilon)")
-    sp.add_argument("--ell", type=int, help="number of marked places, 2..q")
+    add_sequence_args(sp)
     sp.add_argument("--out", help="output CSV path (default stdout)")
     sp.set_defaults(handler=cmd_sequence)
 
     sp = sub.add_parser("complexity", help="complexities of sequence prefixes")
-    add_field_args(sp)
-    sp.add_argument("--a")
-    sp.add_argument("--ell", type=int)
+    add_sequence_args(sp)
     sp.add_argument("--k", type=int)
     sp.add_argument("--k-range", dest="k_range", metavar="LO:HI[:STEP]")
     sp.add_argument("--n", type=int)

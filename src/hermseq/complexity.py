@@ -25,6 +25,7 @@ elimination, so it shares no arithmetic with the solver.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Union
@@ -188,22 +189,25 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     and looks up target - s in the left table for each s in the right one,
     so it stays exhaustive and elimination-free at about the square root of
     the full enumeration's cost (4^4 + 4^5 sums instead of 4^9 candidates
-    for per-variable k = 2, m = 2 over GF(4)).  Refuses when the full
-    candidate count exceeds 2**24.
+    for per-variable k = 2, m = 2 over GF(4)).  Refuses, before listing a
+    monomial, when the larger half's table of |F|^half sums exceeds 2**16.
     """
     terms = tuple(t)
     n = len(terms)
     if not 1 <= m <= n - 1:
         raise ValueError(f"window length must be in 1..{n - 1}, got {m}")
-    if isinstance(mode, PerVariable):
-        monos = list(itertools.product(range(mode.k + 1), repeat=m))
-    else:
-        monos = list(_sum_bounded_vectors(m, mode.k, mode.k))
-    candidates = ctx.order ** len(monos)
-    if candidates > 1 << 24:
+    per_variable = isinstance(mode, PerVariable)
+    count = (mode.k + 1) ** m if per_variable else math.comb(m + mode.k, mode.k)
+    half = count // 2
+    # |F| >= 4, so a right half above 16 columns is refused without the power
+    if count - half > 16 or ctx.order ** (count - half) > 1 << 16:
         raise ValueError(
-            f"enumeration too large: {candidates} candidate polynomials"
+            f"enumeration too large: a table of {ctx.order}^{count - half} sums"
         )
+    if per_variable:
+        monos = itertools.product(range(mode.k + 1), repeat=m)
+    else:
+        monos = _sum_bounded_vectors(m, mode.k, mode.k)
     r = n - m
     powtab = _power_table(ctx, terms[: n - 1], mode.k)
     mul, add, sub, one, zero = ctx.mul, ctx.add, ctx.sub, ctx.one, ctx.zero
@@ -227,6 +231,5 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
             acc = {tuple(map(add, s, v)) for s in acc for v in multiples}
         return acc
 
-    half = len(columns) // 2
     left = sums(columns[:half])
     return any(tuple(map(sub, target, s)) in left for s in sums(columns[half:]))

@@ -108,44 +108,16 @@ def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     return _pmod(_pmul(a, b, p), f, p)
 
 
-def _ppowmod(a: list[int], n: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(a, f, p)
-    while n:
-        if n & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        n >>= 1
-    return result
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        monic_b = [(c * inv_lead) % p for c in b]
-        a, b = b, _pmod(a, monic_b, p)
-    if a:
-        inv_lead = pow(a[-1], p - 2, p)
-        a = [(c * inv_lead) % p for c in a]
-    return a
-
-
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Monic f of degree d is irreducible over F_p iff it shares no factor
-    with x^(p^i) - x for i = 1 .. d//2 (the product of all irreducibles of
-    degree dividing i)."""
+    """Monic f of degree d is irreducible over F_p iff no monic polynomial of
+    degree 1 .. d//2 divides it; fields stop at MAX_FIELD_ORDER elements,
+    so there are at most 510 divisors to try."""
     d = len(coeffs) - 1
     if d < 1:
         return False
-    x = [0, 1]
-    g = x
-    for _ in range(d // 2):
-        g = _ppowmod(g, p, coeffs, p)
-        diff = _ptrim([(gi - xi) % p for gi, xi in itertools.zip_longest(g, x, fillvalue=0)])
-        if len(_pgcd(diff, coeffs, p)) != 1:
-            return False
-    return True
+    return all(_pmod(coeffs, list(tail) + [1], p)
+               for i in range(1, d // 2 + 1)
+               for tail in itertools.product(range(p), repeat=i))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ fixed seeds and are fully reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -43,13 +44,18 @@ class CheckResult:
     detail: str
 
 
-def _result(name: str, failures: list[str], ok_detail: str) -> CheckResult:
-    if failures:
-        shown = "; ".join(failures[:4])
-        if len(failures) > 4:
-            shown += f"; ... {len(failures)} failures total"
-        return CheckResult(name, False, shown)
-    return CheckResult(name, True, ok_detail)
+def _result(name: str, failures: Iterable[str], ok_detail: str) -> CheckResult:
+    """The one failure policy: read at most seven failures from the stream
+    (a lazy one stops its check there) and show the first four."""
+    seen = list(itertools.islice(failures, 7))
+    if not seen:
+        return CheckResult(name, True, ok_detail)
+    shown = "; ".join(seen[:4])
+    if len(seen) == 7:
+        shown += "; ... stopped after 7 failures"
+    elif len(seen) > 4:
+        shown += f"; ... {len(seen)} failures total"
+    return CheckResult(name, False, shown)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -190,8 +196,6 @@ def _substitution_failures(ctx: FieldContext, fam) -> list[str]:
         rhs = ctx.mul(ctx.pow(shift, ctx.q), ctx.inv(den))
         if eval_quotient(fam, ell, moved) != rhs:
             failures.append(f"substitution identity fails at {place}, j={j}")
-            if len(failures) > 3:
-                break
         checked += 1
     if checked < samples:
         failures.append(f"only {checked} substitution samples found")
@@ -265,40 +269,35 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
     else:
         raise ValueError(f"unknown kind {kind!r}")
     q = ctx.q
-    if ks is None:
-        ks = range(1, q * q - 1)
-    name = f"bound-{kind}[q={q},ell={ell}]"
-    failures = []
-    checked = 0
-    for k in ks:
-        mode = mode_cls(k)
-        proven: set[int] = set()  # window lengths infeasible on a shorter prefix
-        for n in range(1, len(terms) + 1):
-            ceiling = math.ceil(bound_fn(bnd.BoundParams(n=n, q=q, k=k, ell=ell)))
-            checked += 1
-            if ceiling < 1:
-                continue
-            prefix = terms[:n]
-            if all(t == ctx.zero for t in prefix):
-                failures.append(f"k={k} n={n}: zero prefix but bound {ceiling}")
-                continue
-            if ceiling == 1:
-                continue  # any nonzero prefix has complexity >= 1
-            m = ceiling - 1
-            if m > n - 1:
-                failures.append(f"k={k} n={n}: bound {ceiling} exceeds n-1")
-                continue
-            if m in proven:
-                continue
-            if exists_recurrence(ctx, prefix, m, mode):
-                failures.append(
-                    f"k={k} n={n}: recurrence of length {m} exists below bound"
-                )
-            else:
-                proven.add(m)
-            if len(failures) > 6:
-                return _result(name, failures, "")
-    return _result(name, failures, f"{checked} grid points")
+    ks = tuple(range(1, q * q - 1) if ks is None else ks)
+
+    def failures():
+        for k in ks:
+            mode = mode_cls(k)
+            proven: set[int] = set()  # window lengths infeasible on a shorter prefix
+            for n in range(1, len(terms) + 1):
+                ceiling = math.ceil(bound_fn(bnd.BoundParams(n=n, q=q, k=k, ell=ell)))
+                if ceiling < 1:
+                    continue
+                prefix = terms[:n]
+                if all(t == ctx.zero for t in prefix):
+                    yield f"k={k} n={n}: zero prefix but bound {ceiling}"
+                    continue
+                if ceiling == 1:
+                    continue  # any nonzero prefix has complexity >= 1
+                m = ceiling - 1
+                if m > n - 1:
+                    yield f"k={k} n={n}: bound {ceiling} exceeds n-1"
+                    continue
+                if m in proven:
+                    continue
+                if exists_recurrence(ctx, prefix, m, mode):
+                    yield f"k={k} n={n}: recurrence of length {m} exists below bound"
+                else:
+                    proven.add(m)
+
+    return _result(f"bound-{kind}[q={q},ell={ell}]", failures(),
+                   f"{len(ks) * len(terms)} grid points")
 
 
 def check_oracle_agreement(ctx: FieldContext) -> CheckResult:
@@ -311,40 +310,29 @@ def check_oracle_agreement(ctx: FieldContext) -> CheckResult:
     columns), runs on every fourth sequence.  The oracle meets in the
     middle, so even that case tabulates only 4^4 + 4^5 partial sums.
     """
-    name = "oracle-agreement"
     sequences = 200
     rng = random.Random(2024)
-    failures = []
-    compared = 0
-
-    def compare(t, m, mode):
-        nonlocal compared
-        got = exists_recurrence(ctx, t, m, mode)
-        want = brute_force_oracle(ctx, t, m, mode)
-        compared += 1
-        if got != want:
-            failures.append(f"disagree on {t} m={m} {mode}")
-
+    cases = []
     for case in range(sequences):
         n = rng.randrange(2, 7)
         t = tuple(rng.choice(ctx.elements) for _ in range(n))
         for k in (1, 2):
-            compare(t, 1, PerVariable(k))
-            compare(t, 1, TotalDegree(k))
+            cases += [(t, 1, PerVariable(k)), (t, 1, TotalDegree(k))]
         if n >= 3:
-            compare(t, 2, TotalDegree(1))
-            compare(t, 2, TotalDegree(2))
-            compare(t, 2, PerVariable(1))
+            cases += [(t, 2, TotalDegree(1)), (t, 2, TotalDegree(2)),
+                      (t, 2, PerVariable(1))]
             if case % 4 == 0:
-                compare(t, 2, PerVariable(2))
-        if failures:
-            return _result(name, failures, "")
+                cases.append((t, 2, PerVariable(2)))
     constructed = build_sequence(ctx, 2)
     for m in (1, 2):
         for k in (1, 2):
-            compare(constructed, m, PerVariable(k))
-            compare(constructed, m, TotalDegree(k))
-    return _result(name, failures, f"{compared} comparisons over {sequences} sequences")
+            cases += [(constructed, m, PerVariable(k)),
+                      (constructed, m, TotalDegree(k))]
+    failures = (f"disagree on {t} m={m} {mode}" for t, m, mode in cases
+                if exists_recurrence(ctx, t, m, mode)
+                != brute_force_oracle(ctx, t, m, mode))
+    return _result("oracle-agreement", failures,
+                   f"{len(cases)} comparisons over {sequences} sequences")
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +353,20 @@ def _n_grid(q: int) -> list[int]:
     return ns
 
 
+def _grid(name: str, points: Sequence[tuple[int, int, int]], holds,
+          verb: str) -> CheckResult:
+    """Check holds(q, k, n) at every point, in order."""
+    failures = (f"q={q} k={k} n={n}" for q, k, n in points if not holds(q, k, n))
+    return _result(name, failures, f"{len(points)} points {verb}")
+
+
 def check_n_improvement() -> CheckResult:
     """Collinear per-variable bound beats the refined two-point bound on the
     claimed grid: q in {3, 4, 5, 7, 8, 9, 16, 32} on the _k_grid x _n_grid
     points."""
-    name = "n-bound-improvement"
-    failures = []
-    checked = 0
-    for q in (3, 4, 5, 7, 8, 9, 16, 32):
-        for k in _k_grid(q):
-            for n in _n_grid(q):
-                checked += 1
-                if not bnd.n_bound_improves(q, k, n):
-                    failures.append(f"q={q} k={k} n={n}")
-                    if len(failures) > 6:
-                        return _result(name, failures, "")
-    return _result(name, failures, f"{checked} points dominated")
+    points = [(q, k, n) for q in (3, 4, 5, 7, 8, 9, 16, 32)
+              for k in _k_grid(q) for n in _n_grid(q)]
+    return _grid("n-bound-improvement", points, bnd.n_bound_improves, "dominated")
 
 
 def check_l_improvement() -> CheckResult:
@@ -388,32 +374,14 @@ def check_l_improvement() -> CheckResult:
     claimed set: q in {5, 7, 8, 9, 16, 32} on the _k_grid x _n_grid points,
     and every point of the q=3 / q=4 special cases, split by whether the two
     floor ratios agree (lam = 0) or differ (lam = 1)."""
-    name = "l-bound-improvement"
-    failures = []
-    checked = 0
-
-    def run(q, k, n):
-        nonlocal checked
-        checked += 1
-        if not bnd.l_bound_improves(q, k, n):
-            failures.append(f"q={q} k={k} n={n}")
-
-    for q in (5, 7, 8, 9, 16, 32):
-        for k in _k_grid(q):
-            for n in _n_grid(q):
-                run(q, k, n)
-                if len(failures) > 6:
-                    return _result(name, failures, "")
+    points = [(q, k, n) for q in (5, 7, 8, 9, 16, 32)
+              for k in _k_grid(q) for n in _n_grid(q)]
     for q, k_zero_lam in ((3, 4), (4, 3)):
-        top = q * q - 2
         for n in range(q * q - 1, q * (q * q - 2) + 1):
             lam = bnd.BoundParams(n=n, q=q, k=1, ell=q).lam
             k_min = k_zero_lam if lam == 0 else 1
-            for k in range(k_min, top + 1):
-                run(q, k, n)
-                if len(failures) > 6:
-                    return _result(name, failures, "")
-    return _result(name, failures, f"{checked} points dominated")
+            points += [(q, k, n) for k in range(k_min, q * q - 1)]
+    return _grid("l-bound-improvement", points, bnd.l_bound_improves, "dominated")
 
 
 def check_l_twopoint_equivalence() -> CheckResult:
@@ -421,24 +389,17 @@ def check_l_twopoint_equivalence() -> CheckResult:
     two-point total-degree bound must agree pointwise: at every prime power
     q in 3..32, k in _k_grid(q) and k = 1, six fixed prefix lengths and ten
     random ones (seed 99)."""
-    name = "l-twopoint-equivalence"
     rng = random.Random(99)
-    failures = []
-    checked = 0
+    points = []
     for q in (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32):
         top_n = q * (q * q - 2)
         ns = {1, q * q - 2, q * q - 1, 2 * (q * q - 2), top_n // 2, top_n}
         ns.update(rng.randrange(1, top_n + 1) for _ in range(10))
-        ks = set(_k_grid(q)) | {1}
-        for k in sorted(ks):
-            for n in sorted(n for n in ns if 1 <= n <= top_n):
-                checked += 1
-                if bnd.l_twopoint_condition(q, k, n) != \
-                        bnd.l_bound_improves_twopoint(q, k, n):
-                    failures.append(f"q={q} k={k} n={n}")
-                    if len(failures) > 6:
-                        return _result(name, failures, "")
-    return _result(name, failures, f"{checked} points agree")
+        points += [(q, k, n) for k in sorted(set(_k_grid(q)) | {1})
+                   for n in sorted(n for n in ns if 1 <= n <= top_n)]
+    condition, exact = bnd.l_twopoint_condition, bnd.l_bound_improves_twopoint
+    return _grid("l-twopoint-equivalence", points,
+                 lambda q, k, n: condition(q, k, n) == exact(q, k, n), "agree")
 
 
 def check_figures() -> CheckResult:

@@ -180,6 +180,7 @@ def test_figures_bad_preset():
     ["sequence", "--p", "618970019642690137449562111", "--ell", "2"],
     ["bounds", "--p", "618970019642690137449562111", "--k", "1", "--n", "1"],
     ["bounds", "--p", "3", "--e", "200000", "--k", "1", "--n", "1"],  # q too large
+    ["bounds", "--p", "2", "--e", "-3", "--k", "1", "--n", "1"],     # e < 1
 ])
 def test_usage_error_writes_nothing(argv, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
@@ -189,6 +190,13 @@ def test_usage_error_writes_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
     assert not out.exists()
+
+
+def test_bounds_has_no_modulus_option(capsys):
+    # bounds builds no field, so a --modulus would be silently ignored
+    argv = ["bounds", "--p", "2", "--modulus", "7:7:7:7", "--k", "1", "--n", "1"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -224,13 +225,41 @@ def test_oracle_matches_solver_random(p, cases):
         t = tuple(rng.choice(alphabet) for _ in range(n))
         for mode in (PerVariable(1), PerVariable(2), TotalDegree(1), TotalDegree(2)):
             if ctx.order ** _monomial_count(m, mode) > 1 << 24:
-                continue  # refused by the oracle's guard
+                continue  # beyond this test's time budget
             got = brute_force_oracle(ctx, t, m, mode)
             assert got == exists_recurrence(ctx, t, m, mode), (t, m, mode)
             outcomes.add(got)
             compared += 1
     assert outcomes == {True, False}
     assert compared > cases
+
+
+@pytest.mark.parametrize("m,mode", [
+    (3, PerVariable(1)), (2, PerVariable(2)), (3, TotalDegree(2)),
+])
+def test_oracle_admits_gf9_by_half_table(m, mode):
+    # 8 to 10 columns over GF(9): 9^8 or more candidates, but at most 9^5
+    # sums in the larger half's table, which the guard admits
+    ctx = FieldContext(3, 1)
+    rng = random.Random(70 + m)
+    outcomes = set()
+    for _ in range(15):
+        alphabet = rng.sample(ctx.elements, 2)
+        t = tuple(rng.choice(alphabet) for _ in range(m + rng.choice((2, 3))))
+        got = brute_force_oracle(ctx, t, m, mode)
+        assert got == exists_recurrence(ctx, t, m, mode), (t, m, mode)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_oracle_guard_refuses_before_enumerating(f4):
+    # 2^40 monomials: the guard must refuse from the count alone and name
+    # the larger half's table, 4^(2^39) sums
+    t = (f4.one,) * 42
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"4\^549755813888 sums"):
+        brute_force_oracle(f4, t, 40, PerVariable(1))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_oracle_builds_no_code_tables():

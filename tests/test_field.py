@@ -8,7 +8,9 @@ import pytest
 from hermseq.field import (
     FieldContext,
     SpanTracker,
+    _is_irreducible,
     _is_prime,
+    _pmul,
     element_from_str,
     element_to_str,
 )
@@ -43,6 +45,37 @@ def test_f9_epsilon_order_exhaustive(f9):
     # and it is the canonically smallest element of order 8
     smallest = min(a for a, o in orders.items() if o == 8)
     assert f9.epsilon == smallest
+
+
+@pytest.mark.parametrize("p,e,modulus,epsilon", [
+    (2, 1, (1, 1, 1), (0, 1)),
+    (3, 1, (1, 0, 1), (1, 1)),
+    (2, 2, (1, 0, 0, 1, 1), (0, 0, 1, 0)),
+    (2, 5, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), (0,) * 8 + (1, 0)),
+    (7, 2, (1, 0, 0, 1, 1), (0, 0, 1, 5)),
+    (3, 4, (1, 0, 0, 0, 0, 1, 1, 0, 1), (0,) * 6 + (1, 1)),
+])
+def test_default_modulus_and_epsilon_pinned(p, e, modulus, epsilon):
+    # the smallest irreducible and the smallest primitive element fix every
+    # CSV value, so the choice must not drift
+    ctx = FieldContext(p, e)
+    assert ctx.modulus == modulus
+    assert ctx.epsilon == epsilon
+
+
+@pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_is_irreducible_matches_product_enumeration(p, top):
+    # a monic polynomial is reducible iff it is the product of two monics
+    # of positive degree; list every such product and compare
+    def monics(d):
+        return [list(tail) + [1] for tail in itertools.product(range(p), repeat=d)]
+
+    for d in range(1, top + 1):
+        reducible = {tuple(_pmul(a, b, p))
+                     for i in range(1, d // 2 + 1)
+                     for a in monics(i) for b in monics(d - i)}
+        for f in monics(d):
+            assert _is_irreducible(f, p) == (tuple(f) not in reducible), f
 
 
 def test_nonprime_p_rejected():

@@ -1,8 +1,12 @@
 import pytest
 
+from hermseq import bounds, verify
 from hermseq.field import FieldContext
 from hermseq.sequence import build_sequence
 from hermseq.verify import (
+    CheckResult,
+    _result,
+    check_n_improvement,
     check_nonzero_terms,
     check_bound_consistency,
     run_suite,
@@ -73,3 +77,50 @@ def test_suite_single_field():
     names = {r.name for r in results}
     assert "structure[q=3]" in names
     assert "figure-presets" in names
+
+
+# ---------------------------------------------------------------------------
+# the failure policy: read at most seven failures, show four
+# ---------------------------------------------------------------------------
+
+def test_result_reads_no_eighth_failure():
+    def failures():
+        yield from (f"f{i}" for i in range(7))
+        raise AssertionError("an eighth failure was read")
+
+    assert _result("demo", failures(), "ok") == CheckResult(
+        "demo", False, "f0; f1; f2; f3; ... stopped after 7 failures")
+    assert _result("demo", iter(()), "ok") == CheckResult("demo", True, "ok")
+    assert _result("demo", iter(["f0", "f1"]), "ok").detail == "f0; f1"
+
+
+@pytest.mark.parametrize("kind", ["per-variable", "total-degree"])
+@pytest.mark.parametrize("value", ["zero", "one"])
+def test_bound_check_stops_after_seven_failures(f9, kind, value):
+    # the zero sequence fails on every prefix without a solver call, the
+    # constant one on solver calls; both stop at the seventh failure
+    terms = (getattr(f9, value),) * len(build_sequence(f9, 3))
+    result = check_bound_consistency(f9, terms, 3, kind)
+    assert not result.passed
+    shown, tail = result.detail.rsplit("; ... ", 1)
+    assert tail == "stopped after 7 failures"
+    assert len(shown.split("; ")) == 4
+
+
+def test_substitution_failures_do_not_stop_sampling(f9, monkeypatch):
+    # every sample fails; only _result caps them, and no sample is missing
+    monkeypatch.setattr(verify, "eval_quotient", lambda fam, ell, pl: f9.zero)
+    result = verify.check_structure(f9)
+    assert result.detail.endswith("; ... stopped after 7 failures")
+    assert "substitution samples found" not in result.detail
+
+
+def test_grid_counts_failures_below_the_cap(monkeypatch):
+    original = bounds.n_bound_improves
+    bad = {(3, 2, n) for n in range(8, 13)}
+    monkeypatch.setattr(bounds, "n_bound_improves",
+                        lambda q, k, n: (q, k, n) not in bad and original(q, k, n))
+    result = check_n_improvement()
+    assert not result.passed
+    assert result.detail == ("q=3 k=2 n=8; q=3 k=2 n=9; q=3 k=2 n=10; "
+                             "q=3 k=2 n=11; ... 5 failures total")
