@@ -11,8 +11,10 @@ Field elements appear in CSV as prime-field coefficient vectors joined by
 ':' with the low-degree coefficient first ("0:1" is z in GF(4)); the same
 syntax is accepted for --a and --modulus.  Exit codes: 0 success, 1
 verification failure, 2 usage error (bad arguments, a field larger than
-field.MAX_FIELD_ORDER, or an --out path that cannot be written).  Every
-argument is validated before any output is written.
+field.MAX_FIELD_ORDER, or an --out path that cannot be written).  Missing,
+conflicting or malformed options are refused by argparse with its usage
+line; every other check prints "error: ..." and runs before any output is
+written.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import argparse
 import csv
 import sys
 from contextlib import nullcontext
-from typing import Optional
+from typing import Iterable, Optional
 
 from .bounds import MAX_Q_BITS, BoundParams, all_bounds, decimal_string, figure_rows
 from .complexity import PerVariable, TotalDegree, nonlinear_complexity
@@ -34,50 +36,41 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
+    """':'-joined integers, as for --modulus."""
     try:
         return tuple(int(part) for part in text.split(":"))
-    except ValueError as exc:
-        raise ValueError(f"bad {what} {text!r}; expected ':'-joined integers") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad value {text!r}; expected ':'-joined integers") from None
 
 
-def _parse_range(text: str, what: str) -> list[int]:
-    parts = _parse_int_list(text, what)
+def _one_int(text: str) -> list[int]:
+    """--k or --n: one integer, as a one-point grid."""
+    try:
+        return [int(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _int_range(text: str) -> list[int]:
+    """--k-range or --n-range: LO:HI[:STEP], inclusive, or one integer."""
+    parts = _int_list(text)
     if len(parts) == 1:
-        return [parts[0]]
-    if len(parts) == 2:
-        lo, hi, step = parts[0], parts[1], 1
-    elif len(parts) == 3:
-        lo, hi, step = parts
-    else:
-        raise ValueError(f"bad {what} {text!r}; expected LO:HI[:STEP]")
+        return list(parts)
+    if len(parts) > 3:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; expected LO:HI[:STEP]")
+    lo, hi, step = (parts + (1,))[:3]
     if step < 1:
-        raise ValueError(f"{what} step must be >= 1")
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; step must be >= 1")
     values = list(range(lo, hi + 1, step))
     if not values:
-        raise ValueError(f"{what} range {text!r} is empty")
+        raise argparse.ArgumentTypeError(f"range {text!r} is empty")
     return values
 
 
-def _collect(single: Optional[int], rng: Optional[str], what: str) -> list[int]:
-    if single is not None and rng is not None:
-        raise ValueError(f"give --{what} or --{what}-range, not both")
-    if single is not None:
-        return [single]
-    if rng is not None:
-        return _parse_range(rng, f"{what}-range")
-    raise ValueError(f"one of --{what} / --{what}-range is required")
-
-
 def _config(args: argparse.Namespace) -> argparse.Namespace:
-    """Validate the parsed arguments and normalise them in place: --modulus
-    becomes a tuple, --k/--k-range becomes args.ks, --n/--n-range args.ns."""
-    if getattr(args, "modulus", None) is not None:
-        args.modulus = _parse_int_list(args.modulus, "modulus")
-    if hasattr(args, "k"):
-        args.ks = _collect(args.k, args.k_range, "k")
-    if hasattr(args, "n"):
-        args.ns = _collect(args.n, args.n_range, "n")
+    """The checks argparse cannot state: --p is prime and --e is >= 1."""
     if getattr(args, "p", None) is not None and not _is_prime(args.p):
         raise ValueError(f"--p must be prime, got {args.p}")
     if getattr(args, "e", None) is not None and args.e < 1:
@@ -85,10 +78,13 @@ def _config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _out_stream(path: Optional[str]):
-    if path is None:
-        return nullcontext(sys.stdout)
-    return open(path, "w", newline="")
+def _write_csv(path: Optional[str], header: list, rows: Iterable) -> int:
+    """Write header and rows to path (stdout if None); rows may stream."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +93,7 @@ def _out_stream(path: Optional[str]):
 
 def _field_and_sequence(args: argparse.Namespace) -> tuple[FieldContext, tuple[Element, ...]]:
     """The field from --p/--e/--modulus and the sequence from --ell/--a."""
-    if args.p is None:
-        raise ValueError("--p is required for this subcommand")
     ctx = FieldContext(args.p, args.e, args.modulus)
-    if args.ell is None:
-        raise ValueError("--ell is required")
     a = element_from_str(args.a, ctx) if args.a is not None else None
     return ctx, build_sequence(ctx, args.ell, a)
 
@@ -109,22 +101,9 @@ def _field_and_sequence(args: argparse.Namespace) -> tuple[FieldContext, tuple[E
 def cmd_sequence(args: argparse.Namespace) -> int:
     ctx, terms = _field_and_sequence(args)
     steps = ctx.order - 2
-    with _out_stream(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["index", "i", "j", "value"])
-        for idx, term in enumerate(terms, start=1):
-            i = (idx - 1) // steps + 1
-            j = (idx - 1) % steps + 1
-            writer.writerow([idx, i, j, element_to_str(term)])
-    return EXIT_OK
-
-
-def parse_sequence_values(text: str, ctx: FieldContext) -> list[Element]:
-    """Re-read the value column of a `sequence` CSV."""
-    rows = list(csv.reader(text.splitlines()))
-    if not rows or rows[0][:1] != ["index"]:
-        raise ValueError("not a sequence CSV: missing header")
-    return [element_from_str(row[3], ctx) for row in rows[1:] if row]
+    return _write_csv(args.out, ["index", "i", "j", "value"], (
+        [idx, (idx - 1) // steps + 1, (idx - 1) % steps + 1, element_to_str(term)]
+        for idx, term in enumerate(terms, start=1)))
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
@@ -135,20 +114,13 @@ def cmd_complexity(args: argparse.Namespace) -> int:
             raise ValueError(f"n must be in 1..{top}, got {n}")
     mode_cls = PerVariable if args.mode == "per-variable" else TotalDegree
     modes = [(k, mode_cls(k)) for k in args.ks]
-    with _out_stream(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "k", "mode", "result_kind", "value_or_lo", "hi"])
-        for n in args.ns:
-            prefix = terms[:n]
-            for k, mode in modes:
-                value = nonlinear_complexity(ctx, prefix, mode)
-                writer.writerow([n, k, args.mode, "exact", value, value])
-    return EXIT_OK
+    return _write_csv(
+        args.out, ["n", "k", "mode", "result_kind", "value_or_lo", "hi"],
+        ([n, k, args.mode, "exact"] + [nonlinear_complexity(ctx, terms[:n], mode)] * 2
+         for n in args.ns for k, mode in modes))
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    if args.p is None:
-        raise ValueError("--p is required")
     # p >= 2^(bits(p) - 1) bounds q from below before q is computed
     if (args.e * (args.p.bit_length() - 1) >= MAX_Q_BITS
             or (args.p ** args.e).bit_length() > MAX_Q_BITS):
@@ -167,27 +139,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             values = all_bounds(params)
             rows.append([n, k, ell, params.r1, params.r2]
                         + [decimal_string(values[name]) for name in header[5:]])
-    with _out_stream(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return EXIT_OK
+    return _write_csv(args.out, header, rows)
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    if args.preset is None:
-        raise ValueError("--preset is required (fig1 or fig2)")
     preset, rows = figure_rows(args.preset)
     label = preset.family  # N for fig1, L for fig2
-    with _out_stream(args.out) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([
-            "n", f"{label}1", f"{label}2", f"{label}1_exact", f"{label}2_exact",
-        ])
-        for n, own, rival in rows:
-            writer.writerow([n, decimal_string(own), decimal_string(rival),
-                             str(own), str(rival)])
-    return EXIT_OK
+    return _write_csv(
+        args.out,
+        ["n", f"{label}1", f"{label}2", f"{label}1_exact", f"{label}2_exact"],
+        ([n, decimal_string(own), decimal_string(rival), str(own), str(rival)]
+         for n, own, rival in rows))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -219,17 +181,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_field_args(sp):
-        sp.add_argument("--p", type=int, help="prime characteristic")
+        sp.add_argument("--p", type=int, required=True, help="prime characteristic")
         sp.add_argument("--e", type=int, default=1,
                         help="extension degree, q = p^e (default 1)")
 
     def add_sequence_args(sp):
         add_field_args(sp)
-        sp.add_argument("--modulus",
+        sp.add_argument("--modulus", type=_int_list,
                         help="':'-joined coefficients (low degree first) of a "
                              "degree-2e irreducible over F_p")
         sp.add_argument("--a", help="x-coordinate of the line (default: epsilon)")
-        sp.add_argument("--ell", type=int, help="number of marked places, 2..q")
+        sp.add_argument("--ell", type=int, required=True,
+                        help="number of marked places, 2..q")
+
+    def add_grid_args(sp):
+        # --k / --k-range store into args.ks, --n / --n-range into args.ns
+        for name in ("k", "n"):
+            group = sp.add_mutually_exclusive_group(required=True)
+            group.add_argument(f"--{name}", dest=f"{name}s", type=_one_int,
+                               metavar=name.upper())
+            group.add_argument(f"--{name}-range", dest=f"{name}s", type=_int_range,
+                               metavar="LO:HI[:STEP]")
 
     sp = sub.add_parser("sequence", help="emit the constructed sequence")
     add_sequence_args(sp)
@@ -238,10 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("complexity", help="complexities of sequence prefixes")
     add_sequence_args(sp)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--k-range", dest="k_range", metavar="LO:HI[:STEP]")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--n-range", dest="n_range", metavar="LO:HI[:STEP]")
+    add_grid_args(sp)
     sp.add_argument("--mode", choices=["per-variable", "total-degree"],
                     default="per-variable")
     sp.add_argument("--out")
@@ -250,15 +219,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bounds", help="all six bound formulas on a grid")
     add_field_args(sp)
     sp.add_argument("--ell", type=int, help="default: q")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--k-range", dest="k_range", metavar="LO:HI[:STEP]")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--n-range", dest="n_range", metavar="LO:HI[:STEP]")
+    add_grid_args(sp)
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_bounds)
 
     sp = sub.add_parser("figures", help="comparison presets fig1 / fig2")
-    sp.add_argument("--preset", choices=["fig1", "fig2"])
+    sp.add_argument("--preset", choices=["fig1", "fig2"], required=True)
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_figures)
 

@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Union
+from typing import Union
 
 from .field import FieldContext, SpanTracker
 
@@ -54,17 +54,6 @@ class TotalDegree:
 
 
 DegreeMode = Union[PerVariable, TotalDegree]
-
-
-def _sum_bounded_vectors(m: int, per_cap: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Exponent vectors of length m, entries <= per_cap, sum <= total, in
-    lexicographic order."""
-    if m == 0:
-        yield ()
-        return
-    for first in range(min(per_cap, total) + 1):
-        for rest in _sum_bounded_vectors(m - 1, per_cap, total - first):
-            yield (first,) + rest
 
 
 def _power_table(ctx: FieldContext, terms, up_to: int) -> list[list]:
@@ -204,10 +193,8 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
         raise ValueError(
             f"enumeration too large: a table of {ctx.order}^{count - half} sums"
         )
-    if per_variable:
-        monos = itertools.product(range(mode.k + 1), repeat=m)
-    else:
-        monos = _sum_bounded_vectors(m, mode.k, mode.k)
+    monos = [a for a in itertools.product(range(mode.k + 1), repeat=m)
+             if per_variable or sum(a) <= mode.k]
     r = n - m
     powtab = _power_table(ctx, terms[: n - 1], mode.k)
     mul, add, sub, one, zero = ctx.mul, ctx.add, ctx.sub, ctx.one, ctx.zero

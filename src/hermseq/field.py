@@ -25,9 +25,10 @@ from typing import Iterable, Optional
 Element = tuple[int, ...]
 
 # Largest field order q^2 a context will tabulate.  Construction enumerates
-# every element and walks the whole multiplicative group, so set-up time and
-# memory grow with the field; the largest field any caller uses is q = 32
-# (1,024 elements).
+# every element, takes epsilon as the first element that no power
+# (q^2-1)/r, r a prime dividing q^2-1, sends to 1, and walks its powers
+# once for the log tables, so set-up time and memory grow with the field;
+# the largest field any caller uses is q = 32 (1,024 elements).
 MAX_FIELD_ORDER = 1 << 16
 
 # Largest field order whose code tables are built whole, as lists of rows.
@@ -104,8 +105,19 @@ def _pmod(a: list[int], f: list[int], p: int) -> list[int]:
     return a
 
 
-def _pmulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    return _pmod(_pmul(a, b, p), f, p)
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, by trial division."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
@@ -196,27 +208,31 @@ class FieldContext:
         return tuple(coeffs)
 
     def _raw_mul(self, a: Element, b: Element) -> Element:
-        prod = _pmulmod(list(a), list(b), list(self.modulus), self.p)
+        prod = _pmod(_pmul(list(a), list(b), self.p), list(self.modulus), self.p)
         return tuple(prod) + (0,) * (self.degree - len(prod))
 
+    def _raw_pow(self, a: Element, n: int) -> Element:
+        """a^n by square-and-multiply on _raw_mul."""
+        result = self.one
+        while n:
+            if n & 1:
+                result = self._raw_mul(result, a)
+            a = self._raw_mul(a, a)
+            n >>= 1
+        return result
+
     def _build_tables(self):
-        """Find the canonically smallest primitive element by walking the
-        cyclic group it generates; the walk doubles as the antilog table."""
-        one = (1,) + (0,) * (self.degree - 1)
-        target = self.order - 1
-        for cand in self.elements:
-            if cand == self.zero or cand == one:
-                continue
-            powers = [one]
-            cur = cand
-            while cur != one:
-                powers.append(cur)
-                if len(powers) > target:  # pragma: no cover - defensive
-                    raise RuntimeError("element order exceeds group order")
-                cur = self._raw_mul(cur, cand)
-            if len(powers) == target:
-                return tuple(powers), {el: i for i, el in enumerate(powers)}
-        raise RuntimeError("no primitive element found")  # pragma: no cover
+        """Epsilon is the canonically first nonzero c with c^((q^2-1)/r) != 1
+        for every prime r dividing q^2-1, which is exactly the first
+        primitive element; one walk of its powers gives the antilog table."""
+        n = self.order - 1
+        exponents = [n // r for r in _prime_factors(n)]
+        epsilon = next(c for c in self.elements[1:]
+                       if all(self._raw_pow(c, x) != self.one for x in exponents))
+        powers = [self.one]
+        for _ in range(n - 1):
+            powers.append(self._raw_mul(powers[-1], epsilon))
+        return tuple(powers), {el: i for i, el in enumerate(powers)}
 
     # -- element construction and rendering ----------------------------------
 

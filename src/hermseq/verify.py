@@ -33,7 +33,7 @@ from .curve import (
     scale_place,
     zero_set,
 )
-from .field import Element, FieldContext
+from .field import Element, FieldContext, _prime_factors
 from .sequence import build_sequence, full_length
 
 
@@ -56,21 +56,6 @@ def _result(name: str, failures: Iterable[str], ok_detail: str) -> CheckResult:
     elif len(seen) > 4:
         shown += f"; ... {len(seen)} failures total"
     return CheckResult(name, False, shown)
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, by trial division."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from hermseq.cli import EXIT_OK, EXIT_USAGE, main, parse_sequence_values
+from hermseq.cli import EXIT_OK, EXIT_USAGE, main
 from hermseq.complexity import PerVariable, nonlinear_complexity
-from hermseq.field import FieldContext, element_from_str
+from hermseq.field import Element, FieldContext, element_from_str
 from hermseq.sequence import build_sequence
 
 
@@ -17,6 +17,14 @@ REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 def _read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def parse_sequence_values(text: str, ctx: FieldContext) -> list[Element]:
+    """Re-read the value column of a `sequence` CSV."""
+    rows = list(csv.reader(text.splitlines()))
+    if not rows or rows[0][:1] != ["index"]:
+        raise ValueError("not a sequence CSV: missing header")
+    return [element_from_str(row[3], ctx) for row in rows[1:] if row]
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +182,8 @@ def test_figures_bad_preset():
     ["bounds", "--p", "3", "--k", "1", "--n", "7", "--ell", "9"],  # ell > q
     ["bounds", "--p", "2", "--k", "3", "--n", "1"],                # k > q^2 - 2
     ["complexity", "--p", "3", "--ell", "2", "--k", "0", "--n", "5"],
-    ["complexity", "--p", "3", "--k", "1", "--n", "5"],            # no --ell
-    ["complexity", "--ell", "2", "--k", "1", "--n", "5"],          # no --p
+    ["complexity", "--p", "2", "--ell", "2", "--k", "1", "--n", "9"],  # n > q(q^2-2)
+    ["sequence", "--p", "2", "--ell", "2", "--a", "0:0"],            # a = 0
     # p = 2^89 - 1 is too large for an exact primality test
     ["sequence", "--p", "618970019642690137449562111", "--ell", "2"],
     ["bounds", "--p", "618970019642690137449562111", "--k", "1", "--n", "1"],
@@ -187,6 +195,35 @@ def test_usage_error_writes_nothing(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["complexity", "--p", "3", "--k", "1", "--n", "5"],
+     "the following arguments are required: --ell"),
+    (["complexity", "--ell", "2", "--k", "1", "--n", "5"],
+     "the following arguments are required: --p"),
+    (["complexity", "--p", "2", "--ell", "2", "--n", "1"],
+     "one of the arguments --k --k-range is required"),
+    (["bounds", "--p", "2", "--k", "1", "--n", "1", "--n-range", "1:2"],
+     "argument --n-range: not allowed with argument --n"),
+    (["figures"], "the following arguments are required: --preset"),
+    (["bounds", "--p", "2", "--k", "1", "--n-range", "5:1"],
+     "argument --n-range: range '5:1' is empty"),
+    (["sequence", "--p", "2", "--ell", "2", "--modulus", "1:x:1"],
+     "argument --modulus: bad value '1:x:1'"),
+], ids=["no-ell", "no-p", "no-k", "n-and-n-range", "no-preset",
+        "empty-n-range", "bad-modulus"])
+def test_grammar_error_is_argparse_usage(argv, message, tmp_path, capsys):
+    # missing, conflicting or malformed options are refused by argparse:
+    # its usage line, exit 2 and nothing written
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hermseq")
+    assert f"error: {message}" in captured.err
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
     assert not out.exists()

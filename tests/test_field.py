@@ -54,6 +54,8 @@ def test_f9_epsilon_order_exhaustive(f9):
     (2, 5, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1), (0,) * 8 + (1, 0)),
     (7, 2, (1, 0, 0, 1, 1), (0, 0, 1, 5)),
     (3, 4, (1, 0, 0, 0, 0, 1, 1, 0, 1), (0,) * 6 + (1, 1)),
+    (2, 7, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1), (0,) * 11 + (1, 1, 1)),
+    (5, 3, (1, 0, 0, 0, 1, 1, 1), (0, 0, 0, 0, 1, 1)),
 ])
 def test_default_modulus_and_epsilon_pinned(p, e, modulus, epsilon):
     # the smallest irreducible and the smallest primitive element fix every
