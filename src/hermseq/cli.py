@@ -53,17 +53,18 @@ def _one_int(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _int_range(text: str) -> list[int]:
-    """--k-range or --n-range: LO:HI[:STEP], inclusive, or one integer."""
+def _int_range(text: str) -> range:
+    """--k-range or --n-range: LO:HI[:STEP], inclusive, or one integer, as a
+    range, which is never listed."""
     parts = _int_list(text)
     if len(parts) == 1:
-        return list(parts)
+        parts *= 2
     if len(parts) > 3:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; expected LO:HI[:STEP]")
     lo, hi, step = (parts + (1,))[:3]
     if step < 1:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; step must be >= 1")
-    values = list(range(lo, hi + 1, step))
+    values = range(lo, hi + 1, step)
     if not values:
         raise argparse.ArgumentTypeError(f"range {text!r} is empty")
     return values
@@ -102,22 +103,23 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     ctx, terms = _field_and_sequence(args)
     steps = ctx.order - 2
     return _write_csv(args.out, ["index", "i", "j", "value"], (
-        [idx, (idx - 1) // steps + 1, (idx - 1) % steps + 1, element_to_str(term)]
+        [idx, (idx - 1) // steps + 1, (idx - 1) % steps + 1, element_to_str(term, ctx)]
         for idx, term in enumerate(terms, start=1)))
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
     ctx, terms = _field_and_sequence(args)
     top = len(terms)
-    for n in args.ns:
+    for n in args.ns:  # stops at the first bad n, at most top + 1 steps
         if not 1 <= n <= top:
             raise ValueError(f"n must be in 1..{top}, got {n}")
     mode_cls = PerVariable if args.mode == "per-variable" else TotalDegree
-    modes = [(k, mode_cls(k)) for k in args.ks]
+    mode_cls(args.ks[0])  # the grid ascends, so this checks every k
     return _write_csv(
         args.out, ["n", "k", "mode", "result_kind", "value_or_lo", "hi"],
-        ([n, k, args.mode, "exact"] + [nonlinear_complexity(ctx, terms[:n], mode)] * 2
-         for n in args.ns for k, mode in modes))
+        ([n, k, args.mode, "exact"]
+         + [nonlinear_complexity(ctx, terms[:n], mode_cls(k))] * 2
+         for n in args.ns for k in args.ks))
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

@@ -12,14 +12,14 @@ reserved for the all-zero sequence and a single nonzero term has complexity
 equation per window.  Its unknowns are not the monomial coefficients, of
 which there are (k+1)^m in per-variable mode, but the coefficients of a
 chain of suffix levels (_Chain) that spans the same functions on the
-windows with at most k+1 columns per distinct window.  The solver maps the
-terms to integer codes once (FieldContext.code), builds every power and
-column with the context's code tables, and reduces both the levels and the
-final consistency test through the incremental span tracker.  A brute-force
-oracle provides an independent ground truth at small sizes: it searches
-every coefficient assignment of the full monomial basis, meeting in the
-middle between two halves of the columns, on tuple arithmetic and without
-elimination, so it shares no arithmetic with the solver.
+windows with at most k+1 columns per distinct window.  Terms are int codes
+(see field); the solver builds every power and column with the context's
+code tables, and reduces both the levels and the final consistency test
+through the incremental span tracker.  A brute-force oracle provides an
+independent ground truth at small sizes: it searches every coefficient
+assignment of the full monomial basis, meeting in the middle between two
+halves of the columns, on the field's log and Zech arithmetic and without
+elimination, so it shares no arithmetic with the solver's tables.
 """
 
 from __future__ import annotations
@@ -85,13 +85,12 @@ class _Chain:
     def __init__(self, ctx: FieldContext, codes: list[int], mode: DegreeMode):
         self.ctx, self.codes, self.mode = ctx, codes, mode
         self.mul = mul = ctx.code_tables()[0]
-        one = ctx.code(ctx.one)
-        # powers[a][c] is the code of c^a, for every code c inside a window
-        self.powers = [dict.fromkeys(codes[:-1], one)]
+        # powers[a][c] is c^a, for every element c inside a window
+        self.powers = [dict.fromkeys(codes[:-1], ctx.one)]
         for _ in range(min(mode.k, ctx.order - 1)):
             self.powers.append({c: mul[v][c] for c, v in self.powers[-1].items()})
         self.at = [0] * len(codes)
-        self.basis = [(0, [one])]
+        self.basis = [(0, [ctx.one])]
 
     def products(self, points):
         """(degree, values) of every admissible x_1^a * h with h in the
@@ -137,7 +136,7 @@ def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     One equation per window; the unknowns are the coefficients of x_1^a * h
     with h running over level m-1 of the suffix chain (_Chain).
     """
-    codes = [ctx.code(v) for v in t]
+    codes = list(t)
     n = len(codes)
     if not 1 <= m <= n - 1:
         raise ValueError(f"window length must be in 1..{n - 1}, got {m}")
@@ -155,7 +154,7 @@ def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode) -> int:
     once per call; it ends by m = n-1, which the constant recurrence
     f = t_n always admits.
     """
-    codes = [ctx.code(v) for v in t]
+    codes = list(t)
     if not any(codes):
         return 0
     if len(codes) == 1:
@@ -171,15 +170,15 @@ def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode) -> int:
 def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     """Ground truth for exists_recurrence by exhaustive search.
 
-    Builds one column per monomial of the full (uncapped) monomial basis of
-    the mode, valued on every window, and decides whether some coefficient
-    assignment sums the columns to the target t[m:].  The search meets in
-    the middle: it tabulates every combination of each half of the columns
-    and looks up target - s in the left table for each s in the right one,
-    so it stays exhaustive and elimination-free at about the square root of
-    the full enumeration's cost (4^4 + 4^5 sums instead of 4^9 candidates
-    for per-variable k = 2, m = 2 over GF(4)).  Refuses, before listing a
-    monomial, when the larger half's table of |F|^half sums exceeds 2**16.
+    Builds one column per monomial of the full (uncapped) monomial basis on
+    every window, with the field's log/Zech arithmetic and never the
+    solver's code tables, and decides whether some coefficient assignment
+    sums the columns to the target t[m:].  The search meets in the middle:
+    it looks up target - s in a table of every left-half sum for each
+    right-half sum s, so it stays exhaustive and elimination-free at about
+    the square root of the full enumeration's cost (4^4 + 4^5 sums, not
+    4^9, for per-variable k = 2, m = 2 over GF(4)).  Refuses, before listing
+    a monomial, when the larger half's table of |F|^half sums exceeds 2**16.
     """
     terms = tuple(t)
     n = len(terms)

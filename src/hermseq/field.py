@@ -1,18 +1,18 @@
 """Exact arithmetic in GF(q^2), q = p^e, plus a streamed span-membership test.
 
-Elements are coefficient tuples over the prime field, low degree first, and
-the canonical order on elements is plain tuple comparison of those vectors.
-Everything here is deterministic: for a given (p, e) the modulus is the
-lexicographically smallest irreducible polynomial of degree 2e and epsilon is
-the lexicographically smallest generator of the multiplicative group, so two
+An element is its int code: its prime-field coefficients, low degree first,
+read as base-p digits with the low-degree coefficient most significant, so
+zero is 0, one is p^(2e-1) and the canonical order is int order.  Only this
+module knows that layout (element, coeffs, element_to_str, element_from_str).
+Everything is deterministic: the modulus is the lexicographically smallest
+irreducible of degree 2e and epsilon the smallest primitive element, so two
 runs always agree element for element.
 
-Every operation is a pure function of its inputs.  The solver works on
-integer codes instead of tuples: code(a) is a's index in the canonical order,
-so zero is 0.  Two pieces of state are built on first use and then cached on
-the context: the fiber table and the mul/sub/inv tables over codes.
-Construction builds neither, so callers that never run the solver never pay
-for the code tables.
+Every operation is a pure function of its inputs: mul, inv and pow read
+log/antilog tables on epsilon, add, sub and neg its Zech logarithms.  Two
+pieces of state are built on first use and cached: the fiber table and the
+solver's mul/sub/inv tables over codes, so callers that never run the solver
+never pay for the latter.
 """
 
 from __future__ import annotations
@@ -20,15 +20,16 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 from typing import Iterable, Optional
 
-Element = tuple[int, ...]
+Element = int
 
 # Largest field order q^2 a context will tabulate.  Construction enumerates
 # every element, takes epsilon as the first element that no power
 # (q^2-1)/r, r a prime dividing q^2-1, sends to 1, and walks its powers
-# once for the log tables, so set-up time and memory grow with the field;
-# the largest field any caller uses is q = 32 (1,024 elements).
+# once for the log and Zech tables, so set-up time and memory grow with the
+# field; the largest field any caller uses is q = 32 (1,024 elements).
 MAX_FIELD_ORDER = 1 << 16
 
 # Largest field order whose code tables are built whole, as lists of rows.
@@ -138,17 +139,17 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
 
 class FieldContext:
     """GF(q^2) for q = p^e: modulus of degree 2e over F_p, canonical element
-    order, and log/antilog tables on a primitive element for fast arithmetic.
+    order, and log, antilog and Zech tables on a primitive element.
 
     Attributes:
         p, e      characteristic and extension degree of q over F_p
         q         p**e
         order     q**2, the number of field elements
-        degree    2*e, the length of every coefficient tuple
+        degree    2*e, the number of coefficients of an element
         modulus   monic irreducible of degree 2e, as a coefficient tuple
         epsilon   smallest primitive element in canonical order
-        elements  all q^2 elements in canonical order
-        zero, one
+        elements  all q^2 elements in canonical order, range(order)
+        zero, one 0 and p^(2e-1)
     """
 
     def __init__(self, p: int, e: int = 1, modulus: Optional[Iterable[int]] = None):
@@ -174,12 +175,11 @@ class FieldContext:
             self.modulus = self._smallest_irreducible()
         else:
             self.modulus = self._check_modulus(modulus)
-        self.zero: Element = (0,) * self.degree
-        self.one: Element = (1,) + (0,) * (self.degree - 1)
-        self.elements: tuple[Element, ...] = tuple(
-            itertools.product(range(p), repeat=self.degree)
-        )
-        self._exp, self._log = self._build_tables()
+        self._weights = [p ** i for i in reversed(range(self.degree))]  # place values
+        self.zero: Element = 0
+        self.one: Element = self._weights[0]
+        self.elements = range(self.order)
+        self._exp, self._log, self._zech = self._build_tables()
         self.epsilon: Element = self._exp[1]
         self._fibers: Optional[dict[Element, tuple[Element, ...]]] = None
         self._code_tables: Optional[tuple] = None
@@ -207,13 +207,14 @@ class FieldContext:
             raise ValueError("modulus is reducible over the prime field")
         return tuple(coeffs)
 
-    def _raw_mul(self, a: Element, b: Element) -> Element:
+    # coefficient tuples, for the search for epsilon and the walk of its powers
+    def _raw_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         prod = _pmod(_pmul(list(a), list(b), self.p), list(self.modulus), self.p)
         return tuple(prod) + (0,) * (self.degree - len(prod))
 
-    def _raw_pow(self, a: Element, n: int) -> Element:
+    def _raw_pow(self, a: tuple[int, ...], n: int) -> tuple[int, ...]:
         """a^n by square-and-multiply on _raw_mul."""
-        result = self.one
+        result = self.coeffs(self.one)
         while n:
             if n & 1:
                 result = self._raw_mul(result, a)
@@ -223,63 +224,66 @@ class FieldContext:
 
     def _build_tables(self):
         """Epsilon is the canonically first nonzero c with c^((q^2-1)/r) != 1
-        for every prime r dividing q^2-1, which is exactly the first
-        primitive element; one walk of its powers gives the antilog table."""
-        n = self.order - 1
+        for every prime r dividing q^2-1: the first primitive element.  One
+        walk of its powers, each encoded once, gives exp[i] = epsilon^i, log
+        by code (log[0] is None) and zech[i] = log(1 + epsilon^i) or None."""
+        n, one, unit = self.order - 1, self.one, self.coeffs(self.one)
         exponents = [n // r for r in _prime_factors(n)]
-        epsilon = next(c for c in self.elements[1:]
-                       if all(self._raw_pow(c, x) != self.one for x in exponents))
-        powers = [self.one]
-        for _ in range(n - 1):
-            powers.append(self._raw_mul(powers[-1], epsilon))
-        return tuple(powers), {el: i for i, el in enumerate(powers)}
+        epsilon = next(c for c in map(self.coeffs, self.elements[1:])
+                       if all(self._raw_pow(c, x) != unit for x in exponents))
+        exp, log, power = [], [None] * self.order, unit
+        for i in range(n):
+            exp.append(sum(map(operator.mul, power, self._weights)))
+            log[exp[-1]] = i
+            power = self._raw_mul(power, epsilon)
+        # adding one raises the leading digit mod p
+        top = (self.p - 1) * one
+        return exp, log, [log[c + one if c < top else c - top] for c in exp]
 
     # -- element construction and rendering ----------------------------------
 
     def element(self, coeffs: Iterable[int]) -> Element:
+        """The element with these coefficients (low degree first, reduced mod p)."""
         vec = [c % self.p for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError(
-                f"coefficient vector longer than field degree {self.degree}"
-            )
-        return tuple(vec) + (0,) * (self.degree - len(vec))
+                f"coefficient vector longer than field degree {self.degree}")
+        return sum(map(operator.mul, vec, self._weights))
 
-    def code(self, a: Element) -> int:
-        """a's index in `elements`: its coefficients read as base-p digits,
-        the low-degree coefficient most significant.  Zero is 0, one is
-        p^(2e-1)."""
-        c = 0
-        p = self.p
-        for x in a:
-            c = c * p + x
-        return c
+    def coeffs(self, a: Element) -> tuple[int, ...]:
+        """a's coefficients, low degree first; element() inverts it."""
+        return tuple(a // w % self.p for w in self._weights)
 
     # -- arithmetic -----------------------------------------------------------
 
     def add(self, a: Element, b: Element) -> Element:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        """a + b = a * (1 + b/a), by the Zech logarithm of b/a."""
+        if not a or not b:
+            return a or b
+        n, la = self.order - 1, self._log[a]
+        z = self._zech[(self._log[b] - la) % n]
+        return 0 if z is None else self._exp[(la + z) % n]
 
     def neg(self, a: Element) -> Element:
-        p = self.p
-        return tuple((-x) % p for x in a)
+        """-a; -1 is 1 in characteristic 2 and epsilon^((q^2-1)/2) otherwise."""
+        n = self.order - 1
+        return a if not a or self.p == 2 else self._exp[(self._log[a] + n // 2) % n]
 
     def sub(self, a: Element, b: Element) -> Element:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def mul(self, a: Element, b: Element) -> Element:
-        if a == self.zero or b == self.zero:
-            return self.zero
+        if not a or not b:
+            return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     def inv(self, a: Element) -> Element:
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError("inversion of zero")
         return self._exp[-self._log[a] % (self.order - 1)]
 
     def pow(self, a: Element, n: int) -> Element:
-        if a == self.zero:
+        if not a:
             if n > 0:
                 return self.zero
             if n == 0:
@@ -288,7 +292,7 @@ class FieldContext:
         return self._exp[(self._log[a] * n) % (self.order - 1)]
 
     def multiplicative_order(self, a: Element) -> int:
-        if a == self.zero:
+        if not a:
             raise ValueError("zero has no multiplicative order")
         n = self.order - 1
         return n // math.gcd(n, self._log[a])
@@ -327,15 +331,11 @@ class FieldContext:
         Up to EAGER_TABLE_ORDER elements mul and sub are lists of rows;
         above it they are dicts that build each row on first access.  Every
         entry refers to one shared int object per code, so a table costs one
-        pointer per entry.
+        pointer per entry.  sub is digitwise: it shares nothing with sub().
         """
         if self._code_tables is None:
-            p, order, n = self.p, self.order, self.order - 1
+            p, order, exp, log = self.p, self.order, self._exp, self._log
             ints = list(range(order))
-            exp = [ints[self.code(x)] for x in self._exp]
-            log = [0] * order
-            for i, c in enumerate(exp):
-                log[c] = i
             log_units = log[1:]
 
             def mul_row(a: int) -> list[int]:
@@ -360,7 +360,7 @@ class FieldContext:
                 sub = [sub_row(a) for a in range(order)]
             else:
                 mul, sub = _LazyRows(mul_row), _LazyRows(sub_row)
-            inv = [None] + [exp[-log[a] % n] for a in range(1, order)]
+            inv = [None] + [exp[-log[a] % (order - 1)] for a in range(1, order)]
             self._code_tables = (mul, sub, inv)
         return self._code_tables
 
@@ -391,16 +391,20 @@ class _LazyRows(dict):
         return row
 
 
-def element_to_str(a: Element) -> str:
-    """Serialize a coefficient tuple, low degree first: z in GF(4) -> "0:1"."""
-    return ":".join(str(c) for c in a)
+def element_to_str(a: Element, ctx: FieldContext) -> str:
+    """a's coefficients joined by ':', low degree first: z in GF(4) -> "0:1"."""
+    return ":".join(str(c) for c in ctx.coeffs(a))
 
 
 def element_from_str(text: str, ctx: FieldContext) -> Element:
+    """Parse element_to_str's form; every coefficient must lie in 0..p-1."""
     try:
         coeffs = [int(part) for part in text.split(":")]
     except ValueError as exc:
         raise ValueError(f"bad element string {text!r}") from exc
+    if not all(0 <= c < ctx.p for c in coeffs):
+        raise ValueError(f"bad element string {text!r}: "
+                         f"coefficients must be in 0..{ctx.p - 1}")
     return ctx.element(coeffs)
 
 
@@ -411,12 +415,12 @@ def element_from_str(text: str, ctx: FieldContext) -> Element:
 class SpanTracker:
     """Incremental echelon basis of a streamed column space, over codes.
 
-    target and every column are sequences of element codes (FieldContext.
-    code).  Columns arrive one at a time; at most len(target) of them are
-    kept as basis vectors, so arbitrarily many columns can be streamed in
-    bounded memory.  offer() reports True as soon as the target enters the
-    current span, which lets callers stop the stream early; insert() only
-    grows the basis, for callers that want the span itself.
+    target and every column are sequences of elements, reduced with the
+    context's code_tables().  Columns arrive one at a time; at most
+    len(target) of them are kept as basis vectors, so arbitrarily many
+    columns stream in bounded memory.  offer() reports True as soon as the
+    target enters the current span, which lets callers stop the stream
+    early; insert() only grows the basis, for callers that want the span.
 
     Each basis vector's pivot is its first nonzero row and the vector is
     scaled to 1 there; it is stored from the pivot on, since it is zero

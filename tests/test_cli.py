@@ -1,5 +1,6 @@
 import csv
 import gzip
+import itertools
 import time
 from pathlib import Path
 
@@ -189,6 +190,13 @@ def test_figures_bad_preset():
     ["bounds", "--p", "618970019642690137449562111", "--k", "1", "--n", "1"],
     ["bounds", "--p", "3", "--e", "200000", "--k", "1", "--n", "1"],  # q too large
     ["bounds", "--p", "2", "--e", "-3", "--k", "1", "--n", "1"],     # e < 1
+    # grid ranges are checked without being listed
+    ["complexity", "--p", "2", "--ell", "2", "--k", "1",
+     "--n-range", "1:1000000000000"],
+    ["bounds", "--p", "2", "--k", "1", "--n-range", "1:1000000000000"],
+    ["complexity", "--p", "2", "--ell", "2", "--k-range", "0:1000000000000",
+     "--n", "1"],
+    ["sequence", "--p", "2", "--ell", "2", "--a", "2:1"],            # digit > p - 1
 ])
 def test_usage_error_writes_nothing(argv, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
@@ -276,8 +284,30 @@ def test_verify_single_field_passes(capsys):
     assert code == EXIT_OK
     assert "RESULT:" in captured.out
     assert "FAIL" not in captured.out
-    with gzip.open(REFERENCE / "prove-q4" / "verify.txt.gz", "rt") as fh:
-        assert captured.out == fh.read()
+
+
+@pytest.mark.parametrize("reference,argv", [
+    ("verify-default/verify.txt", ["verify"]),
+    ("prove-q4/verify.txt", ["verify", "--p", "2", "--e", "2"]),
+    ("profile-q4/complexity.csv",
+     ["complexity", "--p", "2", "--e", "2", "--ell", "4", "--mode", "total-degree",
+      "--k-range", "1:2", "--n-range", "1:56"]),
+    ("emit-q32/sequence.csv", ["sequence", "--p", "2", "--e", "5", "--ell", "32"]),
+    ("emit-q32/fig1.csv", ["figures", "--preset", "fig1"]),
+    ("emit-q32/fig2.csv", ["figures", "--preset", "fig2"]),
+], ids=["verify-default", "prove-q4", "profile-q4", "emit-q32-sequence",
+        "emit-q32-fig1", "emit-q32-fig2"])
+def test_output_matches_reference(reference, argv, capsys):
+    # every output the benchmark checks, byte for byte; the .gz files are
+    # only read, never written
+    assert main(argv) == EXIT_OK
+    got = capsys.readouterr().out
+    with gzip.open(REFERENCE / f"{reference}.gz", "rt", newline="") as fh:
+        want = fh.read()
+    if got != want:  # name the first differing line: a full diff takes minutes
+        pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
+        line = next((i for i, (a, b) in enumerate(pairs, 1) if a != b), "end")
+        pytest.fail(f"{reference} differs from the output at line {line}")
 
 
 def test_verify_e_without_p_is_usage_error(capsys):

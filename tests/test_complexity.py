@@ -15,6 +15,7 @@ from hermseq.complexity import (
 )
 from hermseq.field import FieldContext
 from hermseq.sequence import build_sequence
+from hermseq.verify import check_field, check_sequence_layer, check_structure
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +273,16 @@ def test_oracle_builds_no_code_tables():
         t = _random_terms(ctx, rng, 5)
         for mode in (PerVariable(1), TotalDegree(2)):
             brute_force_oracle(ctx, t, 2, mode)
+    assert ctx._code_tables is None
+
+
+def test_curve_and_sequence_layers_build_no_code_tables():
+    # at q = 32 the mul and sub tables take 8 MB each; the sequence and its
+    # checks run on the field's own arithmetic and never build them
+    ctx = FieldContext(2, 3)
+    build_sequence(ctx, ctx.q)
+    assert check_field(ctx).passed and check_structure(ctx).passed
+    assert all(result.passed for result in check_sequence_layer(ctx))
     assert ctx._code_tables is None
 
 

@@ -34,7 +34,7 @@ def test_f4_modulus_and_epsilon(f4):
     # z^2 + z + 1 is the only irreducible quadratic over F_2
     assert f4.modulus == (1, 1, 1)
     # epsilon = z, the smallest element of order 3
-    assert f4.epsilon == (0, 1)
+    assert f4.coeffs(f4.epsilon) == (0, 1)
     assert f4.multiplicative_order(f4.epsilon) == 3
 
 
@@ -62,7 +62,7 @@ def test_default_modulus_and_epsilon_pinned(p, e, modulus, epsilon):
     # CSV value, so the choice must not drift
     ctx = FieldContext(p, e)
     assert ctx.modulus == modulus
-    assert ctx.epsilon == epsilon
+    assert ctx.coeffs(ctx.epsilon) == epsilon
 
 
 @pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3), (7, 2)])
@@ -151,6 +151,20 @@ def test_inv_zero_raises(f4):
         f4.pow(f4.zero, -1)
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_add_sub_match_coefficient_arithmetic(p, e):
+    # digitwise sums of the coefficients are the reference: they share
+    # nothing with the Zech table behind add, sub and neg
+    ctx = FieldContext(p, e)
+    coeffs = [ctx.coeffs(a) for a in ctx.elements]
+    for a, b in itertools.product(ctx.elements, repeat=2):
+        ca, cb = coeffs[a], coeffs[b]
+        assert ctx.add(a, b) == ctx.element(x + y for x, y in zip(ca, cb))
+        assert ctx.sub(a, b) == ctx.element(x - y for x, y in zip(ca, cb))
+    for a in ctx.elements:
+        assert ctx.neg(a) == ctx.element(-x for x in coeffs[a])
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1)])
 def test_field_axioms_exhaustive(p, e):
     ctx = FieldContext(p, e)
@@ -185,22 +199,27 @@ def test_unit_group_order_exhaustive():
 # integer codes
 # ---------------------------------------------------------------------------
 
-def test_code_is_canonical_index(f9):
-    for ctx in (f9, FieldContext(2, 2)):
-        assert [ctx.code(a) for a in ctx.elements] == list(range(ctx.order))
-        assert ctx.code(ctx.zero) == 0
+def test_coeffs_walk_elements_in_product_order(f9):
+    # an element is its code: canonical order is int order, and element()
+    # inverts coeffs()
+    for ctx in (f9, FieldContext(2, 2), FieldContext(3, 2)):
+        assert ctx.elements == range(ctx.order)
+        assert ctx.zero == 0
+        walk = [ctx.coeffs(a) for a in ctx.elements]
+        assert walk == list(itertools.product(range(ctx.p), repeat=ctx.degree))
+        assert [ctx.element(c) for c in walk] == list(ctx.elements)
+        assert walk[ctx.one] == (1,) + (0,) * (ctx.degree - 1)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
 def test_code_tables_match_tuple_arithmetic(p, e):
     ctx = FieldContext(p, e)
     mul, sub, inv = ctx.code_tables()
-    code = ctx.code
     for a, b in itertools.product(ctx.elements, repeat=2):
-        assert mul[code(a)][code(b)] == code(ctx.mul(a, b))
-        assert sub[code(a)][code(b)] == code(ctx.sub(a, b))
+        assert mul[a][b] == ctx.mul(a, b)
+        assert sub[a][b] == ctx.sub(a, b)
     for a in ctx.elements[1:]:
-        assert inv[code(a)] == code(ctx.inv(a))
+        assert inv[a] == ctx.inv(a)
 
 
 def test_code_tables_rows_on_access_above_eager_order():
@@ -208,11 +227,10 @@ def test_code_tables_rows_on_access_above_eager_order():
     ctx = FieldContext(37, 1)
     mul, sub, inv = ctx.code_tables()
     rng = random.Random(37)
-    code = ctx.code
     for _ in range(200):
         a, b = rng.choice(ctx.elements), rng.choice(ctx.elements)
-        assert mul[code(a)][code(b)] == code(ctx.mul(a, b))
-        assert sub[code(a)][code(b)] == code(ctx.sub(a, b))
+        assert mul[a][b] == ctx.mul(a, b)
+        assert sub[a][b] == ctx.sub(a, b)
     assert len(mul) <= 200 and len(sub) <= 200
 
 
@@ -244,7 +262,7 @@ def test_rel_norm_examples(f4, f9):
     assert f4.rel_norm(f4.one) == f4.one
     n = f9.rel_norm(f9.epsilon)              # epsilon^4, an element of F_3
     assert n == f9.pow(f9.epsilon, 4)
-    assert n[1] == 0                          # prime-field element
+    assert f9.coeffs(n)[1] == 0               # prime-field element
 
 
 def test_fiber_examples(f4):
@@ -317,11 +335,9 @@ def _span_enumeration_consistent(columns, target, ctx):
 
 
 def _streamed_consistent(columns, target, ctx):
-    """Stream the columns into a SpanTracker, as codes, until the target is
-    spanned."""
-    tracker = SpanTracker(ctx, [ctx.code(v) for v in target])
-    return tracker.consistent or any(
-        tracker.offer([ctx.code(v) for v in col]) for col in columns)
+    """Stream the columns into a SpanTracker until the target is spanned."""
+    tracker = SpanTracker(ctx, target)
+    return tracker.consistent or any(tracker.offer(col) for col in columns)
 
 
 def test_solver_standard_basis(f4):
@@ -378,7 +394,7 @@ def test_solver_against_span_enumeration_f4_sampled_3x3(f4):
 
 
 def test_tracker_early_exit(f4):
-    one, zero = f4.code(f4.one), f4.code(f4.zero)
+    one, zero = f4.one, f4.zero
     tracker = SpanTracker(f4, [one, one])
     assert not tracker.consistent
     assert tracker.offer([one, one])
@@ -394,14 +410,16 @@ def test_tracker_early_exit(f4):
 
 def test_element_round_trip(f9):
     for a in f9.elements:
-        assert element_from_str(element_to_str(a), f9) == a
+        assert element_from_str(element_to_str(a, f9), f9) == a
 
 
 def test_element_str_is_low_degree_first(f4):
-    assert element_to_str(f4.epsilon) == "0:1"
-    assert element_to_str(f4.one) == "1:0"
+    assert element_to_str(f4.epsilon, f4) == "0:1"
+    assert element_to_str(f4.one, f4) == "1:0"
 
 
 def test_bad_element_string(f4):
-    with pytest.raises(ValueError):
-        element_from_str("x:y", f4)
+    # a coefficient outside 0..p-1 is refused, not reduced mod p
+    for text in ("x:y", "2:1"):
+        with pytest.raises(ValueError, match="bad element string"):
+            element_from_str(text, f4)
