@@ -17,6 +17,7 @@ stops carrying information.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -254,7 +255,12 @@ FIGURE_PRESETS = {
 
 
 def figure_rows(preset_name: str) -> tuple[FigurePreset, list[tuple[int, Fraction, Fraction]]]:
-    """Rows (n, collinear bound, refined two-point bound) for a preset."""
+    """Rows (n, collinear bound, refined two-point bound) for a preset.
+
+    Every bound reads n only through (r1, r2), and each (r1, r2) class is a
+    run of consecutive n, so the two bounds are evaluated once per class and
+    every row of a class holds that class's two Fraction objects.
+    """
     preset = FIGURE_PRESETS.get(preset_name)
     if preset is None:
         raise ValueError(
@@ -263,8 +269,12 @@ def figure_rows(preset_name: str) -> tuple[FigurePreset, list[tuple[int, Fractio
     own = collinear_n_bound if preset.family == "N" else collinear_l_bound
     rival = (refined_twopoint_n_bound if preset.family == "N"
              else refined_twopoint_l_bound)
+    q = preset.q
     rows = []
-    for n in preset.n_values:
-        params = BoundParams(n=n, q=preset.q, k=preset.k, ell=preset.q)
-        rows.append((n, own(params), rival(params)))
+    for _, ns in itertools.groupby(preset.n_values,
+                                   key=lambda n: (n // (q * q - 1), n // (q * q - 2))):
+        ns = list(ns)
+        params = BoundParams(n=ns[0], q=q, k=preset.k, ell=q)
+        pair = own(params), rival(params)
+        rows.extend((n, *pair) for n in ns)
     return preset, rows

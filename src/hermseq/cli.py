@@ -102,8 +102,9 @@ def _field_and_sequence(args: argparse.Namespace) -> tuple[FieldContext, tuple[E
 def cmd_sequence(args: argparse.Namespace) -> int:
     ctx, terms = _field_and_sequence(args)
     steps = ctx.order - 2
+    names = [element_to_str(code, ctx) for code in ctx.elements]
     return _write_csv(args.out, ["index", "i", "j", "value"], (
-        [idx, (idx - 1) // steps + 1, (idx - 1) % steps + 1, element_to_str(term, ctx)]
+        [idx, (idx - 1) // steps + 1, (idx - 1) % steps + 1, names[term]]
         for idx, term in enumerate(terms, start=1)))
 
 
@@ -147,11 +148,21 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     preset, rows = figure_rows(args.preset)
     label = preset.family  # N for fig1, L for fig2
+
+    def lines():
+        # rows of one (r1, r2) class share their Fraction objects, so each
+        # class is rendered once
+        own = rival = cells = None
+        for n, row_own, row_rival in rows:
+            if row_own is not own or row_rival is not rival:
+                own, rival = row_own, row_rival
+                cells = [decimal_string(own), decimal_string(rival), str(own), str(rival)]
+            yield [n, *cells]
+
     return _write_csv(
         args.out,
         ["n", f"{label}1", f"{label}2", f"{label}1_exact", f"{label}2_exact"],
-        ([n, decimal_string(own), decimal_string(rival), str(own), str(rival)]
-         for n, own, rival in rows))
+        lines())
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -7,7 +7,13 @@ family of q collinear places on the vertical line x = a, which carries:
   * a tangent-line function per family place, y - b_i - a^q (x - a), whose
     only affine zero is that place;
   * the tangent quotient (x - a)^q / (product of the first ell-1 tangents),
-    the rational function evaluated along scaling orbits to build sequences.
+    the rational function whose values along the scaling orbits make the
+    sequence.
+
+eval_tangent and eval_quotient evaluate these one place and one tangent at
+a time.  They are the reference evaluator: sequence.build_sequence reads a
+1/P table instead (see its module), and the checks and tests compare the
+two, so the builder is checked by code that shares no shortcut with it.
 
 zero_set takes any function of a place; where it raises PoleError is a pole.
 

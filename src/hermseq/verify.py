@@ -389,7 +389,9 @@ def check_l_twopoint_equivalence() -> CheckResult:
 
 def check_figures() -> CheckResult:
     """Both figure presets: full n coverage, monotone columns, dominance on
-    every row, and exact endpoint values."""
+    every row, and exact endpoint values.  Rows of one (r1, r2) class share
+    their values, so dominance and monotonicity are compared once per class,
+    at its first n."""
     name = "figure-presets"
     failures = []
     expected_ends = {
@@ -404,6 +406,10 @@ def check_figures() -> CheckResult:
             failures.append(f"{preset_name}: {len(rows)} rows")
         prev_own = prev_rival = None
         for n, own, rival in rows:
+            # a row holding its predecessor's very objects passes and fails
+            # with it, so each (r1, r2) class is compared once
+            if own is prev_own and rival is prev_rival:
+                continue
             if own <= rival:
                 failures.append(f"{preset_name}: no dominance at n={n}")
                 break

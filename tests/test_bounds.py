@@ -10,6 +10,7 @@ from hermseq.bounds import (
     collinear_l_bound,
     collinear_n_bound,
     decimal_string,
+    figure_rows,
     l_bound_improves,
     l_bound_improves_twopoint,
     l_twopoint_condition,
@@ -199,3 +200,24 @@ def test_l_twopoint_equivalence_sampled():
         k = rng.randrange(1, q * q - 1)
         n = rng.randrange(1, q * (q * q - 2) + 1)
         assert l_twopoint_condition(q, k, n) == l_bound_improves_twopoint(q, k, n)
+
+
+# ---------------------------------------------------------------------------
+# figure presets
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("preset_name,own,rival", [
+    ("fig1", collinear_n_bound, refined_twopoint_n_bound),
+    ("fig2", collinear_l_bound, refined_twopoint_l_bound),
+])
+def test_figure_rows_match_per_n_evaluation(preset_name, own, rival):
+    preset, rows = figure_rows(preset_name)
+    assert [n for n, _, _ in rows] == list(preset.n_values)
+    classes = {}
+    for n, row_own, row_rival in rows:
+        params = BoundParams(n=n, q=preset.q, k=preset.k, ell=preset.q)
+        assert (row_own, row_rival) == (own(params), rival(params)), f"n={n}"
+        # one evaluation per (r1, r2) class: its rows share the objects
+        first = classes.setdefault((params.r1, params.r2), (row_own, row_rival))
+        assert row_own is first[0] and row_rival is first[1], f"n={n}"
+    assert len(classes) == 2 * preset.q - 2

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hermseq.bounds import decimal_string, figure_rows
 from hermseq.cli import EXIT_OK, EXIT_USAGE, main
 from hermseq.complexity import PerVariable, nonlinear_complexity
 from hermseq.field import Element, FieldContext, element_from_str
@@ -166,6 +167,19 @@ def test_figures_fig1(tmp_path):
     # exact columns are normalized num/den; compare as rationals
     assert Fraction(rows[-1][3]) == Fraction(32673, 192)
     assert Fraction(rows[-1][4]) == Fraction(31682, 341)
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig2"])
+def test_figures_csv_renders_every_row(preset, tmp_path):
+    # the CLI renders once per (r1, r2) class; here every row is rendered
+    out = tmp_path / f"{preset}.csv"
+    assert main(["figures", "--preset", preset, "--out", str(out)]) == EXIT_OK
+    _, rows = figure_rows(preset)
+    label = "N" if preset == "fig1" else "L"
+    want = [["n", f"{label}1", f"{label}2", f"{label}1_exact", f"{label}2_exact"]]
+    want += [[str(n), decimal_string(own), decimal_string(rival), str(own), str(rival)]
+             for n, own, rival in rows]
+    assert _read_csv(out) == want
 
 
 def test_figures_bad_preset():

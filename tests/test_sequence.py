@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
-from hermseq.curve import collinear_family, eval_quotient, scale_place
+from hermseq import sequence
+from hermseq.curve import PoleError, collinear_family, eval_quotient, scale_place
 from hermseq.field import FieldContext
-from hermseq.sequence import build_sequence, full_length
+from hermseq.sequence import _inverse_product_table, build_sequence, full_length
 
 
 @pytest.fixture(scope="module")
@@ -41,17 +44,69 @@ def test_all_terms_nonzero(p, e):
         assert all(t != ctx.zero for t in seq)
 
 
-def test_terms_match_independent_recomputation(f9):
-    for ell in (2, 3):
-        seq = build_sequence(f9, ell)
-        fam = collinear_family(f9, f9.epsilon)
-        steps = f9.order - 2
-        for i in range(1, 4):
-            for j in range(1, steps + 1):
-                expected = eval_quotient(
-                    fam, ell, scale_place(f9, fam.places[i - 1], j)
-                )
-                assert seq[(i - 1) * steps + (j - 1)] == expected
+def _reference_term(ctx, fam, ell, index):
+    """Term `index` (0-based) by the reference evaluator, one tangent at a time."""
+    steps = ctx.order - 2
+    place = scale_place(ctx, fam.places[index // steps], index % steps + 1)
+    return eval_quotient(fam, ell, place)
+
+
+def _lines(ctx, seed):
+    """The default line and two nonzero lines drawn from the seed."""
+    rng = random.Random(seed)
+    return [None] + [rng.randrange(1, ctx.order) for _ in range(2)]
+
+
+def test_terms_match_independent_recomputation():
+    # every term, every ell, over GF(q^2) for q in {2, 3, 4, 5, 7, 8, 9}
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]:
+        ctx = FieldContext(p, e)
+        for a in _lines(ctx, seed=p * 10 + e):
+            fam = collinear_family(ctx, ctx.epsilon if a is None else a)
+            for ell in range(2, ctx.q + 1):
+                seq = build_sequence(ctx, ell, a)
+                assert len(seq) == full_length(ctx.q)
+                for idx, term in enumerate(seq):
+                    assert term == _reference_term(ctx, fam, ell, idx), (
+                        f"q={ctx.q} a={fam.a} ell={ell} index={idx}")
+
+
+def test_q32_sampled_terms_match_reference():
+    ctx = FieldContext(2, 5)
+    rng = random.Random(32)
+    for a in (None, rng.randrange(1, ctx.order)):
+        fam = collinear_family(ctx, ctx.epsilon if a is None else a)
+        seq = build_sequence(ctx, 32, a)
+        for idx in rng.sample(range(len(seq)), 200):
+            assert seq[idx] == _reference_term(ctx, fam, 32, idx), (
+                f"a={fam.a} index={idx}")
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
+def test_inverse_product_table(p, e):
+    # None exactly at the roots b_1..b_(ell-1), 1 / prod(Y - b_i) elsewhere
+    ctx = FieldContext(p, e)
+    fam = collinear_family(ctx, ctx.epsilon)
+    for ell in range(2, ctx.q + 1):
+        roots = fam.b_list[:ell - 1]
+        table = _inverse_product_table(ctx, roots)
+        assert len(table) == ctx.order
+        assert {y for y in ctx.elements if table[y] is None} == set(roots)
+        for y in ctx.elements:
+            if y in roots:
+                continue
+            prod = ctx.one
+            for b in roots:
+                prod = ctx.mul(prod, ctx.sub(y, b))
+            assert ctx.mul(table[y], prod) == ctx.one
+
+
+def test_pole_in_table_raises(f9, monkeypatch):
+    # a None entry is a pole: it must raise, never be multiplied in as zero
+    monkeypatch.setattr(sequence, "_inverse_product_table",
+                        lambda ctx, roots: [None] * ctx.order)
+    with pytest.raises(PoleError):
+        build_sequence(f9, 2)
 
 
 def test_varying_a_keeps_terms_nonzero(f9):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hermseq import bounds, verify
@@ -124,3 +126,27 @@ def test_grid_counts_failures_below_the_cap(monkeypatch):
     assert not result.passed
     assert result.detail == ("q=3 k=2 n=8; q=3 k=2 n=9; q=3 k=2 n=10; "
                              "q=3 k=2 n=11; ... 5 failures total")
+
+
+def test_figures_name_the_first_failing_n(monkeypatch):
+    original = bounds.figure_rows
+
+    def broken(name):
+        preset, rows = original(name)
+        if name == "fig1":
+            # columns swapped from the (r1, r2) = (1, 2) class on, which
+            # starts at n = 2044
+            rows = [(n, rival, own) if n >= 2044 else (n, own, rival)
+                    for n, own, rival in rows]
+        else:
+            # one row inside the (5, 5) class dips below its predecessor
+            n, own, rival = rows[6023 - 1023]
+            rows[6023 - 1023] = (n, own - Fraction(1, 10 ** 9), rival)
+        return preset, rows
+
+    monkeypatch.setattr(bounds, "figure_rows", broken)
+    result = verify.check_figures()
+    assert not result.passed
+    assert result.detail == ("fig1: no dominance at n=2044; "
+                             "fig1: endpoint values drifted; "
+                             "fig2: column decreases at n=6023")
