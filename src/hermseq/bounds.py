@@ -17,7 +17,6 @@ stops carrying information.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -254,12 +253,14 @@ FIGURE_PRESETS = {
 }
 
 
-def figure_rows(preset_name: str) -> tuple[FigurePreset, list[tuple[int, Fraction, Fraction]]]:
-    """Rows (n, collinear bound, refined two-point bound) for a preset.
+def figure_rows(preset_name: str) -> tuple[FigurePreset, list[tuple[range, Fraction, Fraction]]]:
+    """The preset and its (r1, r2) classes, in n order.
 
-    Every bound reads n only through (r1, r2), and each (r1, r2) class is a
-    run of consecutive n, so the two bounds are evaluated once per class and
-    every row of a class holds that class's two Fraction objects.
+    Every bound reads n only through r1 = n // (q^2 - 1) and
+    r2 = n // (q^2 - 2), so a figure is a list of classes, one
+    (ns, collinear bound, refined two-point bound) per maximal run ns of n
+    with equal (r1, r2).  The ranges tile preset.n_values in order; there
+    are 2q - 2 of them, 62 at q = 32.
     """
     preset = FIGURE_PRESETS.get(preset_name)
     if preset is None:
@@ -269,12 +270,12 @@ def figure_rows(preset_name: str) -> tuple[FigurePreset, list[tuple[int, Fractio
     own = collinear_n_bound if preset.family == "N" else collinear_l_bound
     rival = (refined_twopoint_n_bound if preset.family == "N"
              else refined_twopoint_l_bound)
-    q = preset.q
-    rows = []
-    for _, ns in itertools.groupby(preset.n_values,
-                                   key=lambda n: (n // (q * q - 1), n // (q * q - 2))):
-        ns = list(ns)
-        params = BoundParams(n=ns[0], q=q, k=preset.k, ell=q)
-        pair = own(params), rival(params)
-        rows.extend((n, *pair) for n in ns)
-    return preset, rows
+    q, ns = preset.q, preset.n_values
+    # r1 or r2 steps exactly at a multiple of q^2 - 1 or q^2 - 2; the first
+    # n, q^2 - 1, is one
+    starts = [n for n in ns if n % (q * q - 1) == 0 or n % (q * q - 2) == 0]
+    classes = []
+    for start, stop in zip(starts, starts[1:] + [ns.stop]):
+        params = BoundParams(n=start, q=q, k=preset.k, ell=q)
+        classes.append((range(start, stop), own(params), rival(params)))
+    return preset, classes

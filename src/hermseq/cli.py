@@ -25,7 +25,8 @@ import sys
 from contextlib import nullcontext
 from typing import Iterable, Optional
 
-from .bounds import MAX_Q_BITS, BoundParams, all_bounds, decimal_string, figure_rows
+from .bounds import (FIGURE_PRESETS, MAX_Q_BITS, BoundParams, all_bounds,
+                     decimal_string, figure_rows)
 from .complexity import PerVariable, TotalDegree, nonlinear_complexity
 from .field import Element, FieldContext, _is_prime, element_from_str, element_to_str
 from .sequence import build_sequence
@@ -146,18 +147,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
-    preset, rows = figure_rows(args.preset)
+    preset, classes = figure_rows(args.preset)
     label = preset.family  # N for fig1, L for fig2
 
     def lines():
-        # rows of one (r1, r2) class share their Fraction objects, so each
-        # class is rendered once
-        own = rival = cells = None
-        for n, row_own, row_rival in rows:
-            if row_own is not own or row_rival is not rival:
-                own, rival = row_own, row_rival
-                cells = [decimal_string(own), decimal_string(rival), str(own), str(rival)]
-            yield [n, *cells]
+        for ns, own, rival in classes:
+            cells = [decimal_string(own), decimal_string(rival), str(own), str(rival)]
+            for n in ns:
+                yield [n, *cells]
 
     return _write_csv(
         args.out,
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_bounds)
 
     sp = sub.add_parser("figures", help="comparison presets fig1 / fig2")
-    sp.add_argument("--preset", choices=["fig1", "fig2"], required=True)
+    sp.add_argument("--preset", choices=sorted(FIGURE_PRESETS), required=True)
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_figures)
 

@@ -369,15 +369,6 @@ class FieldContext:
     def __repr__(self) -> str:
         return f"FieldContext(p={self.p}, e={self.e}, modulus={self.modulus})"
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldContext)
-            and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.e, self.modulus))
-
 
 class _LazyRows(dict):
     """Table rows keyed by code, each built by build_row on first access."""

@@ -358,7 +358,12 @@ def check_l_improvement() -> CheckResult:
     """Collinear total-degree bound beats the refined two-point bound on its
     claimed set: q in {5, 7, 8, 9, 16, 32} on the _k_grid x _n_grid points,
     and every point of the q=3 / q=4 special cases, split by whether the two
-    floor ratios agree (lam = 0) or differ (lam = 1)."""
+    floor ratios agree (lam = 0) or differ (lam = 1).
+
+    The claimed set starts at k = 2.  At k = 1 the claim fails at every
+    q, exactly where r1 = r2 is q-2 or q-1 (at q = 5, n = 72..91 and
+    96..114); at k = 2 it fails only at q = 3 on r1 = r2 = 2 (n = 16..20),
+    inside the q = 3 exception.  test_l_improvement_at_small_k pins both."""
     points = [(q, k, n) for q in (5, 7, 8, 9, 16, 32)
               for k in _k_grid(q) for n in _n_grid(q)]
     for q, k_zero_lam in ((3, 4), (4, 3)):
@@ -389,9 +394,7 @@ def check_l_twopoint_equivalence() -> CheckResult:
 
 def check_figures() -> CheckResult:
     """Both figure presets: full n coverage, monotone columns, dominance on
-    every row, and exact endpoint values.  Rows of one (r1, r2) class share
-    their values, so dominance and monotonicity are compared once per class,
-    at its first n."""
+    every (r1, r2) class, named at its first n, and exact endpoint values."""
     name = "figure-presets"
     failures = []
     expected_ends = {
@@ -399,25 +402,23 @@ def check_figures() -> CheckResult:
         "fig2": (Fraction(32653, 652), Fraction(31062, 651)),
     }
     for preset_name, (own_end, rival_end) in expected_ends.items():
-        preset, rows = bnd.figure_rows(preset_name)
-        if rows[0][0] != 1023 or rows[-1][0] != 32704:
-            failures.append(f"{preset_name}: range {rows[0][0]}..{rows[-1][0]}")
-        if len(rows) != 32704 - 1023 + 1:
-            failures.append(f"{preset_name}: {len(rows)} rows")
-        prev_own = prev_rival = None
-        for n, own, rival in rows:
-            # a row holding its predecessor's very objects passes and fails
-            # with it, so each (r1, r2) class is compared once
-            if own is prev_own and rival is prev_rival:
-                continue
+        _, classes = bnd.figure_rows(preset_name)
+        first, last = classes[0][0][0], classes[-1][0][-1]
+        if first != 1023 or last != 32704:
+            failures.append(f"{preset_name}: range {first}..{last}")
+        rows = sum(len(ns) for ns, _, _ in classes)
+        if rows != 32704 - 1023 + 1:
+            failures.append(f"{preset_name}: {rows} rows")
+        _, prev_own, prev_rival = classes[0]
+        for ns, own, rival in classes:
             if own <= rival:
-                failures.append(f"{preset_name}: no dominance at n={n}")
+                failures.append(f"{preset_name}: no dominance at n={ns[0]}")
                 break
-            if prev_own is not None and (own < prev_own or rival < prev_rival):
-                failures.append(f"{preset_name}: column decreases at n={n}")
+            if own < prev_own or rival < prev_rival:
+                failures.append(f"{preset_name}: column decreases at n={ns[0]}")
                 break
             prev_own, prev_rival = own, rival
-        if rows[-1][1] != own_end or rows[-1][2] != rival_end:
+        if classes[-1][1:] != (own_end, rival_end):
             failures.append(f"{preset_name}: endpoint values drifted")
     return _result(name, failures, "fig1 and fig2 regenerated and dominated")
 

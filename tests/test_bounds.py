@@ -180,6 +180,21 @@ def test_l_improvement_spot():
     assert l_bound_improves(32, 20, 32704)
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_l_improvement_at_small_k(q):
+    # k = 1 fails exactly on the last two classes, r1 = r2 in {q-2, q-1};
+    # k = 2 fails only at q = 3 on r1 = r2 = 2 (n = 16..20), inside the
+    # lam = 0, k >= 4 exception that check_l_improvement encodes
+    for n in range(q * q - 1, q * (q * q - 2) + 1):
+        params = BoundParams(n=n, q=q, k=1, ell=q)
+        last_two = params.r1 == params.r2 and params.r1 in (q - 2, q - 1)
+        assert l_bound_improves(q, 1, n) != last_two, f"n={n}"
+        assert l_bound_improves(q, 2, n) == (q != 3 or not 16 <= n <= 20), f"n={n}"
+    if q == 5:
+        failing = [n for n in range(24, 116) if not l_bound_improves(5, 1, n)]
+        assert failing == list(range(72, 92)) + list(range(96, 115))
+
+
 def test_l_twopoint_condition_spot():
     # at (32, 20, 32704) the quadratic is 12288000 - 18374360 - 1921 < 0 and
     # indeed the original two-point bound (~233.2) beats the collinear one
@@ -211,13 +226,17 @@ def test_l_twopoint_equivalence_sampled():
     ("fig2", collinear_l_bound, refined_twopoint_l_bound),
 ])
 def test_figure_rows_match_per_n_evaluation(preset_name, own, rival):
-    preset, rows = figure_rows(preset_name)
-    assert [n for n, _, _ in rows] == list(preset.n_values)
-    classes = {}
-    for n, row_own, row_rival in rows:
-        params = BoundParams(n=n, q=preset.q, k=preset.k, ell=preset.q)
-        assert (row_own, row_rival) == (own(params), rival(params)), f"n={n}"
-        # one evaluation per (r1, r2) class: its rows share the objects
-        first = classes.setdefault((params.r1, params.r2), (row_own, row_rival))
-        assert row_own is first[0] and row_rival is first[1], f"n={n}"
+    preset, classes = figure_rows(preset_name)
+    assert [n for ns, _, _ in classes for n in ns] == list(preset.n_values)
+    keys = []
+    for ns, class_own, class_rival in classes:
+        pairs = set()
+        for n in ns:
+            params = BoundParams(n=n, q=preset.q, k=preset.k, ell=preset.q)
+            assert (class_own, class_rival) == (own(params), rival(params)), f"n={n}"
+            pairs.add((params.r1, params.r2))
+        assert len(pairs) == 1, f"class from n={ns[0]}"
+        keys += pairs
+    # maximal runs: adjacent classes differ in (r1, r2)
+    assert all(a != b for a, b in zip(keys, keys[1:]))
     assert len(classes) == 2 * preset.q - 2

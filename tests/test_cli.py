@@ -171,14 +171,14 @@ def test_figures_fig1(tmp_path):
 
 @pytest.mark.parametrize("preset", ["fig1", "fig2"])
 def test_figures_csv_renders_every_row(preset, tmp_path):
-    # the CLI renders once per (r1, r2) class; here every row is rendered
+    # the CLI renders once per (r1, r2) class; here every n is rendered
     out = tmp_path / f"{preset}.csv"
     assert main(["figures", "--preset", preset, "--out", str(out)]) == EXIT_OK
-    _, rows = figure_rows(preset)
+    _, classes = figure_rows(preset)
     label = "N" if preset == "fig1" else "L"
     want = [["n", f"{label}1", f"{label}2", f"{label}1_exact", f"{label}2_exact"]]
     want += [[str(n), decimal_string(own), decimal_string(rival), str(own), str(rival)]
-             for n, own, rival in rows]
+             for ns, own, rival in classes for n in ns]
     assert _read_csv(out) == want
 
 

@@ -132,21 +132,23 @@ def test_figures_name_the_first_failing_n(monkeypatch):
     original = bounds.figure_rows
 
     def broken(name):
-        preset, rows = original(name)
+        preset, classes = original(name)
         if name == "fig1":
             # columns swapped from the (r1, r2) = (1, 2) class on, which
             # starts at n = 2044
-            rows = [(n, rival, own) if n >= 2044 else (n, own, rival)
-                    for n, own, rival in rows]
+            classes = [(ns, rival, own) if ns[0] >= 2044 else (ns, own, rival)
+                       for ns, own, rival in classes]
         else:
-            # one row inside the (5, 5) class dips below its predecessor
-            n, own, rival = rows[6023 - 1023]
-            rows[6023 - 1023] = (n, own - Fraction(1, 10 ** 9), rival)
-        return preset, rows
+            # the (5, 5) class, n = 5115..6131, dips below its predecessor
+            # (4, 5), whose total-degree collinear bound it shares
+            at = next(i for i, (ns, _, _) in enumerate(classes) if ns[0] == 5115)
+            ns, own, rival = classes[at]
+            classes[at] = (ns, own - Fraction(1, 10 ** 9), rival)
+        return preset, classes
 
     monkeypatch.setattr(bounds, "figure_rows", broken)
     result = verify.check_figures()
     assert not result.passed
     assert result.detail == ("fig1: no dominance at n=2044; "
                              "fig1: endpoint values drifted; "
-                             "fig2: column decreases at n=6023")
+                             "fig2: column decreases at n=5115")
