@@ -21,6 +21,7 @@ from .complexity import (
     PerVariable,
     TotalDegree,
     brute_force_oracle,
+    complexity_profile,
     exists_recurrence,
     nonlinear_complexity,
 )

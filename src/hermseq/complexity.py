@@ -8,9 +8,10 @@ f(x_1, .., x_m) with t_{i+m} = f(t_i, .., t_{i+m-1}) on every window:
 
 The complexity is the least window length m admitting such an f; 0 is
 reserved for the all-zero sequence and a single nonzero term has complexity
-1.  Existence of f for fixed m is a linear-consistency question with one
-equation per window.  Its unknowns are not the monomial coefficients, of
-which there are (k+1)^m in per-variable mode, but the coefficients of a
+1; complexity_profile gives it for every prefix in one pass.  Existence of
+f for fixed m is a linear-consistency question with one equation per
+window.  Its unknowns are not the monomial coefficients, of which there
+are (k+1)^m in per-variable mode, but the coefficients of a
 chain of suffix levels (_Chain) that spans the same functions on the
 windows with at most k+1 columns per distinct window.  Terms are int codes
 (see field); the solver builds every power and column with the context's
@@ -129,6 +130,19 @@ class _Chain:
         return tracker.consistent or any(
             tracker.offer(col) for _, col in self.products(rows))
 
+    def spanned_rows(self, m: int) -> int:
+        """Taking the current level as level m-1: the largest R such that
+        the products x_1^a * h on the first R windows codes[i:i+m] span the
+        target codes[m:m+R], that is, such that the prefix codes[:m+R]
+        admits a recurrence of window length m."""
+        target = self.codes[m:]
+        tracker = SpanTracker(self.ctx, target)
+        for _, col in self.products(list(zip(self.codes, self.at[1:]))):
+            tracker.insert(col)
+            if tracker.rank == len(target):
+                break
+        return tracker.spanned_prefix()
+
 
 def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     """Is there a recurrence polynomial of window length m under `mode`?
@@ -146,25 +160,43 @@ def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     return chain.spans_target(m)
 
 
+def complexity_profile(ctx: FieldContext, t, mode: DegreeMode) -> list[int]:
+    """Complexities of every prefix: entry n-1 is the complexity of t[:n].
+
+    A prefix that is all zero has complexity 0 and a single nonzero term 1.
+    Feasibility at window m is monotone in the prefix length, so each m has
+    a longest feasible prefix, of length m + _Chain.spanned_rows(m) (or the
+    whole of t); the complexity of t[:n] is the least m whose longest
+    feasible prefix reaches n.  One suffix chain on the whole of t serves
+    every prefix, since its levels restrict to each prefix's levels, so the
+    profile costs about as much as the complexity of t alone.  The walk
+    ends by m = max(len(t)-1, 1), where the constant recurrence covers
+    every prefix.
+    """
+    codes = list(t)
+    # the all-zero prefixes; every later one has complexity >= 1
+    profile = [0] * next((i for i, c in enumerate(codes) if c), len(codes))
+    if len(profile) == len(codes):
+        return profile
+    chain = _Chain(ctx, codes, mode)
+    m = 1
+    while True:
+        reach = m + chain.spanned_rows(m)
+        profile += [m] * (reach - len(profile))  # nothing if reach is covered
+        if reach == len(codes):
+            return profile
+        chain.grow()
+        m += 1
+
+
 def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode) -> int:
     """Least window length admitting a recurrence under `mode`, as an int.
 
-    Returns 0 for the all-zero sequence and 1 for a single nonzero term.
-    The search walks m upward on one suffix chain, so each level is built
-    once per call; it ends by m = n-1, which the constant recurrence
-    f = t_n always admits.
+    Returns 0 for the all-zero sequence and 1 for a single nonzero term;
+    this is the last entry of complexity_profile (0 for an empty t).
     """
-    codes = list(t)
-    if not any(codes):
-        return 0
-    if len(codes) == 1:
-        return 1
-    chain = _Chain(ctx, codes, mode)
-    m = 1
-    while not chain.spans_target(m):
-        chain.grow()
-        m += 1
-    return m
+    profile = complexity_profile(ctx, t, mode)
+    return profile[-1] if profile else 0
 
 
 def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:

@@ -411,7 +411,8 @@ class SpanTracker:
     len(target) of them are kept as basis vectors, so arbitrarily many
     columns stream in bounded memory.  offer() reports True as soon as the
     target enters the current span, which lets callers stop the stream
-    early; insert() only grows the basis, for callers that want the span.
+    early; insert() only grows the basis, for callers that want the span,
+    and spanned_prefix() then says how many leading target rows it spans.
 
     Each basis vector's pivot is its first nonzero row and the vector is
     scaled to 1 there; it is stored from the pivot on, since it is zero
@@ -468,3 +469,17 @@ class SpanTracker:
         if not self._consistent and self.insert(column) is not None:
             self._consistent = self._reduce(self._residual) is None
         return self._consistent
+
+    def spanned_prefix(self) -> int:
+        """The largest R such that target[:R] lies in the span of the columns
+        cut to their first R rows.
+
+        Every basis vector is zero above its pivot, so the vectors with a
+        pivot below R span the cut columns, and the residual, once reduced to
+        zero at every pivot, is zero on rows < R exactly when target[:R] is
+        in that span.  The answer is the residual's first nonzero row (R is
+        len(target) if there is none), whatever order the columns came in.
+        """
+        row = self._reduce(self._residual)
+        self._consistent = row is None
+        return len(self._residual) if row is None else row

@@ -115,6 +115,31 @@ def test_complexity_usage(tmp_path):
                  "--n", "0"]) == EXIT_USAGE                        # n too small
 
 
+def test_complexity_rows_independent_of_n_grid(tmp_path, capsys):
+    # every n grid reads the same per-k profiles: its rows are those of the
+    # full range at its own n
+    base = ["complexity", "--p", "2", "--e", "2", "--ell", "4",
+            "--mode", "total-degree", "--k-range", "1:2"]
+
+    def rows(*grid):
+        assert main(base + list(grid)) == EXIT_OK
+        return list(csv.reader(capsys.readouterr().out.splitlines()))
+
+    full = rows("--n-range", "1:56")
+    assert len(full) == 1 + 56 * 2
+    by_n = {}
+    for row in full[1:]:
+        by_n.setdefault(int(row[0]), []).append(row)
+    for grid, ns in ((("--n-range", "5:56:7"), range(5, 57, 7)), (("--n", "37"), [37])):
+        got = rows(*grid)
+        assert got[0] == full[0]
+        assert got[1:] == [row for n in ns for row in by_n[n]]
+    out = tmp_path / "out.csv"
+    assert main(base + ["--n", "57", "--out", str(out)]) == EXIT_USAGE
+    assert "n must be in 1..56" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sequence_round_trip(tmp_path):
     seq_out = tmp_path / "seq.csv"
     main(["sequence", "--p", "3", "--ell", "2", "--out", str(seq_out)])

@@ -10,10 +10,11 @@ from hermseq.complexity import (
     PerVariable,
     TotalDegree,
     brute_force_oracle,
+    complexity_profile,
     exists_recurrence,
     nonlinear_complexity,
 )
-from hermseq.field import FieldContext
+from hermseq.field import FieldContext, SpanTracker
 from hermseq.sequence import build_sequence
 from hermseq.verify import check_field, check_sequence_layer, check_structure
 
@@ -383,8 +384,9 @@ def test_engine_matches_dense_reference(p, e):
 # GF(9), GF(16), and GF(37^2), whose code-table rows are built on access
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (37, 1)])
 def test_complexity_is_least_reference_window(p, e):
-    # nonlinear_complexity walks its own suffix chain rather than calling
-    # exists_recurrence, so it is checked against the dense reference here
+    # nonlinear_complexity reads complexity_profile's suffix chain rather
+    # than calling exists_recurrence, so it is checked against the dense
+    # reference here
     ctx = FieldContext(p, e)
     rng = random.Random(p * 100 + e)
     for mode_cls in (PerVariable, TotalDegree):
@@ -404,6 +406,96 @@ def test_complexity_is_least_reference_window(p, e):
             assert got == want, (t, mode)
             values.add(got)
     assert {1, 2, 3} <= values
+
+
+# GF(4), GF(9), GF(16)
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_spanned_prefix_is_longest_spanned_cut(p, e):
+    # the largest R with target[:R] in the span of the columns cut to R
+    # rows, by dense rank, in whatever order the columns are offered
+    ctx = FieldContext(p, e)
+    rng = random.Random(p * 1000 + e)
+    values = set()
+    for _ in range(40):
+        rows = rng.randrange(1, 9)
+        alphabet = rng.sample(ctx.elements, rng.choice((2, 3, ctx.order)))
+        cols = []
+        for _ in range(rng.randrange(0, rows + 1)):
+            # leading zeros spread the pivots down the rows
+            lead = rng.randrange(rows)
+            cols.append([ctx.zero] * lead
+                        + [rng.choice(alphabet) for _ in range(rows - lead)])
+        target = [ctx.zero] * rows
+        for col in cols:
+            c = rng.choice(ctx.elements)
+            target = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(target, col)]
+        if rng.random() < 0.7:  # knock one row out of the span, most likely
+            row = rng.randrange(rows)
+            target[row] = ctx.add(target[row], rng.choice(ctx.elements[1:]))
+        want = max(r for r in range(rows + 1)
+                   if _dense_rank(ctx, [col[:r] for col in cols])
+                   == _dense_rank(ctx, [col[:r] for col in cols] + [target[:r]]))
+        for order in (cols, rng.sample(cols, len(cols))):
+            tracker = SpanTracker(ctx, target)
+            for col in order:
+                tracker.insert(col)
+            assert tracker.spanned_prefix() == want, (cols, target)
+        values.add(want == rows)
+    assert values == {True, False}
+
+
+def _reference_profile(ctx, terms, mode):
+    """Least reference window of every prefix, 0 while it is all zero."""
+    profile = []
+    for n in range(1, len(terms) + 1):
+        if all(v == ctx.zero for v in terms[:n]):
+            profile.append(0)
+        else:
+            profile.append(next((m for m in range(1, n)
+                                 if _reference_exists(ctx, terms[:n], m, mode)), 1))
+    return profile
+
+
+# GF(9), GF(16), and GF(37^2), whose code-table rows are built on access
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (37, 1)])
+def test_profile_matches_reference_at_every_prefix(p, e):
+    ctx = FieldContext(p, e)
+    rng = random.Random(p * 10000 + e)
+    for mode_cls in (PerVariable, TotalDegree):
+        assert complexity_profile(ctx, (), mode_cls(1)) == []
+        assert complexity_profile(ctx, (ctx.zero,) * 4, mode_cls(1)) == [0] * 4
+        assert complexity_profile(ctx, (ctx.epsilon,), mode_cls(1)) == [1]
+    values = set()
+    for _ in range(25):
+        n = rng.randrange(1, 11)
+        alphabet = rng.sample(ctx.elements, rng.choice((2, 3, ctx.order)))
+        t = (ctx.zero,) * rng.choice((0, 0, 1, 2)) + tuple(
+            rng.choice(alphabet) for _ in range(n))
+        for mode in (PerVariable(rng.randrange(1, 3)), TotalDegree(rng.randrange(1, 4))):
+            got = complexity_profile(ctx, t, mode)
+            assert got == _reference_profile(ctx, t, mode), (t, mode)
+            values.update(got)
+    assert {0, 1, 2, 3} <= values
+
+
+@pytest.mark.parametrize("mode", [PerVariable(1), TotalDegree(2)])
+def test_profile_matches_exists_recurrence_at_q5(mode):
+    # exists_recurrence builds its chain on the cut prefix, so this checks
+    # the profile's one chain on the whole sequence independently.  The
+    # profile ascends, and feasibility at a window length only shrinks as
+    # the prefix grows, so the two prefixes either side of each step fix
+    # the least feasible window at every n
+    ctx = FieldContext(5)
+    seq = build_sequence(ctx, 5)
+    profile = complexity_profile(ctx, seq, mode)
+    assert len(profile) == len(seq) == 115
+    assert profile[0] == 1 and profile == sorted(profile)
+    for m in range(1, profile[-1] + 1):
+        reach = sum(v <= m for v in profile)  # longest prefix feasible at m
+        assert exists_recurrence(ctx, seq[:reach], m, mode), (m, reach)
+        if reach < len(seq):
+            assert not exists_recurrence(ctx, seq[:reach + 1], m, mode), (m, reach)
+    assert nonlinear_complexity(ctx, seq, mode) == profile[-1]
 
 
 def test_per_variable_bound_proof_at_q7():
