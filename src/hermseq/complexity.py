@@ -15,12 +15,15 @@ are (k+1)^m in per-variable mode, but the coefficients of a
 chain of suffix levels (_Chain) that spans the same functions on the
 windows with at most k+1 columns per distinct window.  Terms are int codes
 (see field); the solver builds every power and column with the context's
-code tables, and reduces both the levels and the final consistency test
-through the incremental span tracker.  A brute-force oracle provides an
-independent ground truth at small sizes: it searches every coefficient
-assignment of the full monomial basis, meeting in the middle between two
-halves of the columns, on the field's log and Zech arithmetic and without
-elimination, so it shares no arithmetic with the solver's tables.
+code tables and reduces them with the incremental span tracker.  Both
+exists_recurrence and complexity_profile ask one question of the chain,
+spanned_rows(m): the longest prefix that a window-m recurrence covers,
+with the columns streamed until the target is spanned.  A brute-force
+oracle provides an independent ground truth at small sizes: it searches
+every coefficient assignment of the full monomial basis, meeting in the
+middle between two halves of the columns, on the field's log and Zech
+arithmetic and without elimination, so it shares no arithmetic with the
+solver's tables.
 """
 
 from __future__ import annotations
@@ -57,16 +60,6 @@ class TotalDegree:
 DegreeMode = Union[PerVariable, TotalDegree]
 
 
-def _power_table(ctx: FieldContext, terms, up_to: int) -> list[list]:
-    table = []
-    for t in terms:
-        powers = [ctx.one]
-        for _ in range(up_to):
-            powers.append(ctx.mul(powers[-1], t))
-        table.append(powers)
-    return table
-
-
 class _Chain:
     """Suffix levels of one code sequence under one degree mode.
 
@@ -80,7 +73,8 @@ class _Chain:
     <= d span the polynomials of degree <= d.  A level stops once its rank
     equals its number of points.  Exponents above q^2-1 never yield new
     functions (x^(q^2) = x pointwise), so they are capped; the degree
-    constraint itself is unchanged by this.
+    constraint itself is unchanged by this.  The one question a chain
+    answers about its target is spanned_rows(m).
     """
 
     def __init__(self, ctx: FieldContext, codes: list[int], mode: DegreeMode):
@@ -122,25 +116,17 @@ class _Chain:
                     break
         self.basis = basis
 
-    def spans_target(self, m: int) -> bool:
-        """Taking the current level as level m-1: do the products x_1^a * h
-        on the windows codes[i:i+m] span the target codes[m:]?"""
-        tracker = SpanTracker(self.ctx, self.codes[m:])
-        rows = list(zip(self.codes, self.at[1:]))
-        return tracker.consistent or any(
-            tracker.offer(col) for _, col in self.products(rows))
-
     def spanned_rows(self, m: int) -> int:
         """Taking the current level as level m-1: the largest R such that
         the products x_1^a * h on the first R windows codes[i:i+m] span the
         target codes[m:m+R], that is, such that the prefix codes[:m+R]
-        admits a recurrence of window length m."""
-        target = self.codes[m:]
-        tracker = SpanTracker(self.ctx, target)
-        for _, col in self.products(list(zip(self.codes, self.at[1:]))):
-            tracker.insert(col)
-            if tracker.rank == len(target):
-                break
+        admits a recurrence of window length m.  The stream of products
+        stops once the whole target is spanned."""
+        tracker = SpanTracker(self.ctx, self.codes[m:])
+        if not tracker.consistent:
+            for _, col in self.products(list(zip(self.codes, self.at[1:]))):
+                if tracker.offer(col):
+                    break
         return tracker.spanned_prefix()
 
 
@@ -157,7 +143,7 @@ def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     chain = _Chain(ctx, codes, mode)
     for _ in range(m - 1):
         chain.grow()
-    return chain.spans_target(m)
+    return m + chain.spanned_rows(m) == n
 
 
 def complexity_profile(ctx: FieldContext, t, mode: DegreeMode) -> list[int]:
@@ -227,8 +213,8 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     monos = [a for a in itertools.product(range(mode.k + 1), repeat=m)
              if per_variable or sum(a) <= mode.k]
     r = n - m
-    powtab = _power_table(ctx, terms[: n - 1], mode.k)
     mul, add, sub, one, zero = ctx.mul, ctx.add, ctx.sub, ctx.one, ctx.zero
+    powers = [[ctx.pow(x, a) for a in range(mode.k + 1)] for x in terms[:-1]]
     columns = []
     for alpha in monos:
         col = []
@@ -236,7 +222,7 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
             v = one
             for j, a_j in enumerate(alpha):
                 if a_j:
-                    v = mul(v, powtab[i + j][a_j])
+                    v = mul(v, powers[i + j][a_j])
             col.append(v)
         columns.append(tuple(col))
     target = tuple(terms[m:])

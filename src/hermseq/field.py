@@ -388,14 +388,14 @@ def element_to_str(a: Element, ctx: FieldContext) -> str:
 
 
 def element_from_str(text: str, ctx: FieldContext) -> Element:
-    """Parse element_to_str's form; every coefficient must lie in 0..p-1."""
+    """Parse element_to_str's form: exactly ctx.degree digits in 0..p-1."""
     try:
         coeffs = [int(part) for part in text.split(":")]
     except ValueError as exc:
         raise ValueError(f"bad element string {text!r}") from exc
-    if not all(0 <= c < ctx.p for c in coeffs):
-        raise ValueError(f"bad element string {text!r}: "
-                         f"coefficients must be in 0..{ctx.p - 1}")
+    if len(coeffs) != ctx.degree or not all(0 <= c < ctx.p for c in coeffs):
+        raise ValueError(f"bad element string {text!r}: expected {ctx.degree} "
+                         f"coefficients in 0..{ctx.p - 1}")
     return ctx.element(coeffs)
 
 
@@ -409,16 +409,17 @@ class SpanTracker:
     target and every column are sequences of elements, reduced with the
     context's code_tables().  Columns arrive one at a time; at most
     len(target) of them are kept as basis vectors, so arbitrarily many
-    columns stream in bounded memory.  offer() reports True as soon as the
-    target enters the current span, which lets callers stop the stream
-    early; insert() only grows the basis, for callers that want the span,
-    and spanned_prefix() then says how many leading target rows it spans.
+    columns stream in bounded memory.  offer() inserts a column only while
+    the target is unspanned and reports whether it now is, so callers can
+    stop the stream early; spanned_prefix() and consistent read how many
+    leading target rows the span covers, and whether it covers them all.
 
     Each basis vector's pivot is its first nonzero row and the vector is
     scaled to 1 there; it is stored from the pivot on, since it is zero
     above.  A column is reduced in increasing pivot order, so it ends zero
-    at every pivot, and the residual target is kept zero there too.  The
-    target is spanned exactly when the residual is zero.
+    at every pivot.  Every insert keeps the residual target zero at every
+    pivot too and records its first nonzero row, which is len(target)
+    exactly when the target is spanned.
     """
 
     def __init__(self, ctx: FieldContext, target):
@@ -427,59 +428,66 @@ class SpanTracker:
         # (pivot row, basis vector from the pivot on, with 1 at the pivot),
         # in increasing pivot order
         self._basis: list[tuple[int, list[int]]] = []
-        self._consistent = not any(self._residual)
+        self._rows = len(self._residual)
+        self._first = self._reduce(self._residual)  # first nonzero row, or _rows
 
     @property
     def consistent(self) -> bool:
-        return self._consistent
+        return self._first == self._rows
 
     @property
     def rank(self) -> int:
         return len(self._basis)
 
-    def _reduce(self, col: list[int]) -> Optional[int]:
+    def _reduce(self, col: list[int]) -> int:
         """Reduce col in place, in increasing pivot order, so that it is zero
-        at every pivot; return its first nonzero row, or None if it is zero."""
+        at every pivot; return its first nonzero row, or len(col) if none."""
         mul, sub = self._mul, self._sub
         for p_i, basis_vec in self._basis:
             c = col[p_i]
             if c:
                 mc = mul[c]
                 col[p_i:] = [sub[x][mc[y]] for x, y in zip(col[p_i:], basis_vec)]
-        return next((i for i, v in enumerate(col) if v), None)
+        return next((i for i, v in enumerate(col) if v), len(col))
 
     def insert(self, column) -> Optional[tuple[int, list[int]]]:
         """Reduce one column against the basis.  If anything is left, add it
         and return it as (pivot, vector from the pivot on); else None."""
         col = list(column)
-        if len(col) != len(self._residual):
+        if len(col) != self._rows:
             raise ValueError(
-                f"column length {len(col)} != system length {len(self._residual)}"
+                f"column length {len(col)} != system length {self._rows}"
             )
         pivot = self._reduce(col)
-        if pivot is None:
+        if pivot == self._rows:
             return None
         scale = self._mul[self._inv[col[pivot]]]
         entry = (pivot, [scale[v] for v in col[pivot:]])
         bisect.insort(self._basis, entry)  # pivots are distinct
+        # the residual, like the new vector, is zero at every older pivot, so
+        # one row op at the new pivot keeps it zero at all of them
+        residual, c = self._residual, self._residual[pivot]
+        if c:
+            mc, sub = self._mul[c], self._sub
+            residual[pivot:] = [sub[x][mc[y]] for x, y in zip(residual[pivot:], entry[1])]
+            if pivot == self._first:  # only then can the first nonzero row move
+                self._first = next((i for i, v in enumerate(residual) if v), self._rows)
         return entry
 
     def offer(self, column) -> bool:
-        """Fold one more column into the basis; True once target is spanned."""
-        if not self._consistent and self.insert(column) is not None:
-            self._consistent = self._reduce(self._residual) is None
-        return self._consistent
+        """Insert column unless the target is spanned; True once it is."""
+        if self._first < self._rows:
+            self.insert(column)
+        return self._first == self._rows
 
     def spanned_prefix(self) -> int:
         """The largest R such that target[:R] lies in the span of the columns
         cut to their first R rows.
 
         Every basis vector is zero above its pivot, so the vectors with a
-        pivot below R span the cut columns, and the residual, once reduced to
-        zero at every pivot, is zero on rows < R exactly when target[:R] is
-        in that span.  The answer is the residual's first nonzero row (R is
-        len(target) if there is none), whatever order the columns came in.
+        pivot below R span the cut columns, and the residual, zero at every
+        pivot, is zero on rows < R exactly when target[:R] is in that span.
+        The answer is the residual's first nonzero row (R is len(target) if
+        there is none), whatever order the columns came in.
         """
-        row = self._reduce(self._residual)
-        self._consistent = row is None
-        return len(self._residual) if row is None else row
+        return self._first

@@ -236,6 +236,7 @@ def test_figures_bad_preset():
     ["complexity", "--p", "2", "--ell", "2", "--k-range", "0:1000000000000",
      "--n", "1"],
     ["sequence", "--p", "2", "--ell", "2", "--a", "2:1"],            # digit > p - 1
+    ["sequence", "--p", "3", "--ell", "2", "--a", "1"],              # too few digits
 ])
 def test_usage_error_writes_nothing(argv, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE

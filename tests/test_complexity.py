@@ -432,16 +432,51 @@ def test_spanned_prefix_is_longest_spanned_cut(p, e):
         if rng.random() < 0.7:  # knock one row out of the span, most likely
             row = rng.randrange(rows)
             target[row] = ctx.add(target[row], rng.choice(ctx.elements[1:]))
-        want = max(r for r in range(rows + 1)
-                   if _dense_rank(ctx, [col[:r] for col in cols])
-                   == _dense_rank(ctx, [col[:r] for col in cols] + [target[:r]]))
         for order in (cols, rng.sample(cols, len(cols))):
+            # the residual is kept reduced on every insert, so both reads
+            # hold after each one, not only at the end
             tracker = SpanTracker(ctx, target)
-            for col in order:
-                tracker.insert(col)
-            assert tracker.spanned_prefix() == want, (cols, target)
+            for i in range(len(order) + 1):
+                if i:
+                    tracker.insert(order[i - 1])
+                want = max(r for r in range(rows + 1)
+                           if _dense_rank(ctx, [col[:r] for col in order[:i]])
+                           == _dense_rank(ctx, [col[:r] for col in order[:i]] + [target[:r]]))
+                assert tracker.spanned_prefix() == want, (order[:i], target)
+                assert tracker.consistent == (want == rows)
         values.add(want == rows)
     assert values == {True, False}
+
+
+def test_exists_recurrence_stops_offering_once_spanned(f4, monkeypatch):
+    # the offers stop at the column that spans the target, and a target
+    # spanned from the start is offered nothing
+    results = []
+    offer = SpanTracker.offer
+
+    def counted(self, column):
+        results.append(offer(self, column))
+        return results[-1]
+
+    monkeypatch.setattr(SpanTracker, "offer", counted)
+    one, zero = f4.one, f4.zero
+    # the constant column x_1^0 spans a constant target, so x_1 is not offered
+    assert exists_recurrence(f4, (one,) * 5, 1, PerVariable(1))
+    assert results == [True]
+    results.clear()
+    assert exists_recurrence(f4, (one, zero, zero, zero), 1, PerVariable(1))
+    assert results == []
+    rng = random.Random(15)
+    for _ in range(30):
+        t = _random_terms(f4, rng, rng.randrange(3, 8))
+        mode = rng.choice((PerVariable(1), TotalDegree(2)))
+        m = max(nonlinear_complexity(f4, t, mode), 1)
+        results.clear()
+        assert exists_recurrence(f4, t, m, mode)
+        if any(t[m:]):
+            assert results and results[-1] and not any(results[:-1]), (t, mode)
+        else:
+            assert results == []
 
 
 def _reference_profile(ctx, terms, mode):

@@ -419,7 +419,8 @@ def test_element_str_is_low_degree_first(f4):
 
 
 def test_bad_element_string(f4):
-    # a coefficient outside 0..p-1 is refused, not reduced mod p
-    for text in ("x:y", "2:1"):
+    # a coefficient outside 0..p-1 is refused, not reduced mod p, and so is
+    # a vector shorter or longer than the field degree, not padded
+    for text in ("x:y", "2:1", "1", "1:0:0"):
         with pytest.raises(ValueError, match="bad element string"):
             element_from_str(text, f4)
