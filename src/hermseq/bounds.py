@@ -16,11 +16,12 @@ stops carrying information.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from .field import _SMALL_PRIMES, _is_prime
 
@@ -98,10 +99,20 @@ class BoundParams:
     def r2(self) -> int:
         return self.n // (self.q ** 2 - 2)
 
-    @property
-    def lam(self) -> int:
-        """r2 - r1; always 0 or 1."""
-        return self.r2 - self.r1
+
+def n_classes(q: int, ns: Sequence[int]) -> Iterator[tuple[int, int, Sequence[int]]]:
+    """Each maximal run of equal (r1, r2) in the ascending ns, in order and
+    one at a time, as (r1, r2, run); run is a slice of ns (a range for a
+    range).  Every bound reads n only through r1 = n // (q^2 - 1) and
+    r2 = n // (q^2 - 2), so one evaluation covers a run, which ends before
+    the next multiple of q^2 - 1 or q^2 - 2."""
+    start = 0
+    while start < len(ns):
+        r1, r2 = ns[start] // (q * q - 1), ns[start] // (q * q - 2)
+        step = min((r1 + 1) * (q * q - 1), (r2 + 1) * (q * q - 2))
+        stop = bisect.bisect_left(ns, step, start + 1)
+        yield r1, r2, ns[start:stop]
+        start = stop
 
 
 def decimal_string(value: Fraction) -> str:
@@ -256,26 +267,19 @@ FIGURE_PRESETS = {
 def figure_rows(preset_name: str) -> tuple[FigurePreset, list[tuple[range, Fraction, Fraction]]]:
     """The preset and its (r1, r2) classes, in n order.
 
-    Every bound reads n only through r1 = n // (q^2 - 1) and
-    r2 = n // (q^2 - 2), so a figure is a list of classes, one
-    (ns, collinear bound, refined two-point bound) per maximal run ns of n
-    with equal (r1, r2).  The ranges tile preset.n_values in order; there
-    are 2q - 2 of them, 62 at q = 32.
+    A figure is a list of classes, one (ns, collinear bound, refined
+    two-point bound) per run ns of n_classes.  The ranges tile
+    preset.n_values in order; there are 2q - 2 of them, 62 at q = 32.
     """
     preset = FIGURE_PRESETS.get(preset_name)
     if preset is None:
         raise ValueError(
             f"unknown preset {preset_name!r}; choose from {sorted(FIGURE_PRESETS)}"
         )
-    own = collinear_n_bound if preset.family == "N" else collinear_l_bound
-    rival = (refined_twopoint_n_bound if preset.family == "N"
-             else refined_twopoint_l_bound)
-    q, ns = preset.q, preset.n_values
-    # r1 or r2 steps exactly at a multiple of q^2 - 1 or q^2 - 2; the first
-    # n, q^2 - 1, is one
-    starts = [n for n in ns if n % (q * q - 1) == 0 or n % (q * q - 2) == 0]
+    own, rival = ((collinear_n_bound, refined_twopoint_n_bound) if preset.family == "N"
+                  else (collinear_l_bound, refined_twopoint_l_bound))
     classes = []
-    for start, stop in zip(starts, starts[1:] + [ns.stop]):
-        params = BoundParams(n=start, q=q, k=preset.k, ell=q)
-        classes.append((range(start, stop), own(params), rival(params)))
+    for _, _, ns in n_classes(preset.q, preset.n_values):
+        params = BoundParams(n=ns[0], q=preset.q, k=preset.k, ell=preset.q)
+        classes.append((ns, own(params), rival(params)))
     return preset, classes

@@ -134,18 +134,19 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                          "too large to print its bounds")
     q = args.p ** args.e
     ell = args.ell if args.ell is not None else q
-    header = ["n", "k", "ell", "r1", "r2",
-              "N_collinear", "L_collinear",
-              "N_twopoint", "L_twopoint",
-              "N_refined", "L_refined"]
-    rows = []
-    for n in args.ns:
-        for k in args.ks:
-            params = BoundParams(n=n, q=q, k=k, ell=ell)
-            values = all_bounds(params)
-            rows.append([n, k, ell, params.r1, params.r2]
-                        + [decimal_string(values[name]) for name in header[5:]])
-    return _write_csv(args.out, header, rows)
+    header = ["n", "k", "ell", "r1", "r2", "N_collinear", "L_collinear",
+              "N_twopoint", "L_twopoint", "N_refined", "L_refined"]
+
+    def row(n: int, k: int) -> list:
+        params = BoundParams(n=n, q=q, k=k, ell=ell)
+        values = all_bounds(params)
+        return ([n, k, ell, params.r1, params.r2]
+                + [decimal_string(values[name]) for name in header[5:]])
+
+    # both grids ascend, every limit is on n, k or ell and every denominator
+    # is positive, so the first and last rows check them all before --out opens
+    row(args.ns[0], args.ks[0]), row(args.ns[-1], args.ks[-1])
+    return _write_csv(args.out, header, (row(n, k) for n in args.ns for k in args.ks))
 
 
 def cmd_figures(args: argparse.Namespace) -> int:

@@ -330,48 +330,44 @@ def _k_grid(q: int) -> list[int]:
 
 
 def _n_grid(q: int) -> list[int]:
-    start, stop = q * q - 1, q * (q * q - 2)
-    stride = q if q >= 16 else 1
-    ns = list(range(start, stop + 1, stride))
-    if ns[-1] != stop:
-        ns.append(stop)
-    return ns
+    return [*range(q * q - 1, q * (q * q - 2), q if q >= 16 else 1), q * (q * q - 2)]
 
 
-def _grid(name: str, points: Sequence[tuple[int, int, int]], holds,
+def _grid(name: str, rows: Sequence[tuple[int, int, Sequence[int]]], holds,
           verb: str) -> CheckResult:
-    """Check holds(q, k, n) at every point, in order."""
-    failures = (f"q={q} k={k} n={n}" for q, k, n in points if not holds(q, k, n))
-    return _result(name, failures, f"{len(points)} points {verb}")
+    """Check holds(q, k, n) at every n of each (q, k, ns) row, in order.
+    holds reads n only through its (r1, r2) class, so it is called once per
+    class, at its first n, and a failing class fails at each of its n."""
+    failures = (f"q={q} k={k} n={n}" for q, k, ns in rows
+                for _, _, run in bnd.n_classes(q, ns) if not holds(q, k, run[0])
+                for n in run)
+    return _result(name, failures, f"{sum(len(ns) for _, _, ns in rows)} points {verb}")
 
 
 def check_n_improvement() -> CheckResult:
     """Collinear per-variable bound beats the refined two-point bound on the
     claimed grid: q in {3, 4, 5, 7, 8, 9, 16, 32} on the _k_grid x _n_grid
     points."""
-    points = [(q, k, n) for q in (3, 4, 5, 7, 8, 9, 16, 32)
-              for k in _k_grid(q) for n in _n_grid(q)]
-    return _grid("n-bound-improvement", points, bnd.n_bound_improves, "dominated")
+    rows = [(q, k, _n_grid(q)) for q in (3, 4, 5, 7, 8, 9, 16, 32) for k in _k_grid(q)]
+    return _grid("n-bound-improvement", rows, bnd.n_bound_improves, "dominated")
 
 
 def check_l_improvement() -> CheckResult:
     """Collinear total-degree bound beats the refined two-point bound on its
     claimed set: q in {5, 7, 8, 9, 16, 32} on the _k_grid x _n_grid points,
-    and every point of the q=3 / q=4 special cases, split by whether the two
-    floor ratios agree (lam = 0) or differ (lam = 1).
+    and the q=3 / q=4 special cases: every k on the classes whose two floor
+    ratios differ, and k >= 4 (q = 3) or k >= 3 (q = 4) where r1 = r2.
 
     The claimed set starts at k = 2.  At k = 1 the claim fails at every
     q, exactly where r1 = r2 is q-2 or q-1 (at q = 5, n = 72..91 and
     96..114); at k = 2 it fails only at q = 3 on r1 = r2 = 2 (n = 16..20),
     inside the q = 3 exception.  test_l_improvement_at_small_k pins both."""
-    points = [(q, k, n) for q in (5, 7, 8, 9, 16, 32)
-              for k in _k_grid(q) for n in _n_grid(q)]
-    for q, k_zero_lam in ((3, 4), (4, 3)):
-        for n in range(q * q - 1, q * (q * q - 2) + 1):
-            lam = bnd.BoundParams(n=n, q=q, k=1, ell=q).lam
-            k_min = k_zero_lam if lam == 0 else 1
-            points += [(q, k, n) for k in range(k_min, q * q - 1)]
-    return _grid("l-bound-improvement", points, bnd.l_bound_improves, "dominated")
+    rows = [(q, k, _n_grid(q)) for q in (5, 7, 8, 9, 16, 32) for k in _k_grid(q)]
+    for q, k_equal in ((3, 4), (4, 3)):
+        classes = list(bnd.n_classes(q, range(q * q - 1, q * (q * q - 2) + 1)))
+        rows += [(q, k, [n for r1, r2, run in classes if r1 != r2 or k >= k_equal
+                         for n in run]) for k in range(1, q * q - 1)]
+    return _grid("l-bound-improvement", rows, bnd.l_bound_improves, "dominated")
 
 
 def check_l_twopoint_equivalence() -> CheckResult:
@@ -380,15 +376,14 @@ def check_l_twopoint_equivalence() -> CheckResult:
     q in 3..32, k in _k_grid(q) and k = 1, six fixed prefix lengths and ten
     random ones (seed 99)."""
     rng = random.Random(99)
-    points = []
+    rows = []
     for q in (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32):
         top_n = q * (q * q - 2)
         ns = {1, q * q - 2, q * q - 1, 2 * (q * q - 2), top_n // 2, top_n}
         ns.update(rng.randrange(1, top_n + 1) for _ in range(10))
-        points += [(q, k, n) for k in sorted(set(_k_grid(q)) | {1})
-                   for n in sorted(n for n in ns if 1 <= n <= top_n)]
+        rows += [(q, k, sorted(ns)) for k in sorted(set(_k_grid(q)) | {1})]
     condition, exact = bnd.l_twopoint_condition, bnd.l_bound_improves_twopoint
-    return _grid("l-twopoint-equivalence", points,
+    return _grid("l-twopoint-equivalence", rows,
                  lambda q, k, n: condition(q, k, n) == exact(q, k, n), "agree")
 
 

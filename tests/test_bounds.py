@@ -15,6 +15,7 @@ from hermseq.bounds import (
     l_bound_improves_twopoint,
     l_twopoint_condition,
     n_bound_improves,
+    n_classes,
     prime_power,
     refined_twopoint_l_bound,
     refined_twopoint_n_bound,
@@ -60,7 +61,6 @@ def test_floor_ratios_stay_adjacent():
         n = rng.randrange(1, q * (q * q - 2) + 1)
         params = BoundParams(n=n, q=q, k=1, ell=2)
         assert params.r1 <= params.r2 <= params.r1 + 1
-        assert params.lam in (0, 1)
 
 
 def test_decimal_string():
@@ -174,8 +174,8 @@ def test_n_improvement_spot():
 
 def test_l_improvement_spot():
     assert l_bound_improves(5, 2, 24)
-    assert l_bound_improves(3, 4, 8)    # lam = 0 branch
-    assert l_bound_improves(3, 1, 14)   # lam = 1 branch
+    assert l_bound_improves(3, 4, 8)    # r1 = r2 = 1
+    assert l_bound_improves(3, 1, 14)   # r1 = 1, r2 = 2
     assert l_bound_improves(4, 3, 15)
     assert l_bound_improves(32, 20, 32704)
 
@@ -184,7 +184,7 @@ def test_l_improvement_spot():
 def test_l_improvement_at_small_k(q):
     # k = 1 fails exactly on the last two classes, r1 = r2 in {q-2, q-1};
     # k = 2 fails only at q = 3 on r1 = r2 = 2 (n = 16..20), inside the
-    # lam = 0, k >= 4 exception that check_l_improvement encodes
+    # r1 = r2, k >= 4 exception that check_l_improvement encodes
     for n in range(q * q - 1, q * (q * q - 2) + 1):
         params = BoundParams(n=n, q=q, k=1, ell=q)
         last_two = params.r1 == params.r2 and params.r1 in (q - 2, q - 1)
@@ -215,6 +215,61 @@ def test_l_twopoint_equivalence_sampled():
         k = rng.randrange(1, q * q - 1)
         n = rng.randrange(1, q * (q * q - 2) + 1)
         assert l_twopoint_condition(q, k, n) == l_bound_improves_twopoint(q, k, n)
+
+
+# ---------------------------------------------------------------------------
+# (r1, r2) classes
+# ---------------------------------------------------------------------------
+
+def _tiling_runs(q, ns):
+    """n_classes(q, ns) as a list, checked: the runs tile ns in order, each
+    run has the one (r1, r2) it names, and adjacent runs differ."""
+    runs = list(n_classes(q, ns))
+    assert [n for _, _, run in runs for n in run] == list(ns)
+    for r1, r2, run in runs:
+        assert {(n // (q * q - 1), n // (q * q - 2)) for n in run} == {(r1, r2)}
+    keys = [(r1, r2) for r1, r2, _ in runs]
+    assert all(a != b for a, b in zip(keys, keys[1:]))
+    return runs
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 16, 32])
+def test_n_classes_on_a_contiguous_range(q):
+    ns = range(1, q * (q * q - 2) + 1)
+    runs = _tiling_runs(q, ns)
+    assert all(isinstance(run, range) for _, _, run in runs)
+    # (0, 0) below q^2 - 2, (0, 1) at q^2 - 2 alone, then the 2q - 2
+    # classes of a figure
+    assert runs[:2] == [(0, 0, range(1, q * q - 2)), (0, 1, range(q * q - 2, q * q - 1))]
+    assert len(runs) == 2 * q
+
+
+def test_n_classes_on_the_strided_grid():
+    from hermseq.verify import _n_grid
+
+    ns = _n_grid(32)  # stride q from q^2 - 1, then the last n
+    runs = _tiling_runs(32, ns)
+    # the stride misses 15 of the 62 figure classes, all shorter than it
+    assert len(runs) == 47
+    assert runs[-1] == (31, 32, [32704])
+
+
+def test_n_classes_on_a_sparse_set():
+    rng = random.Random(5)
+    for q in (3, 4, 7, 9):
+        top = q * (q * q - 2)
+        ns = sorted(set(rng.randrange(1, top + 1) for _ in range(12)))
+        _tiling_runs(q, ns)
+    # one n per class, and n at both sides of each step
+    assert [run for _, _, run in n_classes(3, [1, 6, 7, 8, 13, 14, 16])] == [
+        [1, 6], [7], [8, 13], [14], [16]]
+    assert list(n_classes(3, [])) == list(n_classes(3, range(0))) == []
+
+
+def test_n_classes_is_lazy():
+    # about 10^9 classes ahead; only the first is made
+    runs = n_classes(32, range(1023, 10 ** 12))
+    assert next(runs) == (1, 1, range(1023, 2044))
 
 
 # ---------------------------------------------------------------------------

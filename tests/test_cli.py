@@ -2,6 +2,7 @@ import csv
 import gzip
 import itertools
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,34 @@ def test_bounds_csv(tmp_path):
     by_name = dict(zip(rows[0], row))
     assert by_name["N_collinear"] == "170.171875"
     assert by_name["N_refined"] == "92.909091"
+
+
+def test_bounds_memory_does_not_grow_with_rows(tmp_path):
+    # rows stream to --out, so 1,200 rows peak no higher than 300 do; a
+    # list of the rows would hold about 0.3 MB more
+    out = str(tmp_path / "b.csv")
+    argv = ["bounds", "--p", "2", "--e", "3", "--n-range", "1:300", "--out", out]
+    assert main(argv + ["--k", "1"]) == EXIT_OK  # imports and caches
+    peaks = []
+    for k_range in ("1:1", "1:4"):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--k-range", k_range]) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(_read_csv(out)) == 1 + 1200
+    assert peaks[1] < peaks[0] + 50_000, peaks
+
+
+def test_bounds_usage_error_at_the_far_end_writes_nothing(tmp_path, capsys):
+    # the first row is valid and the last is not; nothing is written
+    out = tmp_path / "b.csv"
+    for grid in (["--k", "1", "--n-range", "1:57"], ["--k-range", "13:15", "--n", "1"]):
+        argv = ["bounds", "--p", "2", "--e", "2", *grid, "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 def test_figures_fig1(tmp_path):

@@ -118,14 +118,75 @@ def test_substitution_failures_do_not_stop_sampling(f9, monkeypatch):
 
 
 def test_grid_counts_failures_below_the_cap(monkeypatch):
+    # the fake fails the whole (r1, r2) = (1, 1) class at q = 3, k = 2,
+    # n = 8..13; the grid asks once per class and names each of its n
     original = bounds.n_bound_improves
-    bad = {(3, 2, n) for n in range(8, 13)}
-    monkeypatch.setattr(bounds, "n_bound_improves",
-                        lambda q, k, n: (q, k, n) not in bad and original(q, k, n))
+    bad = {(3, 2, n) for n in range(8, 14)}
+    calls = []
+
+    def fake(q, k, n):
+        calls.append((q, k, n))
+        return (q, k, n) not in bad and original(q, k, n)
+
+    monkeypatch.setattr(bounds, "n_bound_improves", fake)
     result = check_n_improvement()
     assert not result.passed
     assert result.detail == ("q=3 k=2 n=8; q=3 k=2 n=9; q=3 k=2 n=10; "
-                             "q=3 k=2 n=11; ... 5 failures total")
+                             "q=3 k=2 n=11; ... 6 failures total")
+    assert len(calls) == 520
+    # q = 3 grid, n = 8..21: classes (1, 1), (1, 2), (2, 2) and (2, 3)
+    assert [c for c in calls if c[:2] == (3, 2)] == [(3, 2, 8), (3, 2, 14),
+                                                      (3, 2, 16), (3, 2, 21)]
+
+
+# ---------------------------------------------------------------------------
+# the bound grids: one predicate call per (q, k, r1, r2) class
+# ---------------------------------------------------------------------------
+
+GRIDS = [
+    (verify.check_n_improvement, "n_bound_improves", 10912, 520),
+    (verify.check_l_improvement, "l_bound_improves", 11269, 580),
+    (verify.check_l_twopoint_equivalence, "l_twopoint_condition", 1330, 995),
+]
+
+
+@pytest.mark.parametrize("check,predicate,points,classes", GRIDS,
+                         ids=[g[1] for g in GRIDS])
+def test_grid_calls_its_predicate_once_per_class(check, predicate, points,
+                                                 classes, monkeypatch):
+    original = getattr(bounds, predicate)
+    calls = []
+    monkeypatch.setattr(bounds, predicate,
+                        lambda q, k, n: calls.append((q, k, n)) or original(q, k, n))
+    result = check()
+    assert result.passed
+    assert result.detail.startswith(f"{points} points ")
+    assert len(calls) == classes
+    keys = [(q, k, n // (q * q - 1), n // (q * q - 2)) for q, k, n in calls]
+    assert len(set(keys)) == classes
+
+
+@pytest.mark.parametrize("check,predicate,points,classes", GRIDS,
+                         ids=[g[1] for g in GRIDS])
+def test_grid_predicates_are_constant_on_each_class(check, predicate, points,
+                                                    classes, monkeypatch):
+    # the per-point reference: at every grid point, the predicate at n equals
+    # the predicate at the first n of its (r1, r2) class, found here from the
+    # floor ratios alone
+    captured = []
+    monkeypatch.setattr(verify, "_grid", lambda name, rows, holds, verb:
+                        captured.append((rows, holds)))
+    check()
+    (rows, holds), = captured
+    seen, first = 0, {}
+    for q, k, ns in rows:
+        assert list(ns) == sorted(set(ns))
+        for n in ns:
+            value = holds(q, k, n)
+            key = (q, k, n // (q * q - 1), n // (q * q - 2))
+            assert first.setdefault(key, value) == value, f"q={q} k={k} n={n}"
+            seen += 1
+    assert (seen, len(first)) == (points, classes)
 
 
 def test_figures_name_the_first_failing_n(monkeypatch):
