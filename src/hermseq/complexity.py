@@ -14,8 +14,9 @@ window.  Its unknowns are not the monomial coefficients, of which there
 are (k+1)^m in per-variable mode, but the coefficients of a
 chain of suffix levels (_Chain) that spans the same functions on the
 windows with at most k+1 columns per distinct window.  Terms are int codes
-(see field); the solver builds every power and column with the context's
-code tables and reduces them with the incremental span tracker.  Both
+(see field); the solver builds every column and reduces it with the
+incremental span tracker in the context's vector form: one byte per row
+for q in {2, 3, 4, 5, 7, 8}, lists of codes over code tables elsewhere.  Both
 exists_recurrence and complexity_profile ask one question of the chain,
 spanned_rows(m): the longest prefix that a window-m recurrence covers,
 with the columns streamed until the target is spanned.  A brute-force
@@ -23,7 +24,7 @@ oracle provides an independent ground truth at small sizes: it searches
 every coefficient assignment of the full monomial basis, meeting in the
 middle between two halves of the columns, on the field's log and Zech
 arithmetic and without elimination, so it shares no arithmetic with the
-solver's tables.
+solver's vector form.
 """
 
 from __future__ import annotations
@@ -79,26 +80,24 @@ class _Chain:
 
     def __init__(self, ctx: FieldContext, codes: list[int], mode: DegreeMode):
         self.ctx, self.codes, self.mode = ctx, codes, mode
-        self.mul = mul = ctx.code_tables()[0]
-        # powers[a][c] is c^a, for every element c inside a window
-        self.powers = [dict.fromkeys(codes[:-1], ctx.one)]
-        for _ in range(min(mode.k, ctx.order - 1)):
-            self.powers.append({c: mul[v][c] for c, v in self.powers[-1].items()})
+        self.top = min(mode.k, ctx.order - 1)
         self.at = [0] * len(codes)
-        self.basis = [(0, [ctx.one])]
+        self.basis = [(0, ctx.vector_form().unit)]  # 1 on the empty window
 
     def products(self, points):
-        """(degree, values) of every admissible x_1^a * h with h in the
+        """(degree, column) of every admissible x_1^a * h with h in the
         current level, lowest degree first, on points given as (code of x_1,
         point number of the suffix window)."""
         total = isinstance(self.mode, TotalDegree)
-        factors = sorted(((a + tag if total else 0, pa, h)
-                          for a, pa in enumerate(self.powers) for tag, h in self.basis
+        factors = sorted(((a + tag if total else 0, a, j)
+                          for a in range(self.top + 1)
+                          for j, (tag, _) in enumerate(self.basis)
                           if not total or a + tag <= self.mode.k),
                          key=itemgetter(0))
-        mul = self.mul
-        for degree, pa, h in factors:
-            yield degree, [mul[pa[c]][h[s]] for c, s in points]
+        column = self.ctx.vector_form().monomials(
+            points, self.top, [h for _, h in self.basis])
+        for degree, a, j in factors:
+            yield degree, column(a, j)
 
     def grow(self) -> None:
         """Replace the current level by the next one."""
@@ -108,10 +107,9 @@ class _Chain:
         tracker = SpanTracker(self.ctx, [0] * len(number))
         basis = []
         for degree, col in self.products(list(number)):
-            entry = tracker.insert(col)
-            if entry is not None:
-                pivot, vec = entry
-                basis.append((degree, [0] * pivot + vec))
+            vec = tracker.insert(col)
+            if vec is not None:
+                basis.append((degree, vec))
                 if len(basis) == len(number):
                     break
         self.basis = basis
@@ -190,7 +188,7 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
 
     Builds one column per monomial of the full (uncapped) monomial basis on
     every window, with the field's log/Zech arithmetic and never the
-    solver's code tables, and decides whether some coefficient assignment
+    solver's vector form, and decides whether some coefficient assignment
     sums the columns to the target t[m:].  The search meets in the middle:
     it looks up target - s in a table of every left-half sum for each
     right-half sum s, so it stays exhaustive and elimination-free at about

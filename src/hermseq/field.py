@@ -9,10 +9,16 @@ irreducible of degree 2e and epsilon the smallest primitive element, so two
 runs always agree element for element.
 
 Every operation is a pure function of its inputs: mul, inv and pow read
-log/antilog tables on epsilon, add, sub and neg its Zech logarithms.  Two
-pieces of state are built on first use and cached: the fiber table and the
-solver's mul/sub/inv tables over codes, so callers that never run the solver
-never pay for the latter.
+log/antilog tables on epsilon, add, sub and neg its Zech logarithms.  The
+fiber table and the solver's vector form are built on first use and cached,
+so callers that never run the solver never pay for the latter.
+
+The field picks the vector form that SpanTracker and the suffix chain
+compute in (vector_form()).  Where an element fits one byte and a row op
+stays inside it, q in {2, 4, 8} and q in {3, 5, 7}, a vector has one byte
+per row and a row op or a product column is a few C-level bytes/int calls
+(_ByteVectors).  Every other field reduces lists of codes with the mul, sub
+and inv tables of code_tables() (_CodeVectors).
 """
 
 from __future__ import annotations
@@ -183,6 +189,7 @@ class FieldContext:
         self.epsilon: Element = self._exp[1]
         self._fibers: Optional[dict[Element, tuple[Element, ...]]] = None
         self._code_tables: Optional[tuple] = None
+        self._vector_form = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -364,6 +371,21 @@ class FieldContext:
             self._code_tables = (mul, sub, inv)
         return self._code_tables
 
+    def vector_form(self):
+        """The solver's vector arithmetic, built on first use and cached.
+
+        Rows are bytes where an element fits one and both row ops stay
+        inside it: two logs add to at most 2(order-2) < 256, and in odd
+        characteristic GF(p^2)'s two digits add to at most 2(p-1) < 16 per
+        nibble.  That is q in {2, 4, 8} and q in {3, 5, 7}; every other
+        field reduces lists of codes with code_tables().
+        """
+        if self._vector_form is None:
+            fits = 2 * (self.order - 2) < 256 and (
+                self.p == 2 or self.degree == 2 and 2 * (self.p - 1) < 16)
+            self._vector_form = (_ByteVectors if fits else _CodeVectors)(self)
+        return self._vector_form
+
     # -- misc -----------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -400,36 +422,152 @@ def element_from_str(text: str, ctx: FieldContext) -> Element:
 
 
 # ---------------------------------------------------------------------------
+# solver vectors: lists of codes, or one byte per row
+# ---------------------------------------------------------------------------
+
+class _CodeVectors:
+    """Vectors as lists of codes, combined through the code tables.
+
+    A basis entry is (pivot, vector from the pivot on)."""
+
+    def __init__(self, ctx: FieldContext):
+        self.mul, self.sub, self.inv = ctx.code_tables()
+        self.one = ctx.one
+        self.unit = [ctx.one]  # the constant 1 on one point, as a basis vector
+
+    def vector(self, column) -> list[int]:
+        return list(column)
+
+    def reduce(self, col: list[int], basis, rows: int) -> tuple[list[int], int]:
+        """col reduced against the entries in increasing pivot order, so it
+        is zero at every pivot (in place), and its first nonzero row, or
+        rows if none."""
+        mul, sub = self.mul, self.sub
+        for p_i, tail in basis:
+            c = col[p_i]
+            if c:
+                mc = mul[c]
+                col[p_i:] = [sub[x][mc[y]] for x, y in zip(col[p_i:], tail)]
+        return col, next((i for i, v in enumerate(col) if v), rows)
+
+    def pivot_entry(self, col: list[int], pivot: int, rows: int):
+        """col scaled to 1 at its pivot: (basis entry, whole vector)."""
+        scale = self.mul[self.inv[col[pivot]]]
+        tail = [scale[v] for v in col[pivot:]]
+        return (pivot, tail), [0] * pivot + tail
+
+    def monomials(self, points, top: int, hs):
+        """column(a, j): the values of x_1^a * hs[j] at points, given as
+        (code of x_1, index into hs[j]), for a <= top."""
+        mul = self.mul
+        powers = [dict.fromkeys((c for c, _ in points), self.one)]
+        for _ in range(top):
+            powers.append({c: mul[v][c] for c, v in powers[-1].items()})
+
+        def column(a: int, j: int) -> list[int]:
+            pa, h = powers[a], hs[j]
+            return [mul[pa[c]][h[s]] for c, s in points]
+        return column
+
+
+class _ByteVectors:
+    """Vectors with one byte per row, combined by C-level bytes/int calls.
+
+    A row's byte is its code in characteristic 2, and d0 << 4 | d1 for the
+    code d0*p + d1 when e = 1.  A working vector is the int of its bytes,
+    row 0 most significant, so its first nonzero row is rows minus its byte
+    length; a basis entry is (pivot, shift of the pivot byte, bytes).
+    axpy[c] translates y to -c*y, so x - c*y is x XOR that in
+    characteristic 2, and otherwise the nibble sum translated through modp.
+    A product x_1^a * h is exp of the sum of two logs, at most 2(order-2)
+    per byte, masked where either factor is zero."""
+
+    def __init__(self, ctx: FieldContext):
+        p, order, n = ctx.p, ctx.order, ctx.order - 1
+        enc = bytes(c if p == 2 else c // p << 4 | c % p for c in range(order))
+        self.enc = bytes.maketrans(bytes(range(order)), enc)  # code -> byte
+        self.unit = enc[ctx.one:ctx.one + 1]
+        logs = [0] + ctx._log[1:]
+        # tables indexed by byte; every other byte maps to itself
+        self.nonzero = bytes.maketrans(enc, bytes([0] + [255] * n))
+        self.logpow = [bytes.maketrans(enc, bytes(a * v % n for v in logs))
+                       for a in range(order)]
+        self.expmod = bytes(ctx._exp[s % n] for s in range(256)).translate(self.enc)
+        self.axpy: list = [None] * 256
+        self.div = [0] * 256  # byte of c -> byte of -1/c: axpy[div[c]] divides by c
+        for c in range(1, order):
+            row = bytes(map(ctx.mul, [ctx.neg(c)] * order, range(order)))
+            self.axpy[enc[c]] = bytes.maketrans(enc, row.translate(self.enc))
+            self.div[enc[c]] = enc[ctx.neg(ctx.inv(c))]
+        self.modp = None if p == 2 else bytes(
+            (b >> 4) % p << 4 | (b & 15) % p for b in range(256))
+
+    def vector(self, column) -> int:
+        if isinstance(column, int):
+            return column
+        return int.from_bytes(bytes(column).translate(self.enc), "big")
+
+    def reduce(self, col: int, basis, rows: int) -> tuple[int, int]:
+        axpy, modp = self.axpy, self.modp
+        for _, shift, vec in basis:
+            c = col >> shift & 255
+            if c:
+                y = int.from_bytes(vec.translate(axpy[c]), "big")
+                col = col ^ y if modp is None else int.from_bytes(
+                    (col + y).to_bytes(rows, "big").translate(modp), "big")
+        return col, rows - (col.bit_length() + 7 >> 3)
+
+    def pivot_entry(self, col: int, pivot: int, rows: int):
+        shift = 8 * (rows - 1 - pivot)
+        vec = col.to_bytes(rows, "big").translate(self.axpy[self.div[col >> shift & 255]])
+        return (pivot, shift, vec), vec
+
+    def monomials(self, points, top: int, hs):
+        rows, frm, expmod = len(points), int.from_bytes, self.expmod
+        codes, where = zip(*points)
+        xs = bytes(codes).translate(self.enc)
+        # x_1^0 is 1 even where x_1 is 0, so a = 0 masks nothing
+        xlog = [frm(xs.translate(t), "big") for t in self.logpow[:top + 1]]
+        xmask = [-1] + [frm(xs.translate(self.nonzero), "big")] * top
+        gather = operator.itemgetter(*where)  # one row gives a bare int
+        hlog, hmask = [], []
+        for h in hs:
+            h = bytes(gather(h) if rows > 1 else [gather(h)])
+            hlog.append(frm(h.translate(self.logpow[1]), "big"))  # logpow[1]: log
+            hmask.append(frm(h.translate(self.nonzero), "big"))
+        return lambda a, j: frm((xlog[a] + hlog[j]).to_bytes(rows, "big").translate(
+            expmod), "big") & xmask[a] & hmask[j]
+
+
+# ---------------------------------------------------------------------------
 # streamed span membership over GF(q^2)
 # ---------------------------------------------------------------------------
 
 class SpanTracker:
-    """Incremental echelon basis of a streamed column space, over codes.
+    """Incremental echelon basis of a streamed column space.
 
-    target and every column are sequences of elements, reduced with the
-    context's code_tables().  Columns arrive one at a time; at most
-    len(target) of them are kept as basis vectors, so arbitrarily many
-    columns stream in bounded memory.  offer() inserts a column only while
-    the target is unspanned and reports whether it now is, so callers can
-    stop the stream early; spanned_prefix() and consistent read how many
-    leading target rows the span covers, and whether it covers them all.
+    target and every column are sequences of codes, or working vectors of
+    the context's vector_form(), as the suffix chain passes them.  Columns
+    arrive one at a time; at most len(target) of them are kept as basis
+    vectors, so arbitrarily many columns stream in bounded memory.  offer()
+    inserts a column only while the target is unspanned and reports whether
+    it now is, so callers can stop the stream early; spanned_prefix() and
+    consistent read how many leading target rows the span covers, and
+    whether it covers them all.
 
     Each basis vector's pivot is its first nonzero row and the vector is
-    scaled to 1 there; it is stored from the pivot on, since it is zero
-    above.  A column is reduced in increasing pivot order, so it ends zero
-    at every pivot.  Every insert keeps the residual target zero at every
-    pivot too and records its first nonzero row, which is len(target)
-    exactly when the target is spanned.
+    scaled to 1 there.  A column is reduced in increasing pivot order, so it
+    ends zero at every pivot.  Every insert keeps the residual target zero
+    at every pivot too and records its first nonzero row, which is
+    len(target) exactly when the target is spanned.
     """
 
     def __init__(self, ctx: FieldContext, target):
-        self._mul, self._sub, self._inv = ctx.code_tables()
-        self._residual = list(target)
-        # (pivot row, basis vector from the pivot on, with 1 at the pivot),
-        # in increasing pivot order
-        self._basis: list[tuple[int, list[int]]] = []
-        self._rows = len(self._residual)
-        self._first = self._reduce(self._residual)  # first nonzero row, or _rows
+        self._form = ctx.vector_form()
+        self._rows = len(target)
+        self._basis: list[tuple] = []  # entries in increasing pivot order
+        self._residual, self._first = self._form.reduce(
+            self._form.vector(target), (), self._rows)  # first: nonzero row, or _rows
 
     @property
     def consistent(self) -> bool:
@@ -439,40 +577,23 @@ class SpanTracker:
     def rank(self) -> int:
         return len(self._basis)
 
-    def _reduce(self, col: list[int]) -> int:
-        """Reduce col in place, in increasing pivot order, so that it is zero
-        at every pivot; return its first nonzero row, or len(col) if none."""
-        mul, sub = self._mul, self._sub
-        for p_i, basis_vec in self._basis:
-            c = col[p_i]
-            if c:
-                mc = mul[c]
-                col[p_i:] = [sub[x][mc[y]] for x, y in zip(col[p_i:], basis_vec)]
-        return next((i for i, v in enumerate(col) if v), len(col))
-
-    def insert(self, column) -> Optional[tuple[int, list[int]]]:
+    def insert(self, column):
         """Reduce one column against the basis.  If anything is left, add it
-        and return it as (pivot, vector from the pivot on); else None."""
-        col = list(column)
-        if len(col) != self._rows:
-            raise ValueError(
-                f"column length {len(col)} != system length {self._rows}"
-            )
-        pivot = self._reduce(col)
-        if pivot == self._rows:
+        and return it scaled to 1 at its pivot, as a whole vector in the
+        vector form's basis layout (list of codes or bytes); else None."""
+        form, rows = self._form, self._rows
+        if not isinstance(column, int) and len(column) != rows:
+            raise ValueError(f"column length {len(column)} != system length {rows}")
+        col, pivot = form.reduce(form.vector(column), self._basis, rows)
+        if pivot == rows:
             return None
-        scale = self._mul[self._inv[col[pivot]]]
-        entry = (pivot, [scale[v] for v in col[pivot:]])
+        entry, vec = form.pivot_entry(col, pivot, rows)
         bisect.insort(self._basis, entry)  # pivots are distinct
         # the residual, like the new vector, is zero at every older pivot, so
         # one row op at the new pivot keeps it zero at all of them
-        residual, c = self._residual, self._residual[pivot]
-        if c:
-            mc, sub = self._mul[c], self._sub
-            residual[pivot:] = [sub[x][mc[y]] for x, y in zip(residual[pivot:], entry[1])]
-            if pivot == self._first:  # only then can the first nonzero row move
-                self._first = next((i for i, v in enumerate(residual) if v), self._rows)
-        return entry
+        if self._first <= pivot:  # else the residual is zero up to and at the pivot
+            self._residual, self._first = form.reduce(self._residual, (entry,), rows)
+        return vec
 
     def offer(self, column) -> bool:
         """Insert column unless the target is spanned; True once it is."""

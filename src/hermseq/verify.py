@@ -245,7 +245,8 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
     Feasibility is also monotone in the prefix length: a recurrence on a
     longer prefix holds on every shorter one.  So for each k one proof per
     distinct window length m serves every longer prefix whose obligation is
-    the same m, and those prefixes make no further call.
+    the same m, and those prefixes make no further call.  The bound reads n
+    only through its (r1, r2) class, so it is evaluated once per class.
     """
     if kind == "per-variable":
         bound_fn, mode_cls = bnd.collinear_n_bound, PerVariable
@@ -255,31 +256,33 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
         raise ValueError(f"unknown kind {kind!r}")
     q = ctx.q
     ks = tuple(range(1, q * q - 1) if ks is None else ks)
+    # terms[:n] is all zero exactly when n <= zeros
+    zeros = next((i for i, t in enumerate(terms) if t != ctx.zero), len(terms))
 
     def failures():
         for k in ks:
             mode = mode_cls(k)
             proven: set[int] = set()  # window lengths infeasible on a shorter prefix
-            for n in range(1, len(terms) + 1):
-                ceiling = math.ceil(bound_fn(bnd.BoundParams(n=n, q=q, k=k, ell=ell)))
+            for _, _, run in bnd.n_classes(q, range(1, len(terms) + 1)):
+                ceiling = math.ceil(bound_fn(bnd.BoundParams(n=run[0], q=q, k=k, ell=ell)))
                 if ceiling < 1:
                     continue
-                prefix = terms[:n]
-                if all(t == ctx.zero for t in prefix):
-                    yield f"k={k} n={n}: zero prefix but bound {ceiling}"
-                    continue
-                if ceiling == 1:
-                    continue  # any nonzero prefix has complexity >= 1
                 m = ceiling - 1
-                if m > n - 1:
-                    yield f"k={k} n={n}: bound {ceiling} exceeds n-1"
-                    continue
-                if m in proven:
-                    continue
-                if exists_recurrence(ctx, prefix, m, mode):
-                    yield f"k={k} n={n}: recurrence of length {m} exists below bound"
-                else:
-                    proven.add(m)
+                for n in run:
+                    if n <= zeros:
+                        yield f"k={k} n={n}: zero prefix but bound {ceiling}"
+                        continue
+                    if ceiling == 1:
+                        continue  # any nonzero prefix has complexity >= 1
+                    if m > n - 1:
+                        yield f"k={k} n={n}: bound {ceiling} exceeds n-1"
+                        continue
+                    if m in proven:
+                        continue
+                    if exists_recurrence(ctx, terms[:n], m, mode):
+                        yield f"k={k} n={n}: recurrence of length {m} exists below bound"
+                    else:
+                        proven.add(m)
 
     return _result(f"bound-{kind}[q={q},ell={ell}]", failures(),
                    f"{len(ks) * len(terms)} grid points")

@@ -15,6 +15,7 @@ from hermseq.sequence import build_sequence
 
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _read_csv(path):
@@ -377,6 +378,21 @@ def test_output_matches_reference(reference, argv, capsys):
         pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
         line = next((i for i, (a, b) in enumerate(pairs, 1) if a != b), "end")
         pytest.fail(f"{reference} differs from the output at line {line}")
+
+
+@pytest.mark.parametrize("pinned,argv", [
+    ("complexity_q5_ell5_per_variable.csv",
+     ["--p", "5", "--ell", "5", "--mode", "per-variable", "--n-range", "1:115"]),
+    ("complexity_q7_ell7_total_degree.csv",
+     ["--p", "7", "--ell", "7", "--mode", "total-degree", "--n-range", "1:120"]),
+    ("complexity_q8_ell8_total_degree.csv",
+     ["--p", "2", "--e", "3", "--ell", "8", "--mode", "total-degree", "--n-range", "1:120"]),
+], ids=["q5", "q7", "q8"])
+def test_complexity_matches_pinned_profile(pinned, argv, capsys):
+    # exact profiles over GF(25), GF(49) and GF(64), recorded from the
+    # code-table solver: a wrong "infeasible" in any vector form moves a value
+    assert main(["complexity", *argv, "--k-range", "1:2"]) == EXIT_OK
+    assert capsys.readouterr().out == (DATA / pinned).read_text()
 
 
 def test_verify_e_without_p_is_usage_error(capsys):

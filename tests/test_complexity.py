@@ -14,7 +14,7 @@ from hermseq.complexity import (
     exists_recurrence,
     nonlinear_complexity,
 )
-from hermseq.field import FieldContext, SpanTracker
+from hermseq.field import FieldContext, SpanTracker, _ByteVectors, _CodeVectors
 from hermseq.sequence import build_sequence
 from hermseq.verify import check_field, check_sequence_layer, check_structure
 
@@ -265,26 +265,28 @@ def test_oracle_guard_refuses_before_enumerating(f4):
 
 
 def test_oracle_builds_no_code_tables():
-    # SpanTracker and the suffix chain both build the context's code tables,
-    # so none built means the oracle used neither: it shares no arithmetic
-    # and no elimination with the solver
+    # SpanTracker and the suffix chain both build the context's vector form
+    # (and, in the table form, its code tables), so none built means the
+    # oracle used neither: it shares no arithmetic and no elimination with
+    # the solver
     ctx = FieldContext(3, 1)
     rng = random.Random(12)
     for _ in range(5):
         t = _random_terms(ctx, rng, 5)
         for mode in (PerVariable(1), TotalDegree(2)):
             brute_force_oracle(ctx, t, 2, mode)
-    assert ctx._code_tables is None
+    assert ctx._code_tables is None and ctx._vector_form is None
 
 
 def test_curve_and_sequence_layers_build_no_code_tables():
     # at q = 32 the mul and sub tables take 8 MB each; the sequence and its
-    # checks run on the field's own arithmetic and never build them
+    # checks run on the field's own arithmetic and build no solver table of
+    # either form
     ctx = FieldContext(2, 3)
     build_sequence(ctx, ctx.q)
     assert check_field(ctx).passed and check_structure(ctx).passed
     assert all(result.passed for result in check_sequence_layer(ctx))
-    assert ctx._code_tables is None
+    assert ctx._code_tables is None and ctx._vector_form is None
 
 
 def _max_order_complexity(ctx, terms):
@@ -360,8 +362,10 @@ def _reference_exists(ctx, terms, m, mode):
     return _dense_rank(ctx, [row[:-1] for row in rows]) == _dense_rank(ctx, rows)
 
 
-# GF(9), GF(16), GF(25), and GF(37^2), whose code-table rows are built on access
-@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (37, 1)])
+# byte vectors over GF(4), GF(9), GF(16), GF(25), GF(49) and GF(64); code
+# tables over GF(81), GF(256) and GF(37^2), whose rows are built on access
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (37, 1),
+                                 (2, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
 def test_engine_matches_dense_reference(p, e):
     ctx = FieldContext(p, e)
     rng = random.Random(p * 10 + e)
@@ -408,8 +412,9 @@ def test_complexity_is_least_reference_window(p, e):
     assert {1, 2, 3} <= values
 
 
-# GF(4), GF(9), GF(16)
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+# byte vectors over GF(4), GF(9), GF(16), GF(49) and GF(64); code tables
+# over GF(81) and GF(256)
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 4)])
 def test_spanned_prefix_is_longest_spanned_cut(p, e):
     # the largest R with target[:R] in the span of the columns cut to R
     # rows, by dense rank, in whatever order the columns are offered
@@ -446,6 +451,18 @@ def test_spanned_prefix_is_longest_spanned_cut(p, e):
                 assert tracker.consistent == (want == rows)
         values.add(want == rows)
     assert values == {True, False}
+
+
+@pytest.mark.parametrize("p,e,form", [(2, 2, _ByteVectors), (7, 1, _ByteVectors),
+                                      (3, 2, _CodeVectors), (2, 4, _CodeVectors)])
+def test_field_picks_the_vector_form(p, e, form):
+    # GF(16) and GF(49) solve in bytes, GF(81) and GF(256) on code tables; a
+    # silent fall-back to tables would pass every comparison above
+    ctx = FieldContext(p, e)
+    t = (ctx.one, ctx.epsilon, ctx.zero, ctx.one, ctx.epsilon, ctx.one)
+    assert not exists_recurrence(ctx, t, 2, TotalDegree(1))
+    assert type(ctx._vector_form) is form
+    assert (ctx._code_tables is None) == (form is _ByteVectors)
 
 
 def test_exists_recurrence_stops_offering_once_spanned(f4, monkeypatch):

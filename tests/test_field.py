@@ -240,6 +240,14 @@ def test_code_tables_built_on_first_use():
     assert ctx.code_tables() is ctx.code_tables()
 
 
+# byte vectors over GF(16) and GF(49), code tables over GF(81)
+@pytest.mark.parametrize("p,e", [(2, 2), (7, 1), (3, 2)])
+def test_construction_builds_no_solver_tables(p, e):
+    ctx = FieldContext(p, e)
+    assert ctx._vector_form is None and ctx._code_tables is None
+    assert ctx.vector_form() is ctx.vector_form()
+
+
 def test_rel_trace_examples(f4):
     z = f4.epsilon
     assert f4.rel_trace(z) == f4.one        # z^2 + z = 1
