@@ -14,13 +14,13 @@ verification failure, 2 usage error (bad arguments, a field larger than
 field.MAX_FIELD_ORDER, or an --out path that cannot be written).  Missing,
 conflicting or malformed options are refused by argparse with its usage
 line; every other check prints "error: ..." and runs before any output is
-written.
+written.  CSV cells are never quoted, since none can hold a comma, a quote
+or a newline (see _write_csv).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from contextlib import nullcontext
 from typing import Iterable, Optional
@@ -80,12 +80,13 @@ def _config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def _write_csv(path: Optional[str], header: list, rows: Iterable) -> int:
-    """Write header and rows to path (stdout if None); rows may stream."""
+def _write_csv(path: Optional[str], header: list, lines: Iterable[str]) -> int:
+    """Write the header, then lines (chunks of whole "\n"-ended rows), to
+    path (stdout if None).  No cell needs quoting: each is an int, a decimal
+    or Fraction string, a ':'-joined element or a fixed word."""
     with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        out.write(",".join(header) + "\n")
+        out.writelines(lines)
     return EXIT_OK
 
 
@@ -105,8 +106,9 @@ def cmd_sequence(args: argparse.Namespace) -> int:
     steps = ctx.order - 2
     names = [element_to_str(code, ctx) for code in ctx.elements]
     return _write_csv(args.out, ["index", "i", "j", "value"], (
-        [idx, (idx - 1) // steps + 1, (idx - 1) % steps + 1, names[term]]
-        for idx, term in enumerate(terms, start=1)))
+        "".join([f"{start + j},{i},{j},{names[term]}\n" for j, term in
+                 enumerate(terms[start:start + steps], start=1)])
+        for i, start in enumerate(range(0, len(terms), steps), start=1)))
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
@@ -122,7 +124,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     profiles = {k: complexity_profile(ctx, prefix, mode_cls(k)) for k in args.ks}
     return _write_csv(
         args.out, ["n", "k", "mode", "result_kind", "value_or_lo", "hi"],
-        ([n, k, args.mode, "exact"] + [profiles[k][n - 1]] * 2
+        (f"{n},{k},{args.mode},exact,{profiles[k][n - 1]},{profiles[k][n - 1]}\n"
          for n in args.ns for k in args.ks))
 
 
@@ -137,11 +139,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     header = ["n", "k", "ell", "r1", "r2", "N_collinear", "L_collinear",
               "N_twopoint", "L_twopoint", "N_refined", "L_refined"]
 
-    def row(n: int, k: int) -> list:
+    def row(n: int, k: int) -> str:
         params = BoundParams(n=n, q=q, k=k, ell=ell)
         values = all_bounds(params)
-        return ([n, k, ell, params.r1, params.r2]
-                + [decimal_string(values[name]) for name in header[5:]])
+        cells = ",".join([decimal_string(values[name]) for name in header[5:]])
+        return f"{n},{k},{ell},{params.r1},{params.r2},{cells}\n"
 
     # both grids ascend, every limit is on n, k or ell and every denominator
     # is positive, so the first and last rows check them all before --out opens
@@ -152,17 +154,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_figures(args: argparse.Namespace) -> int:
     preset, classes = figure_rows(args.preset)
     label = preset.family  # N for fig1, L for fig2
-
-    def lines():
-        for ns, own, rival in classes:
-            cells = [decimal_string(own), decimal_string(rival), str(own), str(rival)]
-            for n in ns:
-                yield [n, *cells]
-
+    # the four value cells are one tail per (r1, r2) class
+    tails = ((ns, f"{decimal_string(own)},{decimal_string(rival)},{own!s},{rival!s}\n")
+             for ns, own, rival in classes)
     return _write_csv(
         args.out,
         ["n", f"{label}1", f"{label}2", f"{label}1_exact", f"{label}2_exact"],
-        lines())
+        ("".join([f"{n},{tail}" for n in ns]) for ns, tail in tails))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -22,9 +22,9 @@ spanned_rows(m): the longest prefix that a window-m recurrence covers,
 with the columns streamed until the target is spanned.  A brute-force
 oracle provides an independent ground truth at small sizes: it searches
 every coefficient assignment of the full monomial basis, meeting in the
-middle between two halves of the columns, on the field's log and Zech
-arithmetic and without elimination, so it shares no arithmetic with the
-solver's vector form.
+middle between the spans of two halves of the columns, on the field's log
+and Zech arithmetic and without elimination, so it shares no arithmetic
+with the solver's vector form.
 """
 
 from __future__ import annotations
@@ -190,11 +190,11 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     every window, with the field's log/Zech arithmetic and never the
     solver's vector form, and decides whether some coefficient assignment
     sums the columns to the target t[m:].  The search meets in the middle:
-    it looks up target - s in a table of every left-half sum for each
-    right-half sum s, so it stays exhaustive and elimination-free at about
-    the square root of the full enumeration's cost (4^4 + 4^5 sums, not
-    4^9, for per-variable k = 2, m = 2 over GF(4)).  Refuses, before listing
-    a monomial, when the larger half's table of |F|^half sums exceeds 2**16.
+    it looks up target + s in the left half's span for each s in the right
+    half's span, which holds -s too, so it stays exhaustive and free of
+    elimination at |F|^min(half, r) sums a half (4^4, not 4^9, for k = 2
+    per variable, m = 2, six terms, GF(4)).  Refuses, before listing a
+    monomial, when the larger half's table of |F|^half sums exceeds 2**16.
     """
     terms = tuple(t)
     n = len(terms)
@@ -211,7 +211,7 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     monos = [a for a in itertools.product(range(mode.k + 1), repeat=m)
              if per_variable or sum(a) <= mode.k]
     r = n - m
-    mul, add, sub, one, zero = ctx.mul, ctx.add, ctx.sub, ctx.one, ctx.zero
+    mul, add, one, zero = ctx.mul, ctx.add, ctx.one, ctx.zero
     powers = [[ctx.pow(x, a) for a in range(mode.k + 1)] for x in terms[:-1]]
     columns = []
     for alpha in monos:
@@ -223,15 +223,17 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
                     v = mul(v, powers[i + j][a_j])
             col.append(v)
         columns.append(tuple(col))
-    target = tuple(terms[m:])
+    target, full = tuple(terms[m:]), ctx.order ** r
 
     def sums(cols) -> set:
-        """Every sum of c_i * col_i over all coefficient assignments."""
+        """Every sum of c_i * col_i, a subspace: a column in it adds nothing."""
         acc = {(zero,) * r}
         for col in cols:
-            multiples = [tuple(mul(c, y) for y in col) for c in ctx.elements]
-            acc = {tuple(map(add, s, v)) for s in acc for v in multiples}
+            if len(acc) < full and col not in acc:
+                multiples = [[mul(c, y) for y in col] for c in ctx.elements[1:]]
+                acc |= {tuple(map(add, s, v)) for s in acc for v in multiples}
         return acc
 
     left = sums(columns[:half])
-    return any(tuple(map(sub, target, s)) in left for s in sums(columns[half:]))
+    return (len(left) == full or target in left
+            or any(tuple(map(add, target, s)) in left for s in sums(columns[half:])))

@@ -296,7 +296,7 @@ def check_oracle_agreement(ctx: FieldContext) -> CheckResult:
     Every sequence runs window 1 under all four modes and window 2 under
     three; per-variable k=2 at window 2, the largest case (9 monomial
     columns), runs on every fourth sequence.  The oracle meets in the
-    middle, so even that case tabulates only 4^4 + 4^5 partial sums.
+    middle over spans, so even that case tabulates at most 4^4 sums a half.
     """
     sequences = 200
     rng = random.Random(2024)

@@ -1,5 +1,6 @@
 import csv
 import gzip
+import io
 import itertools
 import time
 import tracemalloc
@@ -7,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from hermseq.bounds import decimal_string, figure_rows
+from hermseq.bounds import BoundParams, all_bounds, decimal_string, figure_rows
 from hermseq.cli import EXIT_OK, EXIT_USAGE, main
-from hermseq.complexity import PerVariable, nonlinear_complexity
-from hermseq.field import Element, FieldContext, element_from_str
+from hermseq.complexity import PerVariable, TotalDegree, nonlinear_complexity
+from hermseq.field import Element, FieldContext, element_from_str, element_to_str
 from hermseq.sequence import build_sequence
 
 
@@ -378,6 +379,80 @@ def test_output_matches_reference(reference, argv, capsys):
         pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
         line = next((i for i, (a, b) in enumerate(pairs, 1) if a != b), "end")
         pytest.fail(f"{reference} differs from the output at line {line}")
+
+
+# ---------------------------------------------------------------------------
+# the line writer against csv.writer
+# ---------------------------------------------------------------------------
+
+def _sequence_cells():
+    ctx = FieldContext(3, 1)
+    steps = ctx.order - 2
+    return [["index", "i", "j", "value"]] + [
+        [idx, (idx - 1) // steps + 1, (idx - 1) % steps + 1, element_to_str(term, ctx)]
+        for idx, term in enumerate(build_sequence(ctx, 3), start=1)]
+
+
+def _figure_cells():
+    _, classes = figure_rows("fig1")
+    return [["n", "N1", "N2", "N1_exact", "N2_exact"]] + [
+        [n, decimal_string(own), decimal_string(rival), own, rival]
+        for ns, own, rival in classes for n in ns]
+
+
+def _bounds_cells():
+    header = ["n", "k", "ell", "r1", "r2", "N_collinear", "L_collinear",
+              "N_twopoint", "L_twopoint", "N_refined", "L_refined"]
+    rows = [header]
+    for n in range(1, 30, 4):
+        for k in (1, 2, 3):
+            params = BoundParams(n=n, q=4, k=k, ell=3)
+            values = all_bounds(params)
+            rows.append([n, k, 3, params.r1, params.r2]
+                        + [decimal_string(values[name]) for name in header[5:]])
+    return rows
+
+
+def _complexity_cells():
+    ctx = FieldContext(2, 1)
+    terms = build_sequence(ctx, 2)
+    rows = [["n", "k", "mode", "result_kind", "value_or_lo", "hi"]]
+    for n in range(1, 5):
+        for k in (1, 2):
+            value = nonlinear_complexity(ctx, terms[:n], TotalDegree(k))
+            rows.append([n, k, "total-degree", "exact", value, value])
+    return rows
+
+
+@pytest.mark.parametrize("argv,cells", [
+    (["sequence", "--p", "3", "--ell", "3"], _sequence_cells),
+    (["figures", "--preset", "fig1"], _figure_cells),
+    (["bounds", "--p", "2", "--e", "2", "--ell", "3", "--k-range", "1:3",
+      "--n-range", "1:29:4"], _bounds_cells),
+    (["complexity", "--p", "2", "--ell", "2", "--mode", "total-degree",
+      "--k-range", "1:2", "--n-range", "1:4"], _complexity_cells),
+], ids=["sequence", "figures", "bounds", "complexity"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_lines_match_csv_writer(argv, cells, to_file, tmp_path, capsys):
+    # the subcommands write unquoted comma-joined lines; csv.writer renders
+    # the same cells from the library functions to the same bytes
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(cells())
+    out = tmp_path / "out.csv"
+    assert main(argv + (["--out", str(out)] if to_file else [])) == EXIT_OK
+    printed = capsys.readouterr().out
+    if to_file:
+        assert printed == ""
+        with open(out, newline="") as handle:
+            printed = handle.read()
+    assert printed == want.getvalue()
+
+
+def test_bounds_matches_pinned_grid(capsys):
+    # every bound formula over a q = 3 grid, recorded with csv.writer
+    argv = ["bounds", "--p", "3", "--k-range", "1:7", "--n-range", "1:21"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == (DATA / "bounds_q3.csv").read_text()
 
 
 @pytest.mark.parametrize("pinned,argv", [

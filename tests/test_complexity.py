@@ -264,6 +264,79 @@ def test_oracle_guard_refuses_before_enumerating(f4):
     assert time.perf_counter() - start < 1.0
 
 
+def _enumerated(ctx, t, m, mode):
+    """Whether some assignment of coefficients to the full monomial basis,
+    tried one at a time, fits every window: no halves, spans or lookups."""
+    per_variable = isinstance(mode, PerVariable)
+    monos = [a for a in itertools.product(range(mode.k + 1), repeat=m)
+             if per_variable or sum(a) <= mode.k]
+    rows = []
+    for i in range(len(t) - m):
+        row = []
+        for alpha in monos:
+            v = ctx.one
+            for x, a in zip(t[i:i + m], alpha):
+                v = ctx.mul(v, ctx.pow(x, a))
+            row.append(v)
+        rows.append((row, t[i + m]))
+    for coeffs in itertools.product(ctx.elements, repeat=len(monos)):
+        for row, want in rows:
+            got = ctx.zero
+            for c, v in zip(coeffs, row):
+                got = ctx.add(got, ctx.mul(c, v))
+            if got != want:
+                break
+        else:
+            return True
+    return False
+
+
+def test_oracle_skips_dependent_columns():
+    # over GF(9) with an alphabet of 2 the columns of a half repeat or
+    # depend on each other, so the oracle skips some; a constant sequence
+    # makes every column a multiple of the first
+    ctx = FieldContext(3, 1)
+    rng = random.Random(81)
+    cases = [(tuple([ctx.epsilon] * 5), 2, PerVariable(1))]
+    for _ in range(12):
+        alphabet = rng.sample(ctx.elements, 2)
+        t = tuple(rng.choice(alphabet) for _ in range(rng.randrange(4, 7)))
+        cases += [(t, 2, PerVariable(1)), (t, 1, PerVariable(2)), (t, 2, TotalDegree(1))]
+    outcomes = set()
+    for t, m, mode in cases:
+        got = brute_force_oracle(ctx, t, m, mode)
+        assert got == _enumerated(ctx, t, m, mode), (t, m, mode)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_oracle_full_left_span():
+    # per-variable k = 1 at m = 2 on four terms: two rows, and the left
+    # half (columns 1 and x_2) spans all of F^2 when t_1 != t_2, so every
+    # target is reached
+    ctx = FieldContext(3, 1)
+    rng = random.Random(82)
+    for _ in range(10):
+        t = tuple(rng.choice(ctx.elements) for _ in range(4))
+        if t[1] == t[2]:
+            continue
+        assert brute_force_oracle(ctx, t, 2, PerVariable(1))
+        assert _enumerated(ctx, t, 2, PerVariable(1))
+
+
+def test_oracle_needs_minus_one_across_halves():
+    # total degree 1 at m = 1 has the halves [1] and [x_1]; over GF(9)
+    # (characteristic 3), t_(i+1) = -t_i is met only by coefficient -1 on
+    # x_1, and breaking the alternation leaves no fit
+    ctx = FieldContext(3, 1)
+    a = ctx.epsilon
+    alternating = (a, ctx.neg(a), a, ctx.neg(a))
+    assert ctx.neg(a) != a
+    for t, want in ((alternating, True), (alternating[:3] + (a,), False)):
+        assert brute_force_oracle(ctx, t, 1, TotalDegree(1)) is want
+        assert _enumerated(ctx, t, 1, TotalDegree(1)) is want
+
+
 def test_oracle_builds_no_code_tables():
     # SpanTracker and the suffix chain both build the context's vector form
     # (and, in the table form, its code tables), so none built means the
