@@ -6,12 +6,13 @@ collinear places); the "twopoint" and "refined twopoint" pairs are the two
 earlier bounds for the related length-(q-1)*(q^2-1) construction with poles
 at just two places.  The two-point pairs are evaluated as plain formulas at
 every n that BoundParams accepts (up to q*(q^2-2)), including n past their
-own sequence length, where they are formula-level comparisons only.  All
-arithmetic is done in exact rationals; only output rendering converts to
-decimal strings with DECIMAL_PLACES digits.  Every formula returns a plain
-Fraction: math.ceil gives the complexity it implies, and a value <= 0 is
-trivial, never clamped, so a grid of rows shows exactly where each formula
-stops carrying information.
+own sequence length, where they are formula-level comparisons only.  Each
+formula is an integer (numerator, denominator) pair; the predicates compare
+two by integer cross-products, and a Fraction appears only at the public
+edges: each *_bound function returns one, exact.  math.ceil gives the
+complexity it implies, and a value <= 0 is trivial, never clamped, so a grid
+of rows shows exactly where each formula stops carrying information.  Only
+output rendering converts to decimal strings with DECIMAL_PLACES digits.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def _integer_root(n: int, e: int) -> int:
 def prime_power(q: int) -> tuple[int, int]:
     """Decompose q = p^e with p prime, or raise ValueError.
 
-    Every BoundParams calls this, and a sweep builds thousands for one q, so
+    Every check_point calls this, and a sweep makes thousands for one q, so
     results are cached; a ValueError is not, so a bad q raises every time.
 
     p is the least prime of _SMALL_PRIMES dividing q if there is one.
@@ -68,6 +69,20 @@ def prime_power(q: int) -> tuple[int, int]:
     raise ValueError(f"q must be a prime power, got {q}")
 
 
+def check_point(q: int, k: int, ell: int, n: int, k_max: float = math.inf) -> None:
+    """Raise ValueError unless (n, q, k, ell) is a valid point with k <= k_max.
+    BoundParams, the *_bound functions and the predicates all call it."""
+    prime_power(q)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 2 <= ell <= q:
+        raise ValueError(f"ell must be in 2..{q}, got {ell}")
+    if not 1 <= n <= q * (q * q - 2):
+        raise ValueError(f"n must be in 1..{q * (q * q - 2)}, got {n}")
+    if k > k_max:
+        raise ValueError(f"k must be <= {k_max} for this bound, got {k}")
+
+
 @dataclass(frozen=True)
 class BoundParams:
     """Evaluation point (n, q, k, ell) shared by all six formulas.
@@ -81,15 +96,7 @@ class BoundParams:
     ell: int
 
     def __post_init__(self):
-        prime_power(self.q)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 2 <= self.ell <= self.q:
-            raise ValueError(f"ell must be in 2..{self.q}, got {self.ell}")
-        if not 1 <= self.n <= self.q * (self.q ** 2 - 2):
-            raise ValueError(
-                f"n must be in 1..{self.q * (self.q ** 2 - 2)}, got {self.n}"
-            )
+        check_point(self.q, self.k, self.ell, self.n)
 
     @property
     def r1(self) -> int:
@@ -129,63 +136,63 @@ def decimal_string(value: Fraction) -> str:
     return f"{sign}{whole}.{frac:0{DECIMAL_PLACES}d}"
 
 
-def _check_k(params: BoundParams, k_max: int) -> None:
-    if params.k > k_max:
-        raise ValueError(f"k must be <= {k_max} for this bound, got {params.k}")
+def collinear_n_pair(q: int, k: int, ell: int, r1: int, r2: int) -> tuple[int, int]:
+    return r2 * (q * q - 2) - (ell - 1), r2 + k * q * (q + 1 - ell)
+
+
+def collinear_l_pair(q: int, k: int, ell: int, r1: int, r2: int) -> tuple[int, int]:
+    return r2 * (q * q - 2) - (ell - 1) - k * ((q - ell) * (q + 1) + 1), r2 + k * (ell - 1)
+
+
+def twopoint_n_pair(q: int, k: int, ell: int, r1: int, r2: int) -> tuple[int, int]:
+    return r1 * (q * q - 1) - 1, r1 + q * (q - 1) * k
+
+
+def twopoint_l_pair(q: int, k: int, ell: int, r1: int, r2: int) -> tuple[int, int]:
+    return r1 * (q * q - 1) - (q * q - q - 1) * k - 1, r1 + k
+
+
+def refined_twopoint_n_pair(q: int, k: int, ell: int, r1: int, r2: int) -> tuple[int, int]:
+    return r1 * (q * q - 1) - (q - 1), r1 + 2 * k * (q - 1)
+
+
+def refined_twopoint_l_pair(q: int, k: int, ell: int, r1: int, r2: int) -> tuple[int, int]:
+    return r1 * (q * q - 1) - (k + 1) * (q - 1), r1 + k * (q - 1)
+
+
+def _fraction(pair: Callable[..., tuple[int, int]], params: BoundParams, k_max: int) -> Fraction:
+    check_point(params.q, params.k, params.ell, params.n, k_max)
+    return Fraction(*pair(params.q, params.k, params.ell, params.r1, params.r2))
 
 
 def collinear_n_bound(params: BoundParams) -> Fraction:
     """Per-variable-degree lower bound for the collinear construction."""
-    _check_k(params, params.q ** 2 - 2)
-    q, k, ell, r2 = params.q, params.k, params.ell, params.r2
-    num = r2 * (q ** 2 - 2) - (ell - 1)
-    den = r2 + k * q * (q + 1 - ell)
-    return Fraction(num, den)
+    return _fraction(collinear_n_pair, params, params.q ** 2 - 2)
 
 
 def collinear_l_bound(params: BoundParams) -> Fraction:
     """Total-degree lower bound for the collinear construction."""
-    _check_k(params, params.q ** 2 - 2)
-    q, k, ell, r2 = params.q, params.k, params.ell, params.r2
-    num = r2 * (q ** 2 - 2) - (ell - 1) - k * ((q - ell) * (q + 1) + 1)
-    den = r2 + k * (ell - 1)
-    return Fraction(num, den)
+    return _fraction(collinear_l_pair, params, params.q ** 2 - 2)
 
 
 def twopoint_n_bound(params: BoundParams) -> Fraction:
     """Per-variable-degree bound of the original two-point construction."""
-    _check_k(params, params.q ** 2 - 1)
-    q, k, r1 = params.q, params.k, params.r1
-    num = r1 * (q ** 2 - 1) - 1
-    den = r1 + q * (q - 1) * k
-    return Fraction(num, den)
+    return _fraction(twopoint_n_pair, params, params.q ** 2 - 1)
 
 
 def twopoint_l_bound(params: BoundParams) -> Fraction:
     """Total-degree bound of the original two-point construction."""
-    _check_k(params, params.q ** 2 - 1)
-    q, k, r1 = params.q, params.k, params.r1
-    num = r1 * (q ** 2 - 1) - (q ** 2 - q - 1) * k - 1
-    den = r1 + k
-    return Fraction(num, den)
+    return _fraction(twopoint_l_pair, params, params.q ** 2 - 1)
 
 
 def refined_twopoint_n_bound(params: BoundParams) -> Fraction:
     """Per-variable-degree bound of the refined two-point construction."""
-    _check_k(params, params.q ** 2 - 1)
-    q, k, r1 = params.q, params.k, params.r1
-    num = r1 * (q ** 2 - 1) - (q - 1)
-    den = r1 + 2 * k * (q - 1)
-    return Fraction(num, den)
+    return _fraction(refined_twopoint_n_pair, params, params.q ** 2 - 1)
 
 
 def refined_twopoint_l_bound(params: BoundParams) -> Fraction:
     """Total-degree bound of the refined two-point construction."""
-    _check_k(params, params.q ** 2 - 1)
-    q, k, r1 = params.q, params.k, params.r1
-    num = r1 * (q ** 2 - 1) - (k + 1) * (q - 1)
-    den = r1 + k * (q - 1)
-    return Fraction(num, den)
+    return _fraction(refined_twopoint_l_pair, params, params.q ** 2 - 1)
 
 
 def all_bounds(params: BoundParams) -> dict[str, Fraction]:
@@ -203,31 +210,38 @@ def all_bounds(params: BoundParams) -> dict[str, Fraction]:
 # pointwise improvement claims
 # ---------------------------------------------------------------------------
 
-def _beats(own: Callable[[BoundParams], Fraction],
-           rival: Callable[[BoundParams], Fraction],
+def _beats(own: Callable[..., tuple[int, int]], rival: Callable[..., tuple[int, int]],
            q: int, k: int, n: int) -> bool:
-    """own strictly exceeds rival at (n, q, k) with ell = q; exact."""
-    params = BoundParams(n=n, q=q, k=k, ell=q)
-    return own(params) > rival(params)
+    """own's pair strictly exceeds rival's at (n, q, k) with ell = q.
+
+    Exact without a Fraction: both denominators are positive (r plus a
+    positive multiple of k, for k >= 1 and 2 <= ell <= q), so
+    num1/den1 > num2/den2 exactly when num1 * den2 > num2 * den1."""
+    check_point(q, k, q, n, q * q - 2)
+    r1, r2 = n // (q * q - 1), n // (q * q - 2)
+    num1, den1 = own(q, k, q, r1, r2)
+    num2, den2 = rival(q, k, q, r1, r2)
+    return num1 * den2 > num2 * den1
 
 
 def n_bound_improves(q: int, k: int, n: int) -> bool:
     """Collinear per-variable bound (at ell = q) strictly beats the refined
     two-point one at this evaluation point."""
-    return _beats(collinear_n_bound, refined_twopoint_n_bound, q, k, n)
+    return _beats(collinear_n_pair, refined_twopoint_n_pair, q, k, n)
 
 
 def l_bound_improves(q: int, k: int, n: int) -> bool:
     """Collinear total-degree bound (at ell = q) strictly beats the refined
     two-point one at this evaluation point."""
-    return _beats(collinear_l_bound, refined_twopoint_l_bound, q, k, n)
+    return _beats(collinear_l_pair, refined_twopoint_l_pair, q, k, n)
 
 
 def l_twopoint_condition(q: int, k: int, n: int) -> bool:
     """Sign of the quadratic in k that predicts when the collinear
-    total-degree bound beats the original two-point one."""
-    params = BoundParams(n=n, q=q, k=k, ell=q)
-    r1, r2 = params.r1, params.r2
+    total-degree bound beats the original two-point one.  Unlike the
+    bounds it has no upper limit on k."""
+    check_point(q, k, q, n)
+    r1, r2 = n // (q * q - 1), n // (q * q - 2)
     value = (
         (q ** 3 - 2 * q ** 2) * k ** 2
         + (r2 * (2 * q ** 2 - q - 3) - r1 * (q ** 3 - q ** 2 - q + 2)) * k
@@ -238,8 +252,8 @@ def l_twopoint_condition(q: int, k: int, n: int) -> bool:
 
 def l_bound_improves_twopoint(q: int, k: int, n: int) -> bool:
     """Collinear total-degree bound (ell = q) strictly beats the original
-    two-point one; exact rational comparison."""
-    return _beats(collinear_l_bound, twopoint_l_bound, q, k, n)
+    two-point one; exact integer comparison."""
+    return _beats(collinear_l_pair, twopoint_l_pair, q, k, n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ fixed seeds and are fully reproducible.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -249,9 +248,9 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
     only through its (r1, r2) class, so it is evaluated once per class.
     """
     if kind == "per-variable":
-        bound_fn, mode_cls = bnd.collinear_n_bound, PerVariable
+        pair, mode_cls = bnd.collinear_n_pair, PerVariable
     elif kind == "total-degree":
-        bound_fn, mode_cls = bnd.collinear_l_bound, TotalDegree
+        pair, mode_cls = bnd.collinear_l_pair, TotalDegree
     else:
         raise ValueError(f"unknown kind {kind!r}")
     q = ctx.q
@@ -263,8 +262,10 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
         for k in ks:
             mode = mode_cls(k)
             proven: set[int] = set()  # window lengths infeasible on a shorter prefix
-            for _, _, run in bnd.n_classes(q, range(1, len(terms) + 1)):
-                ceiling = math.ceil(bound_fn(bnd.BoundParams(n=run[0], q=q, k=k, ell=ell)))
+            for r1, r2, run in bnd.n_classes(q, range(1, len(terms) + 1)):
+                bnd.check_point(q, k, ell, run[0], q * q - 2)
+                num, den = pair(q, k, ell, r1, r2)
+                ceiling = -(-num // den)
                 if ceiling < 1:
                     continue
                 m = ceiling - 1

@@ -8,7 +8,9 @@ from hermseq.bounds import (
     BoundParams,
     all_bounds,
     collinear_l_bound,
+    collinear_l_pair,
     collinear_n_bound,
+    collinear_n_pair,
     decimal_string,
     figure_rows,
     l_bound_improves,
@@ -204,8 +206,50 @@ def test_l_twopoint_condition_spot():
     # pushing k past the crossover flips both sides to True
     assert l_twopoint_condition(32, 40, 32704)
     assert l_bound_improves_twopoint(32, 40, 32704)
-    # large k with equal floor ratios: the positive leading term dominates
-    assert l_twopoint_condition(3, 7, 8)
+    # large k with equal floor ratios: the positive leading term dominates;
+    # the quadratic has no upper limit on k, unlike the bounds
+    for k in (7, 8, 20):
+        assert l_twopoint_condition(3, k, 8)
+
+
+@pytest.mark.parametrize("predicate", [
+    n_bound_improves, l_bound_improves, l_bound_improves_twopoint, l_twopoint_condition])
+@pytest.mark.parametrize("q,k,n,message", [
+    (6, 1, 4, "q must be a prime power, got 6"),
+    (3, 0, 4, "k must be >= 1, got 0"),
+    (3, 1, 0, "n must be in 1..21, got 0"),
+    (3, 1, 22, "n must be in 1..21, got 22"),
+    (3, 8, 4, "k must be <= 7 for this bound, got 8"),
+])
+def test_predicate_domain(predicate, q, k, n, message):
+    if predicate is l_twopoint_condition and k == q * q - 1:
+        assert predicate(q, k, n)  # no upper limit on k
+        return
+    with pytest.raises(ValueError) as excinfo:
+        predicate(q, k, n)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_integer_pairs_agree_with_fractions(q):
+    # on every k and every (r1, r2) class: the predicates' cross-products
+    # decide as the public Fraction formulas do, and the integer ceiling
+    # of each collinear pair is math.ceil of its bound, negative values too
+    beats = [(n_bound_improves, collinear_n_bound, refined_twopoint_n_bound),
+             (l_bound_improves, collinear_l_bound, refined_twopoint_l_bound),
+             (l_bound_improves_twopoint, collinear_l_bound, twopoint_l_bound)]
+    for k in range(1, q * q - 1):
+        for r1, r2, run in n_classes(q, range(1, q * (q * q - 2) + 1)):
+            n = run[0]
+            params = BoundParams(n=n, q=q, k=k, ell=q)
+            for predicate, own, rival in beats:
+                assert predicate(q, k, n) == (own(params) > rival(params)), (k, n)
+            for ell in range(2, q + 1):
+                params = BoundParams(n=n, q=q, k=k, ell=ell)
+                for pair, bound in ((collinear_n_pair, collinear_n_bound),
+                                    (collinear_l_pair, collinear_l_bound)):
+                    num, den = pair(q, k, ell, r1, r2)
+                    assert -(-num // den) == math.ceil(bound(params)), (k, n, ell)
 
 
 def test_l_twopoint_equivalence_sampled():

@@ -449,10 +449,17 @@ def test_lines_match_csv_writer(argv, cells, to_file, tmp_path, capsys):
 
 
 def test_bounds_matches_pinned_grid(capsys):
-    # every bound formula over a q = 3 grid, recorded with csv.writer
-    argv = ["bounds", "--p", "3", "--k-range", "1:7", "--n-range", "1:21"]
-    assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == (DATA / "bounds_q3.csv").read_text()
+    # every bound formula over a q = 3 grid, recorded with csv.writer, and
+    # over a q = 32 grid at ell = 17 < q, recorded from the Fraction
+    # formulas, where the (q - ell) terms do not vanish and many values
+    # are negative
+    for pinned, argv in [
+        ("bounds_q3.csv", ["--p", "3", "--k-range", "1:7", "--n-range", "1:21"]),
+        ("bounds_q32_ell17.csv", ["--p", "2", "--e", "5", "--ell", "17",
+                                  "--k-range", "1:1022:101", "--n-range", "1:32704:2047"]),
+    ]:
+        assert main(["bounds", *argv]) == EXIT_OK
+        assert capsys.readouterr().out == (DATA / pinned).read_text(), pinned
 
 
 @pytest.mark.parametrize("pinned,argv", [

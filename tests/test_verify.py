@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,29 @@ def test_bound_consistency_q5_slowest_rows():
     seq = build_sequence(ctx, 5)
     for kind in ("per-variable", "total-degree"):
         assert check_bound_consistency(ctx, seq, 5, kind, ks=(1, 2, 3)).passed
+
+
+def test_bound_check_proves_at_the_ceiling(f9, monkeypatch):
+    # every infeasibility proof runs at window ceil(bound) - 1 of its prefix,
+    # so a weaker obligation, such as a floor in place of the ceiling, fails
+    calls = []
+    real = verify.exists_recurrence
+
+    def spy(ctx, terms, m, mode):
+        calls.append((len(terms), m, mode.k))
+        return real(ctx, terms, m, mode)
+
+    monkeypatch.setattr(verify, "exists_recurrence", spy)
+    for ell in (2, 3):
+        seq = build_sequence(f9, ell)
+        for kind, bound in (("per-variable", bounds.collinear_n_bound),
+                            ("total-degree", bounds.collinear_l_bound)):
+            calls.clear()
+            assert check_bound_consistency(f9, seq, ell, kind).passed
+            assert calls
+            for n, m, k in calls:
+                params = bounds.BoundParams(n=n, q=3, k=k, ell=ell)
+                assert m == math.ceil(bound(params)) - 1, (kind, ell, k, n)
 
 
 def test_suite_single_field():
