@@ -3,18 +3,14 @@ exact computation of their shortest-recurrence complexities, and exact
 rational evaluation of the competing lower-bound formulas."""
 
 from .bounds import (
-    BoundParams,
-    collinear_l_bound,
-    collinear_n_bound,
+    BOUNDS,
+    bound,
     figure_rows,
+    floor_ratios,
     l_bound_improves,
     l_bound_improves_twopoint,
     l_twopoint_condition,
     n_bound_improves,
-    refined_twopoint_l_bound,
-    refined_twopoint_n_bound,
-    twopoint_l_bound,
-    twopoint_n_bound,
 )
 from .complexity import (
     DegreeMode,

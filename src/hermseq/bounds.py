@@ -5,14 +5,16 @@ pair belongs to the sequence this package builds (length q*(q^2-2), from ell
 collinear places); the "twopoint" and "refined twopoint" pairs are the two
 earlier bounds for the related length-(q-1)*(q^2-1) construction with poles
 at just two places.  The two-point pairs are evaluated as plain formulas at
-every n that BoundParams accepts (up to q*(q^2-2)), including n past their
+every n that check_point accepts (up to q*(q^2-2)), including n past their
 own sequence length, where they are formula-level comparisons only.  Each
-formula is an integer (numerator, denominator) pair; the predicates compare
-two by integer cross-products, and a Fraction appears only at the public
-edges: each *_bound function returns one, exact.  math.ceil gives the
-complexity it implies, and a value <= 0 is trivial, never clamped, so a grid
-of rows shows exactly where each formula stops carrying information.  Only
-output rendering converts to decimal strings with DECIMAL_PLACES digits.
+formula is written once, as an integer (numerator, denominator) pair over
+(q, k, ell, r1, r2); BOUNDS names the six in CSV column order.  The
+predicates compare two pairs by integer cross-products, and a Fraction
+appears only where a value leaves this layer: bound(name, q, k, ell, n)
+returns one, exact.  math.ceil gives the complexity it implies, and a value
+<= 0 is trivial, never clamped, so a grid of rows shows exactly where each
+formula stops carrying information.  Only output rendering converts to
+decimal strings with DECIMAL_PLACES digits.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def prime_power(q: int) -> tuple[int, int]:
 
 def check_point(q: int, k: int, ell: int, n: int, k_max: float = math.inf) -> None:
     """Raise ValueError unless (n, q, k, ell) is a valid point with k <= k_max.
-    BoundParams, the *_bound functions and the predicates all call it."""
+    bound and the predicates all call it."""
     prime_power(q)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -83,39 +85,21 @@ def check_point(q: int, k: int, ell: int, n: int, k_max: float = math.inf) -> No
         raise ValueError(f"k must be <= {k_max} for this bound, got {k}")
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Evaluation point (n, q, k, ell) shared by all six formulas.
-
-    ell only enters the collinear pair; keeping it here lets one params
-    object drive a whole sweep row.
-    """
-    n: int
-    q: int
-    k: int
-    ell: int
-
-    def __post_init__(self):
-        check_point(self.q, self.k, self.ell, self.n)
-
-    @property
-    def r1(self) -> int:
-        return self.n // (self.q ** 2 - 1)
-
-    @property
-    def r2(self) -> int:
-        return self.n // (self.q ** 2 - 2)
+def floor_ratios(q: int, n: int) -> tuple[int, int]:
+    """(r1, r2) = (n // (q^2 - 1), n // (q^2 - 2)), the only way any bound
+    reads n."""
+    return n // (q * q - 1), n // (q * q - 2)
 
 
 def n_classes(q: int, ns: Sequence[int]) -> Iterator[tuple[int, int, Sequence[int]]]:
     """Each maximal run of equal (r1, r2) in the ascending ns, in order and
     one at a time, as (r1, r2, run); run is a slice of ns (a range for a
-    range).  Every bound reads n only through r1 = n // (q^2 - 1) and
-    r2 = n // (q^2 - 2), so one evaluation covers a run, which ends before
-    the next multiple of q^2 - 1 or q^2 - 2."""
+    range).  Every bound reads n only through floor_ratios, so one
+    evaluation covers a run, which ends before the next multiple of
+    q^2 - 1 or q^2 - 2."""
     start = 0
     while start < len(ns):
-        r1, r2 = ns[start] // (q * q - 1), ns[start] // (q * q - 2)
+        r1, r2 = floor_ratios(q, ns[start])
         step = min((r1 + 1) * (q * q - 1), (r2 + 1) * (q * q - 2))
         stop = bisect.bisect_left(ns, step, start + 1)
         yield r1, r2, ns[start:stop]
@@ -160,50 +144,24 @@ def refined_twopoint_l_pair(q: int, k: int, ell: int, r1: int, r2: int) -> tuple
     return r1 * (q * q - 1) - (k + 1) * (q - 1), r1 + k * (q - 1)
 
 
-def _fraction(pair: Callable[..., tuple[int, int]], params: BoundParams, k_max: int) -> Fraction:
-    check_point(params.q, params.k, params.ell, params.n, k_max)
-    return Fraction(*pair(params.q, params.k, params.ell, params.r1, params.r2))
+# Each name (N_ per-variable degree, L_ total degree) -> (pair, gap): the
+# formula holds for k <= q^2 - gap.  The order is the bounds CSV's columns.
+BOUNDS: dict[str, tuple[Callable[..., tuple[int, int]], int]] = {
+    "N_collinear": (collinear_n_pair, 2),
+    "L_collinear": (collinear_l_pair, 2),
+    "N_twopoint": (twopoint_n_pair, 1),
+    "L_twopoint": (twopoint_l_pair, 1),
+    "N_refined": (refined_twopoint_n_pair, 1),
+    "L_refined": (refined_twopoint_l_pair, 1),
+}
 
 
-def collinear_n_bound(params: BoundParams) -> Fraction:
-    """Per-variable-degree lower bound for the collinear construction."""
-    return _fraction(collinear_n_pair, params, params.q ** 2 - 2)
-
-
-def collinear_l_bound(params: BoundParams) -> Fraction:
-    """Total-degree lower bound for the collinear construction."""
-    return _fraction(collinear_l_pair, params, params.q ** 2 - 2)
-
-
-def twopoint_n_bound(params: BoundParams) -> Fraction:
-    """Per-variable-degree bound of the original two-point construction."""
-    return _fraction(twopoint_n_pair, params, params.q ** 2 - 1)
-
-
-def twopoint_l_bound(params: BoundParams) -> Fraction:
-    """Total-degree bound of the original two-point construction."""
-    return _fraction(twopoint_l_pair, params, params.q ** 2 - 1)
-
-
-def refined_twopoint_n_bound(params: BoundParams) -> Fraction:
-    """Per-variable-degree bound of the refined two-point construction."""
-    return _fraction(refined_twopoint_n_pair, params, params.q ** 2 - 1)
-
-
-def refined_twopoint_l_bound(params: BoundParams) -> Fraction:
-    """Total-degree bound of the refined two-point construction."""
-    return _fraction(refined_twopoint_l_pair, params, params.q ** 2 - 1)
-
-
-def all_bounds(params: BoundParams) -> dict[str, Fraction]:
-    return {
-        "N_collinear": collinear_n_bound(params),
-        "L_collinear": collinear_l_bound(params),
-        "N_twopoint": twopoint_n_bound(params),
-        "L_twopoint": twopoint_l_bound(params),
-        "N_refined": refined_twopoint_n_bound(params),
-        "L_refined": refined_twopoint_l_bound(params),
-    }
+def bound(name: str, q: int, k: int, ell: int, n: int) -> Fraction:
+    """The exact value of the BOUNDS formula name at (n, q, k, ell); a
+    ValueError from check_point if the point is outside its domain."""
+    pair, gap = BOUNDS[name]
+    check_point(q, k, ell, n, q * q - gap)
+    return Fraction(*pair(q, k, ell, *floor_ratios(q, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +176,7 @@ def _beats(own: Callable[..., tuple[int, int]], rival: Callable[..., tuple[int, 
     positive multiple of k, for k >= 1 and 2 <= ell <= q), so
     num1/den1 > num2/den2 exactly when num1 * den2 > num2 * den1."""
     check_point(q, k, q, n, q * q - 2)
-    r1, r2 = n // (q * q - 1), n // (q * q - 2)
+    r1, r2 = floor_ratios(q, n)
     num1, den1 = own(q, k, q, r1, r2)
     num2, den2 = rival(q, k, q, r1, r2)
     return num1 * den2 > num2 * den1
@@ -241,7 +199,7 @@ def l_twopoint_condition(q: int, k: int, n: int) -> bool:
     total-degree bound beats the original two-point one.  Unlike the
     bounds it has no upper limit on k."""
     check_point(q, k, q, n)
-    r1, r2 = n // (q * q - 1), n // (q * q - 2)
+    r1, r2 = floor_ratios(q, n)
     value = (
         (q ** 3 - 2 * q ** 2) * k ** 2
         + (r2 * (2 * q ** 2 - q - 3) - r1 * (q ** 3 - q ** 2 - q + 2)) * k
@@ -290,10 +248,7 @@ def figure_rows(preset_name: str) -> tuple[FigurePreset, list[tuple[range, Fract
         raise ValueError(
             f"unknown preset {preset_name!r}; choose from {sorted(FIGURE_PRESETS)}"
         )
-    own, rival = ((collinear_n_bound, refined_twopoint_n_bound) if preset.family == "N"
-                  else (collinear_l_bound, refined_twopoint_l_bound))
-    classes = []
-    for _, _, ns in n_classes(preset.q, preset.n_values):
-        params = BoundParams(n=ns[0], q=preset.q, k=preset.k, ell=preset.q)
-        classes.append((ns, own(params), rival(params)))
-    return preset, classes
+    q, k = preset.q, preset.k
+    own, rival = f"{preset.family}_collinear", f"{preset.family}_refined"
+    return preset, [(ns, bound(own, q, k, q, ns[0]), bound(rival, q, k, q, ns[0]))
+                    for _, _, ns in n_classes(q, preset.n_values)]

@@ -25,8 +25,8 @@ import sys
 from contextlib import nullcontext
 from typing import Iterable, Optional
 
-from .bounds import (FIGURE_PRESETS, MAX_Q_BITS, BoundParams, all_bounds,
-                     decimal_string, figure_rows)
+from .bounds import (BOUNDS, FIGURE_PRESETS, MAX_Q_BITS, bound, decimal_string,
+                     figure_rows, floor_ratios)
 from .complexity import PerVariable, TotalDegree, complexity_profile
 from .field import Element, FieldContext, _is_prime, element_from_str, element_to_str
 from .sequence import build_sequence
@@ -136,19 +136,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                          "too large to print its bounds")
     q = args.p ** args.e
     ell = args.ell if args.ell is not None else q
-    header = ["n", "k", "ell", "r1", "r2", "N_collinear", "L_collinear",
-              "N_twopoint", "L_twopoint", "N_refined", "L_refined"]
 
     def row(n: int, k: int) -> str:
-        params = BoundParams(n=n, q=q, k=k, ell=ell)
-        values = all_bounds(params)
-        cells = ",".join([decimal_string(values[name]) for name in header[5:]])
-        return f"{n},{k},{ell},{params.r1},{params.r2},{cells}\n"
+        r1, r2 = floor_ratios(q, n)
+        cells = ",".join([decimal_string(bound(name, q, k, ell, n)) for name in BOUNDS])
+        return f"{n},{k},{ell},{r1},{r2},{cells}\n"
 
     # both grids ascend, every limit is on n, k or ell and every denominator
     # is positive, so the first and last rows check them all before --out opens
     row(args.ns[0], args.ks[0]), row(args.ns[-1], args.ks[-1])
-    return _write_csv(args.out, header, (row(n, k) for n in args.ns for k in args.ks))
+    return _write_csv(args.out, ["n", "k", "ell", "r1", "r2", *BOUNDS],
+                      (row(n, k) for n in args.ns for k in args.ks))
 
 
 def cmd_figures(args: argparse.Namespace) -> int:

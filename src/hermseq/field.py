@@ -39,8 +39,9 @@ Element = int
 MAX_FIELD_ORDER = 1 << 16
 
 # Largest field order whose code tables are built whole, as lists of rows.
-# A list row is found faster than a row built on access (a q = 4 complexity
-# profile runs about 25% slower on the latter), and at 1,024 elements a
+# A list row is found faster than a row built on access (a total-degree-2
+# profile of 150 terms at q = 9 or q = 16, both on code tables, runs about
+# 5% to 65% slower on the latter, best of five), and at 1,024 elements a
 # 60-term solver run already reads 1,023 of the 1,024 mul rows, so building
 # whole costs no extra memory.  Above this order a whole table would hold
 # 16M or more entries (134 MB at 4,096 elements), so rows are built on

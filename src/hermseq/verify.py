@@ -248,9 +248,9 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
     only through its (r1, r2) class, so it is evaluated once per class.
     """
     if kind == "per-variable":
-        pair, mode_cls = bnd.collinear_n_pair, PerVariable
+        (pair, gap), mode_cls = bnd.BOUNDS["N_collinear"], PerVariable
     elif kind == "total-degree":
-        pair, mode_cls = bnd.collinear_l_pair, TotalDegree
+        (pair, gap), mode_cls = bnd.BOUNDS["L_collinear"], TotalDegree
     else:
         raise ValueError(f"unknown kind {kind!r}")
     q = ctx.q
@@ -263,7 +263,7 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
             mode = mode_cls(k)
             proven: set[int] = set()  # window lengths infeasible on a shorter prefix
             for r1, r2, run in bnd.n_classes(q, range(1, len(terms) + 1)):
-                bnd.check_point(q, k, ell, run[0], q * q - 2)
+                bnd.check_point(q, k, ell, run[0], q * q - gap)
                 num, den = pair(q, k, ell, r1, r2)
                 ceiling = -(-num // den)
                 if ceiling < 1:

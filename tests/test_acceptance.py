@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hermseq.bounds import BoundParams, collinear_l_bound, collinear_n_bound
+from hermseq.bounds import bound
 from hermseq.cli import EXIT_OK, main
 from hermseq.complexity import PerVariable, TotalDegree, nonlinear_complexity
 from hermseq.field import FieldContext
@@ -40,7 +40,7 @@ def _contexts():
     return {2: FieldContext(2, 1), 3: FieldContext(3, 1)}
 
 
-def _bound_criterion(num: int, kind: str, bound_fn, mode_cls, desc: str):
+def _bound_criterion(num: int, kind: str, name: str, mode_cls, desc: str):
     failures = []
     grid_points = 0
     for q, ctx in _contexts().items():
@@ -59,7 +59,7 @@ def _bound_criterion(num: int, kind: str, bound_fn, mode_cls, desc: str):
             seq = build_sequence(ctx, ell)
             for k in ks:
                 for n in ns:
-                    ceiling = math.ceil(bound_fn(BoundParams(n=n, q=q, k=k, ell=ell)))
+                    ceiling = math.ceil(bound(name, q, k, ell, n))
                     achieved = nonlinear_complexity(ctx, seq[:n], mode_cls(k))
                     exact_checked += 1
                     if achieved < ceiling:
@@ -74,14 +74,14 @@ def _bound_criterion(num: int, kind: str, bound_fn, mode_cls, desc: str):
 
 def test_criterion_1_per_variable_bound():
     _bound_criterion(
-        1, "per-variable", collinear_n_bound, PerVariable,
+        1, "per-variable", "N_collinear", PerVariable,
         "per-variable complexities respect the collinear bound at q in {2,3}",
     )
 
 
 def test_criterion_2_total_degree_bound():
     _bound_criterion(
-        2, "total-degree", collinear_l_bound, TotalDegree,
+        2, "total-degree", "L_collinear", TotalDegree,
         "total-degree complexities respect the collinear bound at q in {2,3}",
     )
 

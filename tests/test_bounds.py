@@ -1,33 +1,29 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hermseq.bounds import (
-    BoundParams,
-    all_bounds,
-    collinear_l_bound,
+    BOUNDS,
+    bound,
     collinear_l_pair,
-    collinear_n_bound,
     collinear_n_pair,
     decimal_string,
     figure_rows,
+    floor_ratios,
     l_bound_improves,
     l_bound_improves_twopoint,
     l_twopoint_condition,
     n_bound_improves,
     n_classes,
     prime_power,
-    refined_twopoint_l_bound,
-    refined_twopoint_n_bound,
-    twopoint_l_bound,
-    twopoint_n_bound,
 )
 
 
 # ---------------------------------------------------------------------------
-# params and rendering
+# points and rendering
 # ---------------------------------------------------------------------------
 
 def test_prime_power():
@@ -43,17 +39,40 @@ def test_prime_power():
 
 
 def test_params_validation():
-    BoundParams(n=4, q=2, k=1, ell=2)
-    with pytest.raises(ValueError):
-        BoundParams(n=4, q=6, k=1, ell=2)
-    with pytest.raises(ValueError):
-        BoundParams(n=4, q=2, k=0, ell=2)
-    with pytest.raises(ValueError):
-        BoundParams(n=4, q=2, k=1, ell=3)
-    with pytest.raises(ValueError):
-        BoundParams(n=5, q=2, k=1, ell=2)  # above q(q^2-2)
-    with pytest.raises(ValueError):
-        BoundParams(n=0, q=2, k=1, ell=2)
+    for name in BOUNDS:
+        bound(name, q=2, k=1, ell=2, n=4)
+        with pytest.raises(ValueError):
+            bound(name, q=6, k=1, ell=2, n=4)
+        with pytest.raises(ValueError):
+            bound(name, q=2, k=0, ell=2, n=4)
+        with pytest.raises(ValueError):
+            bound(name, q=2, k=1, ell=3, n=4)
+        with pytest.raises(ValueError):
+            bound(name, q=2, k=1, ell=2, n=5)  # above q(q^2-2)
+        with pytest.raises(ValueError):
+            bound(name, q=2, k=1, ell=2, n=0)
+
+
+@pytest.mark.parametrize("name,k_max", [
+    ("N_collinear", 7), ("L_collinear", 7), ("N_twopoint", 8),
+    ("L_twopoint", 8), ("N_refined", 8), ("L_refined", 8)])
+@pytest.mark.parametrize("q,k,ell,n,message", [
+    (6, 1, 3, 4, "q must be a prime power, got 6"),
+    (3, 0, 3, 4, "k must be >= 1, got 0"),
+    (3, 1, 4, 4, "ell must be in 2..3, got 4"),
+    (3, 1, 3, 0, "n must be in 1..21, got 0"),
+    (3, 1, 3, 22, "n must be in 1..21, got 22"),
+    (3, None, 3, 4, "k must be <= {k_max} for this bound, got {k}"),  # k_max + 1
+])
+def test_bound_domain(name, k_max, q, k, ell, n, message):
+    # hermseq bounds prints these messages, so each is pinned, as is the
+    # order of the checks (q, k >= 1, ell, n, then k_max)
+    if k is None:
+        assert isinstance(bound(name, q, k_max, ell, n), Fraction)
+        k = k_max + 1
+    with pytest.raises(ValueError) as excinfo:
+        bound(name, q, k, ell, n)
+    assert str(excinfo.value) == message.format(k_max=k_max, k=k)
 
 
 def test_floor_ratios_stay_adjacent():
@@ -61,8 +80,9 @@ def test_floor_ratios_stay_adjacent():
     for _ in range(300):
         q = rng.choice([2, 3, 4, 5, 8, 9, 16, 32])
         n = rng.randrange(1, q * (q * q - 2) + 1)
-        params = BoundParams(n=n, q=q, k=1, ell=2)
-        assert params.r1 <= params.r2 <= params.r1 + 1
+        r1, r2 = floor_ratios(q, n)
+        assert (r1, r2) == (n // (q * q - 1), n // (q * q - 2))
+        assert r1 <= r2 <= r1 + 1
 
 
 def test_decimal_string():
@@ -80,14 +100,14 @@ def test_decimal_string():
 # ---------------------------------------------------------------------------
 
 def test_collinear_n_values():
-    v = collinear_n_bound(BoundParams(n=32704, q=32, k=5, ell=32))
+    v = bound("N_collinear", q=32, k=5, ell=32, n=32704)
     assert v == Fraction(32673, 192)
-    v = collinear_n_bound(BoundParams(n=4, q=2, k=1, ell=2))
+    v = bound("N_collinear", q=2, k=1, ell=2, n=4)
     assert v == Fraction(3, 4)
     assert math.ceil(v) == 1
     # first window: at n = q^2 - 2 = 7 the floor ratio r2 is 1, so
     # (1*7 - (ell-1)) / (1 + k*q*(q+1-ell)) = 5/7
-    v = collinear_n_bound(BoundParams(n=7, q=3, k=2, ell=3))
+    v = bound("N_collinear", q=3, k=2, ell=3, n=7)
     assert v == Fraction(5, 7)
 
 
@@ -95,14 +115,14 @@ def test_collinear_n_trivial_below_window():
     # below q^2 - 2 the floor ratio vanishes and the bound carries nothing
     for q, ell in [(3, 2), (3, 3), (5, 4)]:
         for n in (1, q * q - 3):
-            v = collinear_n_bound(BoundParams(n=n, q=q, k=1, ell=ell))
+            v = bound("N_collinear", q=q, k=1, ell=ell, n=n)
             assert v <= 0
 
 
 def test_collinear_l_values():
-    v = collinear_l_bound(BoundParams(n=32704, q=32, k=20, ell=32))
+    v = bound("L_collinear", q=32, k=20, ell=32, n=32704)
     assert v == Fraction(32653, 652)
-    v = collinear_l_bound(BoundParams(n=21, q=3, k=7, ell=2))
+    v = bound("L_collinear", q=3, k=7, ell=2, n=21)
     assert v == Fraction(-15, 10)
     assert v <= 0
 
@@ -110,57 +130,55 @@ def test_collinear_l_values():
 def test_collinear_l_at_max_ell_simplifies():
     # at ell = q the numerator collapses to r2*(q^2-2) - (q-1) - k
     for q, k, n in [(3, 2, 21), (5, 4, 100), (8, 3, 400)]:
-        params = BoundParams(n=n, q=q, k=k, ell=q)
-        v = collinear_l_bound(params)
-        expected = Fraction(
-            params.r2 * (q * q - 2) - (q - 1) - k, params.r2 + k * (q - 1)
-        )
+        _, r2 = floor_ratios(q, n)
+        v = bound("L_collinear", q=q, k=k, ell=q, n=n)
+        expected = Fraction(r2 * (q * q - 2) - (q - 1) - k, r2 + k * (q - 1))
         assert v == expected
 
 
 def test_twopoint_values():
-    v = twopoint_n_bound(BoundParams(n=31713, q=32, k=5, ell=32))
+    v = bound("N_twopoint", q=32, k=5, ell=32, n=31713)
     assert v == Fraction(31712, 4991)
     # numerator goes negative for large k at small r1
-    v = twopoint_l_bound(BoundParams(n=8, q=3, k=7, ell=3))
+    v = bound("L_twopoint", q=3, k=7, ell=3, n=8)
     assert v < 0
 
 
 def test_refined_values():
-    v = refined_twopoint_n_bound(BoundParams(n=32704, q=32, k=5, ell=32))
+    v = bound("N_refined", q=32, k=5, ell=32, n=32704)
     assert v == Fraction(31682, 341)
-    v = refined_twopoint_l_bound(BoundParams(n=32704, q=32, k=20, ell=32))
+    v = bound("L_refined", q=32, k=20, ell=32, n=32704)
     assert v == Fraction(31062, 651)
 
 
 def test_refined_degenerate_at_zero_ratio():
-    v = refined_twopoint_n_bound(BoundParams(n=7, q=3, k=1, ell=3))
+    v = bound("N_refined", q=3, k=1, ell=3, n=7)
     assert v <= 0
 
 
 def test_twopoint_formula_beyond_native_length():
     # n = 32704 is past the two-point length 31*1023; the formula still
     # evaluates, here with r1 = 31
-    v = twopoint_n_bound(BoundParams(n=32704, q=32, k=5, ell=32))
+    v = bound("N_twopoint", q=32, k=5, ell=32, n=32704)
     assert v == Fraction(31712, 4991)
 
 
 def test_k_range_guards():
     with pytest.raises(ValueError):
-        collinear_n_bound(BoundParams(n=21, q=3, k=8, ell=3))  # k > q^2-2
+        bound("N_collinear", q=3, k=8, ell=3, n=21)  # k > q^2-2
     # the two-point bounds accept k = q^2-1
-    twopoint_n_bound(BoundParams(n=8, q=3, k=8, ell=3))
+    bound("N_twopoint", q=3, k=8, ell=3, n=8)
     with pytest.raises(ValueError):
-        twopoint_n_bound(BoundParams(n=8, q=3, k=9, ell=3))
+        bound("N_twopoint", q=3, k=9, ell=3, n=8)
 
 
-def test_all_bounds_keys():
-    out = all_bounds(BoundParams(n=21, q=3, k=2, ell=3))
-    assert set(out) == {
+def test_bounds_names_are_the_csv_columns():
+    header = (Path(__file__).resolve().parent / "data" / "bounds_q3.csv").read_text()
+    assert list(BOUNDS) == header.splitlines()[0].split(",")[5:] == [
         "N_collinear", "L_collinear",
         "N_twopoint", "L_twopoint",
         "N_refined", "L_refined",
-    }
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +206,8 @@ def test_l_improvement_at_small_k(q):
     # k = 2 fails only at q = 3 on r1 = r2 = 2 (n = 16..20), inside the
     # r1 = r2, k >= 4 exception that check_l_improvement encodes
     for n in range(q * q - 1, q * (q * q - 2) + 1):
-        params = BoundParams(n=n, q=q, k=1, ell=q)
-        last_two = params.r1 == params.r2 and params.r1 in (q - 2, q - 1)
+        r1, r2 = floor_ratios(q, n)
+        last_two = r1 == r2 and r1 in (q - 2, q - 1)
         assert l_bound_improves(q, 1, n) != last_two, f"n={n}"
         assert l_bound_improves(q, 2, n) == (q != 3 or not 16 <= n <= 20), f"n={n}"
     if q == 5:
@@ -235,21 +253,20 @@ def test_integer_pairs_agree_with_fractions(q):
     # on every k and every (r1, r2) class: the predicates' cross-products
     # decide as the public Fraction formulas do, and the integer ceiling
     # of each collinear pair is math.ceil of its bound, negative values too
-    beats = [(n_bound_improves, collinear_n_bound, refined_twopoint_n_bound),
-             (l_bound_improves, collinear_l_bound, refined_twopoint_l_bound),
-             (l_bound_improves_twopoint, collinear_l_bound, twopoint_l_bound)]
+    beats = [(n_bound_improves, "N_collinear", "N_refined"),
+             (l_bound_improves, "L_collinear", "L_refined"),
+             (l_bound_improves_twopoint, "L_collinear", "L_twopoint")]
     for k in range(1, q * q - 1):
         for r1, r2, run in n_classes(q, range(1, q * (q * q - 2) + 1)):
             n = run[0]
-            params = BoundParams(n=n, q=q, k=k, ell=q)
             for predicate, own, rival in beats:
-                assert predicate(q, k, n) == (own(params) > rival(params)), (k, n)
+                assert predicate(q, k, n) == (
+                    bound(own, q, k, q, n) > bound(rival, q, k, q, n)), (k, n)
             for ell in range(2, q + 1):
-                params = BoundParams(n=n, q=q, k=k, ell=ell)
-                for pair, bound in ((collinear_n_pair, collinear_n_bound),
-                                    (collinear_l_pair, collinear_l_bound)):
+                for pair, name in ((collinear_n_pair, "N_collinear"),
+                                   (collinear_l_pair, "L_collinear")):
                     num, den = pair(q, k, ell, r1, r2)
-                    assert -(-num // den) == math.ceil(bound(params)), (k, n, ell)
+                    assert -(-num // den) == math.ceil(bound(name, q, k, ell, n)), (k, n, ell)
 
 
 def test_l_twopoint_equivalence_sampled():
@@ -321,19 +338,20 @@ def test_n_classes_is_lazy():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("preset_name,own,rival", [
-    ("fig1", collinear_n_bound, refined_twopoint_n_bound),
-    ("fig2", collinear_l_bound, refined_twopoint_l_bound),
+    ("fig1", "N_collinear", "N_refined"),
+    ("fig2", "L_collinear", "L_refined"),
 ])
 def test_figure_rows_match_per_n_evaluation(preset_name, own, rival):
     preset, classes = figure_rows(preset_name)
     assert [n for ns, _, _ in classes for n in ns] == list(preset.n_values)
+    q, k = preset.q, preset.k
     keys = []
     for ns, class_own, class_rival in classes:
         pairs = set()
         for n in ns:
-            params = BoundParams(n=n, q=preset.q, k=preset.k, ell=preset.q)
-            assert (class_own, class_rival) == (own(params), rival(params)), f"n={n}"
-            pairs.add((params.r1, params.r2))
+            assert (class_own, class_rival) == (
+                bound(own, q, k, q, n), bound(rival, q, k, q, n)), f"n={n}"
+            pairs.add(floor_ratios(q, n))
         assert len(pairs) == 1, f"class from n={ns[0]}"
         keys += pairs
     # maximal runs: adjacent classes differ in (r1, r2)

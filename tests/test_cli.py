@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hermseq.bounds import BoundParams, all_bounds, decimal_string, figure_rows
+from hermseq.bounds import bound, decimal_string, figure_rows, floor_ratios
 from hermseq.cli import EXIT_OK, EXIT_USAGE, main
 from hermseq.complexity import PerVariable, TotalDegree, nonlinear_complexity
 from hermseq.field import Element, FieldContext, element_from_str, element_to_str
@@ -406,10 +406,8 @@ def _bounds_cells():
     rows = [header]
     for n in range(1, 30, 4):
         for k in (1, 2, 3):
-            params = BoundParams(n=n, q=4, k=k, ell=3)
-            values = all_bounds(params)
-            rows.append([n, k, 3, params.r1, params.r2]
-                        + [decimal_string(values[name]) for name in header[5:]])
+            rows.append([n, k, 3, *floor_ratios(4, n)]
+                        + [decimal_string(bound(name, 4, k, 3, n)) for name in header[5:]])
     return rows
 
 
@@ -469,10 +467,14 @@ def test_bounds_matches_pinned_grid(capsys):
      ["--p", "7", "--ell", "7", "--mode", "total-degree", "--n-range", "1:120"]),
     ("complexity_q8_ell8_total_degree.csv",
      ["--p", "2", "--e", "3", "--ell", "8", "--mode", "total-degree", "--n-range", "1:120"]),
-], ids=["q5", "q7", "q8"])
+    ("complexity_q9_ell9_total_degree.csv",
+     ["--p", "3", "--e", "2", "--ell", "9", "--mode", "total-degree", "--n-range", "1:120"]),
+], ids=["q5", "q7", "q8", "q9"])
 def test_complexity_matches_pinned_profile(pinned, argv, capsys):
     # exact profiles over GF(25), GF(49) and GF(64), recorded from the
-    # code-table solver: a wrong "infeasible" in any vector form moves a value
+    # code-table solver and now solved in byte vectors, and over GF(81),
+    # which solves on code tables: a wrong "infeasible" in either vector
+    # form moves a value
     assert main(["complexity", *argv, "--k-range", "1:2"]) == EXIT_OK
     assert capsys.readouterr().out == (DATA / pinned).read_text()
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hermseq.bounds import BoundParams, collinear_n_bound
+from hermseq.bounds import bound
 from hermseq.complexity import (
     PerVariable,
     TotalDegree,
@@ -629,7 +629,7 @@ def test_per_variable_bound_proof_at_q7():
     ctx = FieldContext(7)
     seq = build_sequence(ctx, 7)
     n = len(seq)
-    m = math.ceil(collinear_n_bound(BoundParams(n=n, q=7, k=1, ell=7))) - 1
+    m = math.ceil(bound("N_collinear", q=7, k=1, ell=7, n=n)) - 1
     assert (n, m) == (329, 23)
     assert not exists_recurrence(ctx, seq, m, PerVariable(1))
 

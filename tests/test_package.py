@@ -49,3 +49,12 @@ def test_traced_names_resolve():
         if not callable(target):
             unresolved.append(f"{module_name}.{attr}")
     assert not unresolved, unresolved
+
+
+def test_readme_library_example_runs():
+    # the README's "Library use" block imports public names and asserts on
+    # their results, so a removed or renamed name fails here, not for a reader
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

@@ -86,14 +86,13 @@ def test_bound_check_proves_at_the_ceiling(f9, monkeypatch):
     monkeypatch.setattr(verify, "exists_recurrence", spy)
     for ell in (2, 3):
         seq = build_sequence(f9, ell)
-        for kind, bound in (("per-variable", bounds.collinear_n_bound),
-                            ("total-degree", bounds.collinear_l_bound)):
+        for kind, name in (("per-variable", "N_collinear"),
+                           ("total-degree", "L_collinear")):
             calls.clear()
             assert check_bound_consistency(f9, seq, ell, kind).passed
             assert calls
             for n, m, k in calls:
-                params = bounds.BoundParams(n=n, q=3, k=k, ell=ell)
-                assert m == math.ceil(bound(params)) - 1, (kind, ell, k, n)
+                assert m == math.ceil(bounds.bound(name, 3, k, ell, n)) - 1, (kind, ell, k, n)
 
 
 def test_suite_single_field():
