@@ -11,11 +11,12 @@ Field elements appear in CSV as prime-field coefficient vectors joined by
 ':' with the low-degree coefficient first ("0:1" is z in GF(4)); the same
 syntax is accepted for --a and --modulus.  Exit codes: 0 success, 1
 verification failure, 2 usage error (bad arguments, a field larger than
-field.MAX_FIELD_ORDER, or an --out path that cannot be written).  Missing,
-conflicting or malformed options are refused by argparse with its usage
-line; every other check prints "error: ..." and runs before any output is
-written.  CSV cells are never quoted, since none can hold a comma, a quote
-or a newline (see _write_csv).
+field.MAX_FIELD_ORDER, or an --out path that cannot be written).  A grid
+axis is one option with two names (--k/--k-range, --n/--n-range) and, like
+every option, keeps its last value.  Missing or malformed options are
+refused by argparse with its usage line; every other check prints
+"error: ..." and runs before any output is written.  CSV cells are never
+quoted, since none can hold a comma, a quote or a newline (see _write_csv).
 """
 
 from __future__ import annotations
@@ -46,17 +47,9 @@ def _int_list(text: str) -> tuple[int, ...]:
             f"bad value {text!r}; expected ':'-joined integers") from None
 
 
-def _one_int(text: str) -> list[int]:
-    """--k or --n: one integer, as a one-point grid."""
-    try:
-        return [int(text)]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-
-
 def _int_range(text: str) -> range:
-    """--k-range or --n-range: LO:HI[:STEP], inclusive, or one integer, as a
-    range, which is never listed."""
+    """A grid axis (--k or --n): LO:HI[:STEP], inclusive, or one integer
+    N as N:N, as a range, which is never listed."""
     parts = _int_list(text)
     if len(parts) == 1:
         parts *= 2
@@ -204,13 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of marked places, 2..q")
 
     def add_grid_args(sp):
-        # --k / --k-range store into args.ks, --n / --n-range into args.ns
+        # one option per axis, two names for it: args.ks and args.ns
         for name in ("k", "n"):
-            group = sp.add_mutually_exclusive_group(required=True)
-            group.add_argument(f"--{name}", dest=f"{name}s", type=_one_int,
-                               metavar=name.upper())
-            group.add_argument(f"--{name}-range", dest=f"{name}s", type=_int_range,
-                               metavar="LO:HI[:STEP]")
+            sp.add_argument(f"--{name}", f"--{name}-range", dest=f"{name}s",
+                            type=_int_range, required=True, metavar="LO:HI[:STEP]")
 
     sp = sub.add_parser("sequence", help="emit the constructed sequence")
     add_sequence_args(sp)

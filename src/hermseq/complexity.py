@@ -39,23 +39,21 @@ from .field import FieldContext, SpanTracker
 
 
 @dataclass(frozen=True)
-class PerVariable:
+class _Degree:
+    """A degree parameter k >= 1; the subclass says what k bounds."""
+    k: int
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"degree parameter must be >= 1, got {self.k}")
+
+
+class PerVariable(_Degree):
     """Recurrence polynomials of degree at most k in each variable."""
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"degree parameter must be >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
-class TotalDegree:
+class TotalDegree(_Degree):
     """Recurrence polynomials of total degree at most k."""
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"degree parameter must be >= 1, got {self.k}")
 
 
 DegreeMode = Union[PerVariable, TotalDegree]
@@ -194,7 +192,8 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     half's span, which holds -s too, so it stays exhaustive and free of
     elimination at |F|^min(half, r) sums a half (4^4, not 4^9, for k = 2
     per variable, m = 2, six terms, GF(4)).  Refuses, before listing a
-    monomial, when the larger half's table of |F|^half sums exceeds 2**16.
+    monomial, when a half has more than 16 columns or the larger half's
+    table of |F|^min(half, r) sums exceeds 2**16.
     """
     terms = tuple(t)
     n = len(terms)
@@ -202,15 +201,15 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
         raise ValueError(f"window length must be in 1..{n - 1}, got {m}")
     per_variable = isinstance(mode, PerVariable)
     count = (mode.k + 1) ** m if per_variable else math.comb(m + mode.k, mode.k)
-    half = count // 2
-    # |F| >= 4, so a right half above 16 columns is refused without the power
-    if count - half > 16 or ctx.order ** (count - half) > 1 << 16:
-        raise ValueError(
-            f"enumeration too large: a table of {ctx.order}^{count - half} sums"
-        )
+    half, r = count // 2, n - m
+    # a larger half of more than 16 columns is refused by its count, before
+    # any monomial is listed; a smaller one spans at most r dimensions, so
+    # its table holds |F|^min(columns, r) sums
+    dims = count - half if count - half > 16 else min(count - half, r)
+    if count - half > 16 or ctx.order ** dims > 1 << 16:
+        raise ValueError(f"enumeration too large: a table of {ctx.order}^{dims} sums")
     monos = [a for a in itertools.product(range(mode.k + 1), repeat=m)
              if per_variable or sum(a) <= mode.k]
-    r = n - m
     mul, add, one, zero = ctx.mul, ctx.add, ctx.one, ctx.zero
     powers = [[ctx.pow(x, a) for a in range(mode.k + 1)] for x in terms[:-1]]
     columns = []

@@ -18,7 +18,7 @@ compute in (vector_form()).  Where an element fits one byte and a row op
 stays inside it, q in {2, 4, 8} and q in {3, 5, 7}, a vector has one byte
 per row and a row op or a product column is a few C-level bytes/int calls
 (_ByteVectors).  Every other field reduces lists of codes with the mul, sub
-and inv tables of code_tables() (_CodeVectors).
+and inv tables over codes that _CodeVectors builds for itself.
 """
 
 from __future__ import annotations
@@ -189,7 +189,6 @@ class FieldContext:
         self._exp, self._log, self._zech = self._build_tables()
         self.epsilon: Element = self._exp[1]
         self._fibers: Optional[dict[Element, tuple[Element, ...]]] = None
-        self._code_tables: Optional[tuple] = None
         self._vector_form = None
 
     # -- construction helpers ------------------------------------------------
@@ -329,48 +328,7 @@ class FieldContext:
             self._fibers = {t: tuple(bs) for t, bs in fibers.items()}
         return self._fibers[self.rel_norm(a)]
 
-    # -- arithmetic on codes --------------------------------------------------
-
-    def code_tables(self) -> tuple:
-        """(mul, sub, inv) over codes, built on first use and cached:
-        mul[a][b] and sub[a][b] are the codes of a*b and a-b, inv[a] that of
-        1/a (inv[0] is None).
-
-        Up to EAGER_TABLE_ORDER elements mul and sub are lists of rows;
-        above it they are dicts that build each row on first access.  Every
-        entry refers to one shared int object per code, so a table costs one
-        pointer per entry.  sub is digitwise: it shares nothing with sub().
-        """
-        if self._code_tables is None:
-            p, order, exp, log = self.p, self.order, self._exp, self._log
-            ints = list(range(order))
-            log_units = log[1:]
-
-            def mul_row(a: int) -> list[int]:
-                if a == 0:
-                    return [0] * order
-                rotated = exp[log[a]:] + exp[:log[a]]
-                return [0] + [rotated[i] for i in log_units]
-
-            def sub_row(a: int) -> list[int]:
-                # one base-p digit at a time, least significant first:
-                # entry b holds the code of the digitwise difference a - b
-                row, weight = [0], 1
-                for _ in range(self.degree):
-                    digit = a // weight % p
-                    row = [(digit - d) % p * weight + s
-                           for d in range(p) for s in row]
-                    weight *= p
-                return [ints[c] for c in row]
-
-            if order <= EAGER_TABLE_ORDER:
-                mul = [mul_row(a) for a in range(order)]
-                sub = [sub_row(a) for a in range(order)]
-            else:
-                mul, sub = _LazyRows(mul_row), _LazyRows(sub_row)
-            inv = [None] + [exp[-log[a] % (order - 1)] for a in range(1, order)]
-            self._code_tables = (mul, sub, inv)
-        return self._code_tables
+    # -- the solver's vector form --------------------------------------------
 
     def vector_form(self):
         """The solver's vector arithmetic, built on first use and cached.
@@ -379,7 +337,7 @@ class FieldContext:
         inside it: two logs add to at most 2(order-2) < 256, and in odd
         characteristic GF(p^2)'s two digits add to at most 2(p-1) < 16 per
         nibble.  That is q in {2, 4, 8} and q in {3, 5, 7}; every other
-        field reduces lists of codes with code_tables().
+        field reduces lists of codes over code tables (_CodeVectors).
         """
         if self._vector_form is None:
             fits = 2 * (self.order - 2) < 256 and (
@@ -427,12 +385,43 @@ def element_from_str(text: str, ctx: FieldContext) -> Element:
 # ---------------------------------------------------------------------------
 
 class _CodeVectors:
-    """Vectors as lists of codes, combined through the code tables.
+    """Vectors as lists of codes, combined through code tables: mul[a][b]
+    and sub[a][b] are the codes of a*b and a-b, inv[a] that of 1/a (inv[0]
+    is None).
 
-    A basis entry is (pivot, vector from the pivot on)."""
+    Up to EAGER_TABLE_ORDER elements mul and sub are lists of rows; above
+    it they are dicts that build each row on first access.  Every entry
+    refers to one shared int object per code, so a table costs one pointer
+    per entry.  sub is digitwise: it shares nothing with ctx.sub.  A basis
+    entry is (pivot, vector from the pivot on)."""
 
     def __init__(self, ctx: FieldContext):
-        self.mul, self.sub, self.inv = ctx.code_tables()
+        p, order, exp, log = ctx.p, ctx.order, ctx._exp, ctx._log
+        ints = list(range(order))
+        log_units = log[1:]
+
+        def mul_row(a: int) -> list[int]:
+            if a == 0:
+                return [0] * order
+            rotated = exp[log[a]:] + exp[:log[a]]
+            return [0] + [rotated[i] for i in log_units]
+
+        def sub_row(a: int) -> list[int]:
+            # one base-p digit at a time, least significant first:
+            # entry b holds the code of the digitwise difference a - b
+            row, weight = [0], 1
+            for _ in range(ctx.degree):
+                digit = a // weight % p
+                row = [(digit - d) % p * weight + s for d in range(p) for s in row]
+                weight *= p
+            return [ints[c] for c in row]
+
+        if order <= EAGER_TABLE_ORDER:
+            self.mul = [mul_row(a) for a in range(order)]
+            self.sub = [sub_row(a) for a in range(order)]
+        else:
+            self.mul, self.sub = _LazyRows(mul_row), _LazyRows(sub_row)
+        self.inv = [None] + [exp[-log[a] % (order - 1)] for a in range(1, order)]
         self.one = ctx.one
         self.unit = [ctx.one]  # the constant 1 on one point, as a basis vector
 

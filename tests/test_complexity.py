@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -178,6 +179,16 @@ def test_mode_validation():
         TotalDegree(-1)
 
 
+def test_modes_are_frozen_values_of_their_own_kind():
+    # the two modes share one k field and check, but stay distinct values
+    assert repr(PerVariable(2)) == "PerVariable(k=2)"
+    assert repr(TotalDegree(2)) == "TotalDegree(k=2)"
+    assert PerVariable(2) == PerVariable(2) and PerVariable(2) != TotalDegree(2)
+    assert len({PerVariable(2): 0, TotalDegree(2): 1}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PerVariable(2).k = 3
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement (small deterministic slice; the bulk run is in acceptance)
 # ---------------------------------------------------------------------------
@@ -190,9 +201,28 @@ def test_oracle_trivial_cases(f4):
 
 
 def test_oracle_guard(f4):
-    t = _random_terms(f4, random.Random(8), 6)
-    with pytest.raises(ValueError):
-        brute_force_oracle(f4, t, 3, PerVariable(2))  # 4^27 candidates
+    # 27 monomials, halves of 13 and 14 columns: on six terms the three
+    # windows cap each half's span at a 4^3 table, on twelve terms at 4^9
+    rng = random.Random(8)
+    t = _random_terms(f4, rng, 6)
+    assert brute_force_oracle(f4, t, 3, PerVariable(2)) == \
+        exists_recurrence(f4, t, 3, PerVariable(2))
+    with pytest.raises(ValueError, match=r"a table of 4\^9 sums"):
+        brute_force_oracle(f4, _random_terms(f4, rng, 12), 3, PerVariable(2))
+
+
+def test_oracle_admits_short_gf16_sequences():
+    # nine monomials at m = 2 over GF(16), a 16^4 table on four windows
+    ctx = FieldContext(2, 2)
+    rng = random.Random(16)
+    outcomes = set()
+    for _ in range(8):
+        alphabet = rng.sample(ctx.elements, rng.choice((2, 3, ctx.order)))
+        t = tuple(rng.choice(alphabet) for _ in range(6))
+        got = brute_force_oracle(ctx, t, 2, PerVariable(2))
+        assert got == exists_recurrence(ctx, t, 2, PerVariable(2)), t
+        outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_oracle_matches_solver_spot(f4):
@@ -339,16 +369,16 @@ def test_oracle_needs_minus_one_across_halves():
 
 def test_oracle_builds_no_code_tables():
     # SpanTracker and the suffix chain both build the context's vector form
-    # (and, in the table form, its code tables), so none built means the
-    # oracle used neither: it shares no arithmetic and no elimination with
-    # the solver
+    # (which, in the table form, builds the code tables), so none built
+    # means the oracle used neither: it shares no arithmetic and no
+    # elimination with the solver
     ctx = FieldContext(3, 1)
     rng = random.Random(12)
     for _ in range(5):
         t = _random_terms(ctx, rng, 5)
         for mode in (PerVariable(1), TotalDegree(2)):
             brute_force_oracle(ctx, t, 2, mode)
-    assert ctx._code_tables is None and ctx._vector_form is None
+    assert ctx._vector_form is None
 
 
 def test_curve_and_sequence_layers_build_no_code_tables():
@@ -359,7 +389,7 @@ def test_curve_and_sequence_layers_build_no_code_tables():
     build_sequence(ctx, ctx.q)
     assert check_field(ctx).passed and check_structure(ctx).passed
     assert all(result.passed for result in check_sequence_layer(ctx))
-    assert ctx._code_tables is None and ctx._vector_form is None
+    assert ctx._vector_form is None
 
 
 def _max_order_complexity(ctx, terms):
@@ -534,8 +564,8 @@ def test_field_picks_the_vector_form(p, e, form):
     ctx = FieldContext(p, e)
     t = (ctx.one, ctx.epsilon, ctx.zero, ctx.one, ctx.epsilon, ctx.one)
     assert not exists_recurrence(ctx, t, 2, TotalDegree(1))
+    # only _CodeVectors builds code tables, so its type says whether any exist
     assert type(ctx._vector_form) is form
-    assert (ctx._code_tables is None) == (form is _ByteVectors)
 
 
 def test_exists_recurrence_stops_offering_once_spanned(f4, monkeypatch):

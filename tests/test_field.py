@@ -8,6 +8,7 @@ import pytest
 from hermseq.field import (
     FieldContext,
     SpanTracker,
+    _CodeVectors,
     _is_irreducible,
     _is_prime,
     _pmul,
@@ -214,7 +215,8 @@ def test_coeffs_walk_elements_in_product_order(f9):
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
 def test_code_tables_match_tuple_arithmetic(p, e):
     ctx = FieldContext(p, e)
-    mul, sub, inv = ctx.code_tables()
+    form = _CodeVectors(ctx)
+    mul, sub, inv = form.mul, form.sub, form.inv
     for a, b in itertools.product(ctx.elements, repeat=2):
         assert mul[a][b] == ctx.mul(a, b)
         assert sub[a][b] == ctx.sub(a, b)
@@ -225,7 +227,8 @@ def test_code_tables_match_tuple_arithmetic(p, e):
 def test_code_tables_rows_on_access_above_eager_order():
     # GF(37^2) has 1,369 elements, above EAGER_TABLE_ORDER
     ctx = FieldContext(37, 1)
-    mul, sub, inv = ctx.code_tables()
+    form = _CodeVectors(ctx)
+    mul, sub = form.mul, form.sub
     rng = random.Random(37)
     for _ in range(200):
         a, b = rng.choice(ctx.elements), rng.choice(ctx.elements)
@@ -235,16 +238,18 @@ def test_code_tables_rows_on_access_above_eager_order():
 
 
 def test_code_tables_built_on_first_use():
+    # GF(1024) solves on code tables, built once, with the form, on first use
     ctx = FieldContext(2, 5)
-    assert ctx._code_tables is None
-    assert ctx.code_tables() is ctx.code_tables()
+    assert ctx._vector_form is None
+    form = ctx.vector_form()
+    assert type(form) is _CodeVectors and ctx.vector_form() is form
 
 
 # byte vectors over GF(16) and GF(49), code tables over GF(81)
 @pytest.mark.parametrize("p,e", [(2, 2), (7, 1), (3, 2)])
 def test_construction_builds_no_solver_tables(p, e):
     ctx = FieldContext(p, e)
-    assert ctx._vector_form is None and ctx._code_tables is None
+    assert ctx._vector_form is None
     assert ctx.vector_form() is ctx.vector_form()
 
 
