@@ -22,6 +22,7 @@ quoted, since none can hold a comma, a quote or a newline (see _write_csv).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import nullcontext
 from typing import Iterable, Optional
@@ -177,10 +178,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermseq",
+        allow_abbrev=False,  # no prefix matching, here or in any subcommand
         description="sequences from collinear Hermitian-curve places, their "
                     "recurrence complexity, and exact lower-bound sweeps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_field_args(sp):
         sp.add_argument("--p", type=int, required=True, help="prime characteristic")
@@ -202,12 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{name}", f"--{name}-range", dest=f"{name}s",
                             type=_int_range, required=True, metavar="LO:HI[:STEP]")
 
-    sp = sub.add_parser("sequence", help="emit the constructed sequence")
+    sp = add_parser("sequence", help="emit the constructed sequence")
     add_sequence_args(sp)
     sp.add_argument("--out", help="output CSV path (default stdout)")
     sp.set_defaults(handler=cmd_sequence)
 
-    sp = sub.add_parser("complexity", help="complexities of sequence prefixes")
+    sp = add_parser("complexity", help="complexities of sequence prefixes")
     add_sequence_args(sp)
     add_grid_args(sp)
     sp.add_argument("--mode", choices=["per-variable", "total-degree"],
@@ -215,19 +218,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_complexity)
 
-    sp = sub.add_parser("bounds", help="all six bound formulas on a grid")
+    sp = add_parser("bounds", help="all six bound formulas on a grid")
     add_field_args(sp)
     sp.add_argument("--ell", type=int, help="default: q")
     add_grid_args(sp)
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_bounds)
 
-    sp = sub.add_parser("figures", help="comparison presets fig1 / fig2")
+    sp = add_parser("figures", help="comparison presets fig1 / fig2")
     sp.add_argument("--preset", choices=sorted(FIGURE_PRESETS), required=True)
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_figures)
 
-    sp = sub.add_parser("verify", help="run the self-check suite")
+    sp = add_parser("verify", help="run the self-check suite")
     sp.add_argument("--p", type=int,
                     help="restrict the per-field checks to this field")
     sp.add_argument("--e", type=int)

@@ -9,7 +9,8 @@ irreducible of degree 2e and epsilon the smallest primitive element, so two
 runs always agree element for element.
 
 Every operation is a pure function of its inputs: mul, inv and pow read
-log/antilog tables on epsilon, add, sub and neg its Zech logarithms.  The
+log/antilog tables on epsilon, add, sub and neg its Zech logarithms, and
+mul_row, sub_row, log_row and exp_row return a whole row per call.  The
 fiber table and the solver's vector form are built on first use and cached,
 so callers that never run the solver never pay for the latter.
 
@@ -18,7 +19,7 @@ compute in (vector_form()).  Where an element fits one byte and a row op
 stays inside it, q in {2, 4, 8} and q in {3, 5, 7}, a vector has one byte
 per row and a row op or a product column is a few C-level bytes/int calls
 (_ByteVectors).  Every other field reduces lists of codes with the mul, sub
-and inv tables over codes that _CodeVectors builds for itself.
+and inv tables over codes that _CodeVectors builds from the field's rows.
 """
 
 from __future__ import annotations
@@ -186,6 +187,7 @@ class FieldContext:
         self.zero: Element = 0
         self.one: Element = self._weights[0]
         self.elements = range(self.order)
+        self._codes = list(self.elements)  # one int per code: every table reads these
         self._exp, self._log, self._zech = self._build_tables()
         self.epsilon: Element = self._exp[1]
         self._fibers: Optional[dict[Element, tuple[Element, ...]]] = None
@@ -233,18 +235,26 @@ class FieldContext:
         """Epsilon is the canonically first nonzero c with c^((q^2-1)/r) != 1
         for every prime r dividing q^2-1: the first primitive element.  One
         walk of its powers, each encoded once, gives exp[i] = epsilon^i, log
-        by code (log[0] is None) and zech[i] = log(1 + epsilon^i) or None."""
-        n, one, unit = self.order - 1, self.one, self.coeffs(self.one)
+        by code (log[0] is None) and zech[i] = log(1 + epsilon^i) or None.
+        A step is one F_p-linear map: images[i] packs epsilon*x^i (x^i being
+        weights[i]) in fields so wide that the sum of power[i]*images[i] holds
+        every coefficient of epsilon*power, read mod p, in its own field."""
+        p, n, one, unit = self.p, self.order - 1, self.one, self.coeffs(self.one)
         exponents = [n // r for r in _prime_factors(n)]
         epsilon = next(c for c in map(self.coeffs, self.elements[1:])
                        if all(self._raw_pow(c, x) != unit for x in exponents))
+        width = (self.degree * (p - 1) ** 2).bit_length()
+        shifts, mask = range(0, width * self.degree, width), (1 << width) - 1
+        images = [sum(c << s for c, s in zip(self._raw_mul(epsilon, self.coeffs(w)), shifts))
+                  for w in self._weights]
         exp, log, power = [], [None] * self.order, unit
         for i in range(n):
-            exp.append(sum(map(operator.mul, power, self._weights)))
+            exp.append(self._codes[sum(map(operator.mul, power, self._weights))])
             log[exp[-1]] = i
-            power = self._raw_mul(power, epsilon)
+            packed = sum(map(operator.mul, power, images))
+            power = [(packed >> s & mask) % p for s in shifts]
         # adding one raises the leading digit mod p
-        top = (self.p - 1) * one
+        top = (p - 1) * one
         return exp, log, [log[c + one if c < top else c - top] for c in exp]
 
     # -- element construction and rendering ----------------------------------
@@ -312,6 +322,34 @@ class FieldContext:
     def rel_norm(self, a: Element) -> Element:
         """a^(q+1), the norm onto the subfield F_q."""
         return self.pow(a, self.q + 1)
+
+    def mul_row(self, a: Element) -> list[Element]:
+        """Entry b is the code of a*b: exp rotated by log a, read in code order."""
+        if not a:
+            return [0] * self.order
+        rotated = self._exp[self._log[a]:] + self._exp[:self._log[a]]
+        return [0] + list(map(rotated.__getitem__, self._log[1:]))
+
+    def sub_row(self, a: Element) -> list[Element]:
+        """Entry b is the code of a - b, one base-p digit at a time, least
+        significant first.  Like mul_row's, its entries are the shared ints
+        of _codes, so a table of rows costs one pointer per entry."""
+        p, row, weight = self.p, [0], 1
+        for _ in range(self.degree):
+            digit = a // weight % p
+            row = [t + s for t in [(digit - d) % p * weight for d in range(p)] for s in row]
+            weight *= p
+        return list(map(self._codes.__getitem__, row))
+
+    def log_row(self, row: Iterable[Element]) -> list[Optional[int]]:
+        """The logs to base epsilon of the entries of row; zero's is None."""
+        return list(map(self._log.__getitem__, row))
+
+    def exp_row(self, logs: Iterable[int]) -> list[Element]:
+        """epsilon^s for each s in logs, any integer s: so a product is the
+        exp_row of a sum of log_rows, and an inverse that of their negatives."""
+        exp, n = self._exp, self.order - 1
+        return [exp[s % n] for s in logs]
 
     # -- the curve fiber ------------------------------------------------------
 
@@ -389,39 +427,16 @@ class _CodeVectors:
     and sub[a][b] are the codes of a*b and a-b, inv[a] that of 1/a (inv[0]
     is None).
 
-    Up to EAGER_TABLE_ORDER elements mul and sub are lists of rows; above
-    it they are dicts that build each row on first access.  Every entry
-    refers to one shared int object per code, so a table costs one pointer
-    per entry.  sub is digitwise: it shares nothing with ctx.sub.  A basis
-    entry is (pivot, vector from the pivot on)."""
+    The rows are ctx.mul_row and ctx.sub_row.  Up to EAGER_TABLE_ORDER
+    elements mul and sub are lists of rows; above it they are dicts that
+    build each row on first access.  sub is digitwise: it shares nothing
+    with ctx.sub.  A basis entry is (pivot, vector from the pivot on)."""
 
     def __init__(self, ctx: FieldContext):
-        p, order, exp, log = ctx.p, ctx.order, ctx._exp, ctx._log
-        ints = list(range(order))
-        log_units = log[1:]
-
-        def mul_row(a: int) -> list[int]:
-            if a == 0:
-                return [0] * order
-            rotated = exp[log[a]:] + exp[:log[a]]
-            return [0] + [rotated[i] for i in log_units]
-
-        def sub_row(a: int) -> list[int]:
-            # one base-p digit at a time, least significant first:
-            # entry b holds the code of the digitwise difference a - b
-            row, weight = [0], 1
-            for _ in range(ctx.degree):
-                digit = a // weight % p
-                row = [(digit - d) % p * weight + s for d in range(p) for s in row]
-                weight *= p
-            return [ints[c] for c in row]
-
-        if order <= EAGER_TABLE_ORDER:
-            self.mul = [mul_row(a) for a in range(order)]
-            self.sub = [sub_row(a) for a in range(order)]
-        else:
-            self.mul, self.sub = _LazyRows(mul_row), _LazyRows(sub_row)
-        self.inv = [None] + [exp[-log[a] % (order - 1)] for a in range(1, order)]
+        eager = ctx.order <= EAGER_TABLE_ORDER
+        self.mul, self.sub = (list(map(row, ctx.elements)) if eager else _LazyRows(row)
+                              for row in (ctx.mul_row, ctx.sub_row))
+        self.inv = [None] + ctx.exp_row(-s for s in ctx.log_row(ctx.elements[1:]))
         self.one = ctx.one
         self.unit = [ctx.one]  # the constant 1 on one point, as a basis vector
 
@@ -482,11 +497,11 @@ class _ByteVectors:
         self.nonzero = bytes.maketrans(enc, bytes([0] + [255] * n))
         self.logpow = [bytes.maketrans(enc, bytes(a * v % n for v in logs))
                        for a in range(order)]
-        self.expmod = bytes(ctx._exp[s % n] for s in range(256)).translate(self.enc)
+        self.expmod = bytes(ctx.exp_row(range(256))).translate(self.enc)
         self.axpy: list = [None] * 256
         self.div = [0] * 256  # byte of c -> byte of -1/c: axpy[div[c]] divides by c
         for c in range(1, order):
-            row = bytes(map(ctx.mul, [ctx.neg(c)] * order, range(order)))
+            row = bytes(ctx.mul_row(ctx.neg(c)))
             self.axpy[enc[c]] = bytes.maketrans(enc, row.translate(self.enc))
             self.div[enc[c]] = enc[ctx.neg(ctx.inv(c))]
         self.modp = None if p == 2 else bytes(

@@ -10,16 +10,18 @@ caller already holds the field, ell and the line that produced it.
 The builder reads tables, not curve.eval_quotient.  Every tangent is
 Y - b_i for the one field value Y = y - a^q (x - a), so the quotient's
 denominator is the polynomial P(Y) = (Y - b_1) ... (Y - b_(ell-1)), and 1/P
-is tabulated once over all q^2 values of Y.  All family places share x = a,
-so the j-th orbit step moves every row to the same x_j = eps^-j a, and
-(x_j - a)^q, a^q (x_j - a) and the y factor eps^-(q+1)j are tabulated once
-per step.  A term then costs one mul, one sub, one table read and one mul.
-curve.eval_quotient stays the reference evaluator: the checks and tests
-compare the builder with it, so the two share no shortcut.
+is tabulated once over all q^2 values of Y, one field row per root.  All
+family places share x = a, so the j-th orbit step moves every row to the
+same x_j = eps^-j a, and (x_j - a)^q, a^q (x_j - a) and the y factor
+eps^-(q+1)j are tabulated once per step.  A term then costs one field add
+and one table read, and products are sums of log rows.  curve.eval_quotient
+stays the reference evaluator: the checks and tests compare the builder
+with it, so the two share no shortcut.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Sequence
 
 from .curve import PoleError, collinear_family
@@ -32,14 +34,17 @@ def full_length(q: int) -> int:
 
 def _inverse_product_table(ctx: FieldContext,
                            roots: Sequence[Element]) -> list[Optional[Element]]:
-    """Entry Y (a code) is 1 / prod(Y - b for b in roots), or None where
-    that product is zero, that is at the roots."""
-    table = []
-    for y in ctx.elements:
-        den = ctx.one
-        for b in roots:
-            den = ctx.mul(den, ctx.sub(y, b))
-        table.append(ctx.inv(den) if den else None)
+    """Entry Y (a code) is 1 / prod(Y - b for b in roots), or None at the
+    roots, where the product is zero.  Its log sums that of (-1)^len(roots)
+    and the logs of one row b - Y per root, whose zero at b is read as one."""
+    logs = [len(roots) * ctx.log_row([ctx.neg(ctx.one)])[0]] * ctx.order
+    for b in roots:
+        row = ctx.sub_row(b)
+        row[b] = ctx.one
+        logs = list(map(operator.add, logs, ctx.log_row(row)))
+    table: list[Optional[Element]] = ctx.exp_row(-s for s in logs)
+    for b in roots:
+        table[b] = None
     return table
 
 
@@ -57,19 +62,19 @@ def build_sequence(ctx: FieldContext, ell: int,
         a = ctx.epsilon
     fam = collinear_family(ctx, a)
     inv_den = _inverse_product_table(ctx, fam.b_list[:ell - 1])
-    x_step = ctx.inv(ctx.epsilon)
-    y_step = ctx.pow(x_step, ctx.q + 1)
-    steps = []  # (x_j - a)^q, a^q (x_j - a), eps^-(q+1)j for j = 1..q^2-2
-    x, y_scale = a, ctx.one
-    for _ in range(ctx.order - 2):
-        x, y_scale = ctx.mul(x, x_step), ctx.mul(y_scale, y_step)
-        shift = ctx.sub(x, a)
-        steps.append((ctx.pow(shift, ctx.q), ctx.mul(fam.a_pow_q, shift), y_scale))
-    terms = []
+    # steps j = 1..q^2-2: the logs of a - x_j give (x_j - a)^q and -a^q (x_j - a)
+    q, steps = ctx.q, range(1, ctx.order - 1)
+    log_a, minus_one, log_aq = ctx.log_row([a, ctx.neg(ctx.one), fam.a_pow_q])
+    xs = ctx.exp_row(log_a - j for j in steps)  # x_j = eps^-j a
+    diffs = ctx.log_row(map(ctx.sub_row(a).__getitem__, xs))
+    num_logs = [q * (s + minus_one) for s in diffs]
+    shifts = ctx.exp_row(log_aq + s for s in diffs)
+    y_scales = ctx.exp_row(-(q + 1) * j for j in steps)
+    add, terms = ctx.add, []
     for b in fam.b_list:
-        for num, tangent_shift, y_scale in steps:
-            inv = inv_den[ctx.sub(ctx.mul(y_scale, b), tangent_shift)]
-            if inv is None:  # ctx.mul would read None as zero
-                raise PoleError(f"orbit step of ({a}, {b}) is a pole of the quotient")
-            terms.append(ctx.mul(num, inv))
+        yb = ctx.mul_row(b)
+        invs = [inv_den[add(yb[y], t)] for y, t in zip(y_scales, shifts)]
+        if None in invs:  # a pole: None has no log
+            raise PoleError(f"orbit step of ({a}, {b}) is a pole of the quotient")
+        terms += ctx.exp_row(map(operator.add, num_logs, ctx.log_row(invs)))
     return tuple(terms)

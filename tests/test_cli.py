@@ -472,6 +472,26 @@ def test_grid_axis_names_are_one_option(capsys):
     assert outs[0].count("\n") == 3 and outs[1:] == outs[:1] * 3
 
 
+def test_option_prefixes_are_usage_errors(tmp_path, capsys):
+    # argparse's prefix matching is off, so a shortened option name is
+    # refused with the usage code and nothing written, while both names of
+    # each grid axis still parse
+    out = tmp_path / "x.csv"
+    base = ["complexity", "--p", "2", "--ell", "2"]
+    for grid in (["--k-r", "1:2", "--n-r", "1:4", "--ou", str(out)],
+                 ["--k-r", "1:2", "--n", "1:4", "--out", str(out)],
+                 ["--k", "1:2", "--n-r", "1:4", "--out", str(out)],
+                 ["--k", "1:2", "--n", "1:4", "--ou", str(out)]):
+        assert main(base + grid) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage: hermseq")
+        assert not out.exists()
+    outs = []
+    for grid in (["--k", "1:2", "--n", "1:4"], ["--k-range", "1:2", "--n-range", "1:4"]):
+        assert main(base + grid + ["--out", str(out)]) == EXIT_OK
+        outs.append(out.read_text())
+    assert outs[0].count("\n") == 9 and outs[1] == outs[0]
+
+
 @pytest.mark.parametrize("pinned,argv", [
     ("complexity_q5_ell5_per_variable.csv",
      ["--p", "5", "--ell", "5", "--mode", "per-variable", "--n-range", "1:115"]),

@@ -66,6 +66,25 @@ def test_default_modulus_and_epsilon_pinned(p, e, modulus, epsilon):
     assert ctx.coeffs(ctx.epsilon) == epsilon
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 5), (3, 3), (5, 2), (7, 2)])
+def test_power_walk_matches_raw_mul(p, e):
+    # the set-up walks epsilon's powers as one F_p-linear map per step; the
+    # reference multiplies coefficient tuples by epsilon with _raw_mul, a
+    # polynomial product and reduction, and encodes each power
+    ctx = FieldContext(p, e)
+    n, epsilon, power = ctx.order - 1, ctx.coeffs(ctx.epsilon), ctx.coeffs(ctx.one)
+    powers = []
+    for _ in range(n):
+        powers.append(ctx.element(power))
+        power = ctx._raw_mul(power, epsilon)
+    assert power == ctx.coeffs(ctx.one)
+    assert ctx.exp_row(range(n)) == powers
+    # log inverts exp on the units, and exp is a permutation of them
+    units = ctx.elements[1:]
+    assert ctx.log_row(powers) == list(range(n))
+    assert ctx.exp_row(ctx.log_row(units)) == list(units)
+
+
 @pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3), (7, 2)])
 def test_is_irreducible_matches_product_enumeration(p, top):
     # a monic polynomial is reducible iff it is the product of two monics
@@ -199,6 +218,35 @@ def test_unit_group_order_exhaustive():
 # ---------------------------------------------------------------------------
 # integer codes
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (3, 2)])
+def test_whole_rows_match_scalar_arithmetic(p, e):
+    # mul_row against ctx.mul, sub_row against coefficient-wise subtraction,
+    # for every a; log_row and exp_row against pow on epsilon
+    ctx = FieldContext(p, e)
+    coeffs = [ctx.coeffs(b) for b in ctx.elements]
+    for a in ctx.elements:
+        assert ctx.mul_row(a) == [ctx.mul(a, b) for b in ctx.elements]
+        assert ctx.sub_row(a) == [ctx.element(x - y for x, y in zip(coeffs[a], cb))
+                                  for cb in coeffs]
+    n, units = ctx.order - 1, ctx.elements[1:]
+    logs = ctx.log_row(units)
+    assert [ctx.pow(ctx.epsilon, s) for s in logs] == list(units)
+    assert ctx.log_row([ctx.zero]) == [None]
+    # any integer is a log: exp_row reduces it mod q^2 - 1
+    assert ctx.exp_row([s - 3 * n for s in logs]) == list(units)
+    assert ctx.exp_row([s + 2 * n for s in logs]) == list(units)
+
+
+def test_whole_rows_share_one_int_per_code():
+    # a solver table holds 1,024 rows of 1,024 entries over GF(1024), so
+    # every row reads its entries from one int object per code
+    ctx = FieldContext(2, 5)
+    identity = ctx.mul_row(ctx.one)
+    assert identity == list(ctx.elements)
+    for row in [ctx.mul_row(a) for a in (2, 700)] + [ctx.sub_row(a) for a in (0, 513)]:
+        assert all(c is identity[c] for c in row)
+
 
 def test_coeffs_walk_elements_in_product_order(f9):
     # an element is its code: canonical order is int order, and element()

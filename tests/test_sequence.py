@@ -82,12 +82,13 @@ def test_q32_sampled_terms_match_reference():
                 f"a={fam.a} index={idx}")
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 5)])
 def test_inverse_product_table(p, e):
-    # None exactly at the roots b_1..b_(ell-1), 1 / prod(Y - b_i) elsewhere
+    # None exactly at the roots b_1..b_(ell-1), 1 / prod(Y - b_i) elsewhere;
+    # in odd characteristic ell = 2 and ell = 3 pin both signs (-1)^(ell-1)
     ctx = FieldContext(p, e)
     fam = collinear_family(ctx, ctx.epsilon)
-    for ell in range(2, ctx.q + 1):
+    for ell in sorted({2, 3, ctx.q}):
         roots = fam.b_list[:ell - 1]
         table = _inverse_product_table(ctx, roots)
         assert len(table) == ctx.order
