@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 from .bounds import (BOUNDS, FIGURE_PRESETS, MAX_Q_BITS, bound, decimal_string,
                      figure_rows, floor_ratios)
 from .complexity import PerVariable, TotalDegree, complexity_profile
-from .field import Element, FieldContext, _is_prime, element_from_str, element_to_str
+from .field import Element, FieldContext, _is_prime, element_from_str, element_names
 from .sequence import build_sequence
 from .verify import run_suite
 
@@ -97,12 +97,13 @@ def _field_and_sequence(args: argparse.Namespace) -> tuple[FieldContext, tuple[E
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     ctx, terms = _field_and_sequence(args)
-    steps = ctx.order - 2
-    names = [element_to_str(code, ctx) for code in ctx.elements]
-    return _write_csv(args.out, ["index", "i", "j", "value"], (
-        "".join([f"{start + j},{i},{j},{names[term]}\n" for j, term in
-                 enumerate(terms[start:start + steps], start=1)])
-        for i, start in enumerate(range(0, len(terms), steps), start=1)))
+    steps, names = ctx.order - 2, element_names(ctx)
+    js = [str(j) for j in range(1, steps + 1)]
+    blocks = ((map(str, range(start + 1, start + steps + 1)), [str(i)] * steps, js,
+               map(names.__getitem__, terms[start:start + steps]))
+              for i, start in enumerate(range(0, len(terms), steps), start=1))
+    return _write_csv(args.out, ["index", "i", "j", "value"],
+                      ("\n".join(map(",".join, zip(*cols))) + "\n" for cols in blocks))
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:

@@ -3,16 +3,18 @@
 An element is its int code: its prime-field coefficients, low degree first,
 read as base-p digits with the low-degree coefficient most significant, so
 zero is 0, one is p^(2e-1) and the canonical order is int order.  Only this
-module knows that layout (element, coeffs, element_to_str, element_from_str).
-Everything is deterministic: the modulus is the lexicographically smallest
-irreducible of degree 2e and epsilon the smallest primitive element, so two
-runs always agree element for element.
+module knows that layout (element, coeffs, element_to_str, element_names,
+element_from_str).  Everything is deterministic: the modulus is the
+lexicographically smallest irreducible of degree 2e and epsilon the
+smallest primitive element, so two runs always agree element for element.
 
 Every operation is a pure function of its inputs: mul, inv and pow read
 log/antilog tables on epsilon, add, sub and neg its Zech logarithms, and
-mul_row, sub_row, log_row and exp_row return a whole row per call.  The
-fiber table and the solver's vector form are built on first use and cached,
-so callers that never run the solver never pay for the latter.
+mul_row, sub_row, add_rows, log_row and exp_row return a whole row per
+call.  add_rows XORs codes in characteristic 2, but add stays on Zech logs:
+the brute-force oracle adds with it and shares no XOR with the solver.  The
+fiber table and the solver's vector form are built on first use and
+cached, so callers that never run the solver never pay for the latter.
 
 The field picks the vector form that SpanTracker and the suffix chain
 compute in (vector_form()).  Where an element fits one byte and a row op
@@ -196,10 +198,11 @@ class FieldContext:
     # -- construction helpers ------------------------------------------------
 
     def _smallest_irreducible(self) -> tuple[int, ...]:
-        d = self.degree
-        for tail in itertools.product(range(self.p), repeat=d):
+        # x divides each tail with constant term 0; the rest keep their order
+        p, d = self.p, self.degree
+        for tail in itertools.product(range(1, p), *[range(p)] * (d - 1)):
             cand = list(tail) + [1]
-            if _is_irreducible(cand, self.p):
+            if _is_irreducible(cand, p):
                 return tuple(cand)
         raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
@@ -341,6 +344,13 @@ class FieldContext:
             weight *= p
         return list(map(self._codes.__getitem__, row))
 
+    def add_rows(self, xs: Iterable[Element], ys: Iterable[Element]) -> list[Element]:
+        """The element-wise sums of xs and ys.  Base-2 digits add without
+        carry, so in characteristic 2 a sum is the XOR of the codes."""
+        if self.p == 2:
+            return list(map(self._codes.__getitem__, map(operator.xor, xs, ys)))
+        return list(map(self.add, xs, ys))
+
     def log_row(self, row: Iterable[Element]) -> list[Optional[int]]:
         """The logs to base epsilon of the entries of row; zero's is None."""
         return list(map(self._log.__getitem__, row))
@@ -404,6 +414,11 @@ class _LazyRows(dict):
 def element_to_str(a: Element, ctx: FieldContext) -> str:
     """a's coefficients joined by ':', low degree first: z in GF(4) -> "0:1"."""
     return ":".join(str(c) for c in ctx.coeffs(a))
+
+
+def element_names(ctx: FieldContext) -> list[str]:
+    """element_to_str of each code in turn: product order is code order."""
+    return list(map(":".join, itertools.product(map(str, range(ctx.p)), repeat=ctx.degree)))
 
 
 def element_from_str(text: str, ctx: FieldContext) -> Element:

@@ -13,8 +13,9 @@ denominator is the polynomial P(Y) = (Y - b_1) ... (Y - b_(ell-1)), and 1/P
 is tabulated once over all q^2 values of Y, one field row per root.  All
 family places share x = a, so the j-th orbit step moves every row to the
 same x_j = eps^-j a, and (x_j - a)^q, a^q (x_j - a) and the y factor
-eps^-(q+1)j are tabulated once per step.  A term then costs one field add
-and one table read, and products are sums of log rows.  curve.eval_quotient
+eps^-(q+1)j are tabulated once per step.  Each family place then takes
+whole rows: Y from one add_rows, 1/P(Y) from the table and the terms from
+sums of log rows, with no Python call per term.  curve.eval_quotient
 stays the reference evaluator: the checks and tests compare the builder
 with it, so the two share no shortcut.
 """
@@ -70,10 +71,10 @@ def build_sequence(ctx: FieldContext, ell: int,
     num_logs = [q * (s + minus_one) for s in diffs]
     shifts = ctx.exp_row(log_aq + s for s in diffs)
     y_scales = ctx.exp_row(-(q + 1) * j for j in steps)
-    add, terms = ctx.add, []
-    for b in fam.b_list:
-        yb = ctx.mul_row(b)
-        invs = [inv_den[add(yb[y], t)] for y, t in zip(y_scales, shifts)]
+    terms = []
+    for b in fam.b_list:  # Y = y_j b + shift_j, then 1/P(Y) from the table
+        ys = ctx.add_rows(map(ctx.mul_row(b).__getitem__, y_scales), shifts)
+        invs = list(map(inv_den.__getitem__, ys))
         if None in invs:  # a pole: None has no log
             raise PoleError(f"orbit step of ({a}, {b}) is a pole of the quotient")
         terms += ctx.exp_row(map(operator.add, num_logs, ctx.log_row(invs)))

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from hermseq.field import (
     _is_prime,
     _pmul,
     element_from_str,
+    element_names,
     element_to_str,
 )
 
@@ -83,6 +85,20 @@ def test_power_walk_matches_raw_mul(p, e):
     units = ctx.elements[1:]
     assert ctx.log_row(powers) == list(range(n))
     assert ctx.exp_row(ctx.log_row(units)) == list(units)
+
+
+@pytest.mark.parametrize("p,e", [(2, e) for e in range(1, 9)] + [(3, e) for e in range(1, 6)]
+                         + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (13, 2), (251, 1)])
+def test_modulus_search_matches_exhaustive_walk(p, e):
+    # the search skips the tails with constant term 0; the reference walks
+    # every tail in lexicographic order and keeps the first irreducible
+    def exhaustive(d):
+        for tail in itertools.product(range(p), repeat=d):
+            if _is_irreducible(list(tail) + [1], p):
+                return tuple(tail) + (1,)
+
+    field = SimpleNamespace(p=p, degree=2 * e)
+    assert FieldContext._smallest_irreducible(field) == exhaustive(2 * e)
 
 
 @pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3), (7, 2)])
@@ -221,12 +237,15 @@ def test_unit_group_order_exhaustive():
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (3, 2)])
 def test_whole_rows_match_scalar_arithmetic(p, e):
-    # mul_row against ctx.mul, sub_row against coefficient-wise subtraction,
-    # for every a; log_row and exp_row against pow on epsilon
+    # mul_row against ctx.mul, add_rows against ctx.add, sub_row against
+    # coefficient-wise subtraction, for every a; log_row and exp_row against
+    # pow on epsilon
     ctx = FieldContext(p, e)
     coeffs = [ctx.coeffs(b) for b in ctx.elements]
     for a in ctx.elements:
         assert ctx.mul_row(a) == [ctx.mul(a, b) for b in ctx.elements]
+        assert ctx.add_rows([a] * ctx.order, ctx.elements) == [
+            ctx.add(a, b) for b in ctx.elements]
         assert ctx.sub_row(a) == [ctx.element(x - y for x, y in zip(coeffs[a], cb))
                                   for cb in coeffs]
     n, units = ctx.order - 1, ctx.elements[1:]
@@ -244,7 +263,8 @@ def test_whole_rows_share_one_int_per_code():
     ctx = FieldContext(2, 5)
     identity = ctx.mul_row(ctx.one)
     assert identity == list(ctx.elements)
-    for row in [ctx.mul_row(a) for a in (2, 700)] + [ctx.sub_row(a) for a in (0, 513)]:
+    rows = [ctx.mul_row(a) for a in (2, 700)] + [ctx.sub_row(a) for a in (0, 513)]
+    for row in rows + [ctx.add_rows(rows[1], rows[3])]:  # add_rows: XOR of codes
         assert all(c is identity[c] for c in row)
 
 
@@ -477,6 +497,13 @@ def test_element_round_trip(f9):
 def test_element_str_is_low_degree_first(f4):
     assert element_to_str(f4.epsilon, f4) == "0:1"
     assert element_to_str(f4.one, f4) == "1:0"
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (3, 2), (11, 1), (2, 5)])
+def test_element_names_in_code_order(p, e):
+    # GF(121) has two-digit coefficients
+    ctx = FieldContext(p, e)
+    assert element_names(ctx) == [element_to_str(c, ctx) for c in ctx.elements]
 
 
 def test_bad_element_string(f4):
