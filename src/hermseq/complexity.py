@@ -191,9 +191,11 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     it looks up target + s in the left half's span for each s in the right
     half's span, which holds -s too, so it stays exhaustive and free of
     elimination at |F|^min(half, r) sums a half (4^4, not 4^9, for k = 2
-    per variable, m = 2, six terms, GF(4)).  Refuses, before listing a
-    monomial, when a half has more than 16 columns or the larger half's
-    table of |F|^min(half, r) sums exceeds 2**16.
+    per variable, m = 2, six terms, GF(4)).  A half's span grows one column
+    at a time; the zero vector's sums with the column's multiples are the
+    multiples themselves, so they go in as they are.  Refuses, before
+    listing a monomial, when a half has more than 16 columns or the larger
+    half's table of |F|^min(half, r) sums exceeds 2**16.
     """
     terms = tuple(t)
     n = len(terms)
@@ -222,15 +224,17 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
                     v = mul(v, powers[i + j][a_j])
             col.append(v)
         columns.append(tuple(col))
-    target, full = tuple(terms[m:]), ctx.order ** r
+    target, full, origin = tuple(terms[m:]), ctx.order ** r, (zero,) * r
 
     def sums(cols) -> set:
         """Every sum of c_i * col_i, a subspace: a column in it adds nothing."""
-        acc = {(zero,) * r}
+        acc = {origin}
         for col in cols:
             if len(acc) < full and col not in acc:
-                multiples = [[mul(c, y) for y in col] for c in ctx.elements[1:]]
-                acc |= {tuple(map(add, s, v)) for s in acc for v in multiples}
+                multiples = [tuple([mul(c, y) for y in col]) for c in ctx.elements[1:]]
+                acc |= {tuple(map(add, s, v))
+                        for s in acc if s != origin for v in multiples}
+                acc.update(multiples)
         return acc
 
     left = sums(columns[:half])

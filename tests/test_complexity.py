@@ -200,6 +200,24 @@ def test_oracle_trivial_cases(f4):
     assert brute_force_oracle(f4, z, 1, PerVariable(1))      # zero polynomial
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_window_one_modes_agree(p):
+    # at m = 1 both disciplines admit exactly 1, x, .., x^k, so each k has
+    # one answer for both modes, from the oracle and from the solver alike
+    ctx = FieldContext(p, 1)
+    rng = random.Random(60 + p)
+    outcomes = set()
+    for _ in range(30):
+        alphabet = rng.sample(ctx.elements, rng.choice((2, 3, ctx.order)))
+        t = tuple(rng.choice(alphabet) for _ in range(rng.randrange(3, 8)))
+        for k in (1, 2, 3):
+            for answer in (brute_force_oracle, exists_recurrence):
+                got = answer(ctx, t, 1, PerVariable(k))
+                assert got == answer(ctx, t, 1, TotalDegree(k)), (t, k, answer)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 def test_oracle_guard(f4):
     # 27 monomials, halves of 13 and 14 columns: on six terms the three
     # windows cap each half's span at a 4^3 table, on twelve terms at 4^9

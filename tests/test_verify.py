@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hermseq import bounds, verify
+from hermseq.complexity import TotalDegree
 from hermseq.field import FieldContext
 from hermseq.sequence import build_sequence
 from hermseq.verify import (
@@ -236,3 +237,50 @@ def test_figures_name_the_first_failing_n(monkeypatch):
     assert result.detail == ("fig1: no dominance at n=2044; "
                              "fig1: endpoint values drifted; "
                              "fig2: column decreases at n=5115")
+
+
+# ---------------------------------------------------------------------------
+# oracle agreement: one solver and one oracle answer per distinct question
+# ---------------------------------------------------------------------------
+
+def _spy(monkeypatch, name, flip=lambda t, m, mode: False):
+    """Record each call of verify's `name`, flipping the answers flip marks."""
+    original, calls = getattr(verify, name), []
+
+    def spy(ctx, t, m, mode):
+        calls.append((t, m, mode))
+        return original(ctx, t, m, mode) != flip(t, m, mode)
+
+    monkeypatch.setattr(verify, name, spy)
+    return calls
+
+
+def test_oracle_agreement_answers_each_question_once(monkeypatch):
+    solver = _spy(monkeypatch, "exists_recurrence")
+    oracle = _spy(monkeypatch, "brute_force_oracle")
+    result = verify.check_oracle_agreement(FieldContext(2, 1))
+    assert result == CheckResult("oracle-agreement", True,
+                                 "1313 comparisons over 200 sequences")
+    assert (len(solver), len(set(solver))) == (1087, 1087)
+    assert (len(oracle), len(set(oracle))) == (773, 773)
+
+
+@pytest.mark.parametrize("question,failures", [
+    # (0, 3, 0) is drawn three times, so its window-2 questions repeat
+    (((0, 3, 0), 2, 1), ["disagree on (0, 3, 0) m=2 TotalDegree(k=1)"] * 3),
+    # (2, 0) is drawn seven times; at m = 1 one oracle answer serves both
+    # modes with k = 1, so the flip fails 14 comparisons and the cap stops it
+    (((2, 0), 1, 1), ["disagree on (2, 0) m=1 PerVariable(k=1)",
+                      "disagree on (2, 0) m=1 TotalDegree(k=1)"] * 2
+     + ["... stopped after 7 failures"]),
+])
+def test_oracle_agreement_fails_at_each_repeat(monkeypatch, question, failures):
+    # the flipped oracle answer is asked once but counts at every occurrence
+    def flip(t, m, mode):
+        return ((t, m, mode.k) == question
+                and (m == 1 or isinstance(mode, TotalDegree)))
+
+    oracle = _spy(monkeypatch, "brute_force_oracle", flip)
+    result = verify.check_oracle_agreement(FieldContext(2, 1))
+    assert result == CheckResult("oracle-agreement", False, "; ".join(failures))
+    assert sum(flip(*call) for call in oracle) == 1
