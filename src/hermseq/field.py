@@ -21,7 +21,8 @@ compute in (vector_form()).  Where an element fits one byte and a row op
 stays inside it, q in {2, 4, 8} and q in {3, 5, 7}, a vector has one byte
 per row and a row op or a product column is a few C-level bytes/int calls
 (_ByteVectors).  Every other field reduces lists of codes with the mul, sub
-and inv tables over codes that _CodeVectors builds from the field's rows.
+and inv tables of _CodeVectors, at every order lists with one entry per
+code; a mul or sub row is built from the field's rows on its first read.
 """
 
 from __future__ import annotations
@@ -40,16 +41,6 @@ Element = int
 # once for the log and Zech tables, so set-up time and memory grow with the
 # field; the largest field any caller uses is q = 32 (1,024 elements).
 MAX_FIELD_ORDER = 1 << 16
-
-# Largest field order whose code tables are built whole, as lists of rows.
-# A list row is found faster than a row built on access (a total-degree-2
-# profile of 150 terms at q = 9 or q = 16, both on code tables, runs about
-# 5% to 65% slower on the latter, best of five), and at 1,024 elements a
-# 60-term solver run already reads 1,023 of the 1,024 mul rows, so building
-# whole costs no extra memory.  Above this order a whole table would hold
-# 16M or more entries (134 MB at 4,096 elements), so rows are built on
-# first access and memory follows the rows a solver run reads.
-EAGER_TABLE_ORDER = 1 << 10
 
 
 # The first 13 primes.  No composite below _MILLER_RABIN_EXACT_BELOW is a
@@ -399,18 +390,6 @@ class FieldContext:
         return f"FieldContext(p={self.p}, e={self.e}, modulus={self.modulus})"
 
 
-class _LazyRows(dict):
-    """Table rows keyed by code, each built by build_row on first access."""
-
-    def __init__(self, build_row):
-        super().__init__()
-        self._build_row = build_row
-
-    def __missing__(self, a: int) -> list[int]:
-        row = self[a] = self._build_row(a)
-        return row
-
-
 def element_to_str(a: Element, ctx: FieldContext) -> str:
     """a's coefficients joined by ':', low degree first: z in GF(4) -> "0:1"."""
     return ":".join(str(c) for c in ctx.coeffs(a))
@@ -437,20 +416,37 @@ def element_from_str(text: str, ctx: FieldContext) -> Element:
 # solver vectors: lists of codes, or one byte per row
 # ---------------------------------------------------------------------------
 
+class _RowStandIn:
+    """Entry a of a code table until its row is first read, which builds the
+    row and puts it in this stand-in's place: a caller holding the stand-in
+    still reads right, and later table reads find a plain list."""
+    __slots__ = ("table", "a", "build_row")
+
+    def __init__(self, table: list, a: int, build_row):
+        self.table, self.a, self.build_row = table, a, build_row
+
+    def __getitem__(self, b: int) -> int:
+        row = self.table[self.a]
+        if row is self:
+            row = self.table[self.a] = self.build_row(self.a)
+        return row[b]
+
+
 class _CodeVectors:
     """Vectors as lists of codes, combined through code tables: mul[a][b]
     and sub[a][b] are the codes of a*b and a-b, inv[a] that of 1/a (inv[0]
     is None).
 
-    The rows are ctx.mul_row and ctx.sub_row.  Up to EAGER_TABLE_ORDER
-    elements mul and sub are lists of rows; above it they are dicts that
-    build each row on first access.  sub is digitwise: it shares nothing
-    with ctx.sub.  A basis entry is (pivot, vector from the pivot on)."""
+    mul and sub are lists with one entry per code, at every field order.
+    Entry a is ctx.mul_row(a) or ctx.sub_row(a), built on its first read
+    (_RowStandIn), so memory follows the rows a solver run reads.  sub is
+    digitwise: it shares nothing with ctx.sub.  A basis entry is (pivot,
+    vector from the pivot on)."""
 
     def __init__(self, ctx: FieldContext):
-        eager = ctx.order <= EAGER_TABLE_ORDER
-        self.mul, self.sub = (list(map(row, ctx.elements)) if eager else _LazyRows(row)
-                              for row in (ctx.mul_row, ctx.sub_row))
+        self.mul, self.sub = [], []
+        for table, row in ((self.mul, ctx.mul_row), (self.sub, ctx.sub_row)):
+            table += (_RowStandIn(table, a, row) for a in ctx._codes)
         self.inv = [None] + ctx.exp_row(-s for s in ctx.log_row(ctx.elements[1:]))
         self.one = ctx.one
         self.unit = [ctx.one]  # the constant 1 on one point, as a basis vector

@@ -323,11 +323,13 @@ def check_oracle_agreement(ctx: FieldContext) -> CheckResult:
 
     def disagrees(case) -> bool:
         t, m, mode = case
-        # at m = 1, PerVariable(k) and TotalDegree(k) admit the same monomials
+        # keys of plain values: a mode's dataclass hash and eq run in Python.
+        # At m = 1, PerVariable(k) and TotalDegree(k) admit the same monomials
         # 1, x, .., x^k, so the oracle's answer depends on k alone
-        shape = (t, m, mode.k) if m == 1 else case
-        if (solved := solver.get(case)) is None:
-            solved = solver[case] = exists_recurrence(ctx, t, m, mode)
+        key = (t, m, type(mode), mode.k)
+        shape = (t, m, mode.k) if m == 1 else key
+        if (solved := solver.get(key)) is None:
+            solved = solver[key] = exists_recurrence(ctx, t, m, mode)
         if (found := oracle.get(shape)) is None:
             found = oracle[shape] = brute_force_oracle(ctx, t, m, mode)
         return solved != found

@@ -20,11 +20,6 @@ from hermseq.sequence import build_sequence
 from hermseq.verify import check_field, check_sequence_layer, check_structure
 
 
-@pytest.fixture(scope="module")
-def f4():
-    return FieldContext(2, 1)
-
-
 def _random_terms(ctx, rng, n):
     return tuple(rng.choice(ctx.elements) for _ in range(n))
 
@@ -484,7 +479,7 @@ def _reference_exists(ctx, terms, m, mode):
 
 
 # byte vectors over GF(4), GF(9), GF(16), GF(25), GF(49) and GF(64); code
-# tables over GF(81), GF(256) and GF(37^2), whose rows are built on access
+# tables, whose rows are built on first read, over GF(81), GF(256) and GF(37^2)
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (37, 1),
                                  (2, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
 def test_engine_matches_dense_reference(p, e):
@@ -506,7 +501,7 @@ def test_engine_matches_dense_reference(p, e):
     assert outcomes == {True, False}
 
 
-# GF(9), GF(16), and GF(37^2), whose code-table rows are built on access
+# byte vectors over GF(9) and GF(16), code tables over GF(37^2)
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (37, 1)])
 def test_complexity_is_least_reference_window(p, e):
     # nonlinear_complexity reads complexity_profile's suffix chain rather
@@ -629,7 +624,7 @@ def _reference_profile(ctx, terms, mode):
     return profile
 
 
-# GF(9), GF(16), and GF(37^2), whose code-table rows are built on access
+# byte vectors over GF(9) and GF(16), code tables over GF(37^2)
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (37, 1)])
 def test_profile_matches_reference_at_every_prefix(p, e):
     ctx = FieldContext(p, e)

@@ -19,16 +19,6 @@ from hermseq.field import (
 )
 
 
-@pytest.fixture(scope="module")
-def f4():
-    return FieldContext(2, 1)
-
-
-@pytest.fixture(scope="module")
-def f9():
-    return FieldContext(3, 1)
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -292,8 +282,8 @@ def test_code_tables_match_tuple_arithmetic(p, e):
         assert inv[a] == ctx.inv(a)
 
 
-def test_code_tables_rows_on_access_above_eager_order():
-    # GF(37^2) has 1,369 elements, above EAGER_TABLE_ORDER
+def test_code_tables_build_only_the_rows_read():
+    # GF(37^2): 200 reads build at most 200 of the 1,369 rows of each table
     ctx = FieldContext(37, 1)
     form = _CodeVectors(ctx)
     mul, sub = form.mul, form.sub
@@ -302,7 +292,43 @@ def test_code_tables_rows_on_access_above_eager_order():
         a, b = rng.choice(ctx.elements), rng.choice(ctx.elements)
         assert mul[a][b] == ctx.mul(a, b)
         assert sub[a][b] == ctx.sub(a, b)
-    assert len(mul) <= 200 and len(sub) <= 200
+    assert sum(type(row) is list for row in mul) <= 200
+    assert sum(type(row) is list for row in sub) <= 200
+
+
+# GF(81) and GF(1024) have one table layout, as GF(37^2) has
+@pytest.mark.parametrize("p,e", [(3, 2), (2, 5)])
+def test_code_table_row_is_a_plain_list_once_read(p, e):
+    ctx = FieldContext(p, e)
+    form = _CodeVectors(ctx)
+    assert len(form.mul) == len(form.sub) == ctx.order
+    assert not any(type(row) is list for row in form.mul + form.sub)
+    rng = random.Random(p * e)
+    for table, op in ((form.mul, ctx.mul), (form.sub, ctx.sub)):
+        for a in rng.sample(ctx.elements, 5):
+            b = rng.choice(ctx.elements)
+            assert table[a][b] == op(a, b)
+            row = table[a]
+            assert type(row) is list and table[a] is row
+            assert row == [op(a, x) for x in ctx.elements]
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (2, 5)])
+def test_reduce_through_an_unread_multiplier_row(p, e):
+    # reduce binds mul[c] before its row op, so the first read of that row
+    # happens inside the op and must still give x - c*y at every entry
+    ctx = FieldContext(p, e)
+    form = _CodeVectors(ctx)
+    rng = random.Random(p + e)
+    tail = [ctx.one] + [rng.choice(ctx.elements) for _ in range(7)]
+    col = [rng.choice(ctx.elements) for _ in range(10)]
+    col[2] = c = ctx.epsilon
+    assert type(form.mul[c]) is not list
+    want = col[:2] + [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(col[2:], tail)]
+    got, first = form.reduce(list(col), [(2, tail)], len(col))
+    assert got == want and got[2] == 0
+    assert first == next(i for i, v in enumerate(want) if v)
+    assert type(form.mul[c]) is list
 
 
 def test_code_tables_built_on_first_use():

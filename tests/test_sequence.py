@@ -8,16 +8,6 @@ from hermseq.field import FieldContext
 from hermseq.sequence import _inverse_product_table, build_sequence, full_length
 
 
-@pytest.fixture(scope="module")
-def f4():
-    return FieldContext(2, 1)
-
-
-@pytest.fixture(scope="module")
-def f9():
-    return FieldContext(3, 1)
-
-
 def test_length_formula():
     assert full_length(2) == 4
     assert full_length(3) == 21

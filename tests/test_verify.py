@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermseq import bounds, verify
+from hermseq import bounds, complexity, verify
 from hermseq.complexity import TotalDegree
 from hermseq.field import FieldContext
 from hermseq.sequence import build_sequence
@@ -15,11 +15,6 @@ from hermseq.verify import (
     check_bound_consistency,
     run_suite,
 )
-
-
-@pytest.fixture(scope="module")
-def f9():
-    return FieldContext(3, 1)
 
 
 def test_intact_sequence_passes(f9):
@@ -263,6 +258,19 @@ def test_oracle_agreement_answers_each_question_once(monkeypatch):
                                  "1313 comparisons over 200 sequences")
     assert (len(solver), len(set(solver))) == (1087, 1087)
     assert (len(oracle), len(set(oracle))) == (773, 773)
+
+
+def test_oracle_agreement_calls_no_mode_hash_or_eq(monkeypatch):
+    # the memos key a mode by its class and k: a frozen dataclass's generated
+    # __hash__ and __eq__ are Python calls, one or more per lookup
+    calls = {"__hash__": 0, "__eq__": 0}
+    for name in calls:
+        def counted(*args, name=name, method=getattr(complexity._Degree, name)):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(complexity._Degree, name, counted)
+    assert verify.check_oracle_agreement(FieldContext(2, 1)).passed
+    assert calls == {"__hash__": 0, "__eq__": 0}
 
 
 @pytest.mark.parametrize("question,failures", [
