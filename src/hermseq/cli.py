@@ -31,7 +31,7 @@ from .bounds import (BOUNDS, FIGURE_PRESETS, MAX_Q_BITS, bound, decimal_string,
                      figure_rows, floor_ratios)
 from .complexity import PerVariable, TotalDegree, complexity_profile
 from .field import Element, FieldContext, _is_prime, element_from_str, element_names
-from .sequence import build_sequence
+from .sequence import build_sequence, full_length
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -88,11 +88,13 @@ def _write_csv(path: Optional[str], header: list, lines: Iterable[str]) -> int:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _field_and_sequence(args: argparse.Namespace) -> tuple[FieldContext, tuple[Element, ...]]:
-    """The field from --p/--e/--modulus and the sequence from --ell/--a."""
+def _field_and_sequence(args: argparse.Namespace, length: Optional[int] = None
+                        ) -> tuple[FieldContext, tuple[Element, ...]]:
+    """The field from --p/--e/--modulus and the sequence from --ell/--a; with
+    length, only the rows of the sequence that its first length terms need."""
     ctx = FieldContext(args.p, args.e, args.modulus)
     a = element_from_str(args.a, ctx) if args.a is not None else None
-    return ctx, build_sequence(ctx, args.ell, a)
+    return ctx, build_sequence(ctx, args.ell, a, length)
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
@@ -107,15 +109,16 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
-    ctx, terms = _field_and_sequence(args)
-    top = len(terms)
+    last = args.ns[-1]  # the n grid ascends
+    ctx, terms = _field_and_sequence(args, last)
+    top = full_length(ctx.q)
     for n in args.ns:  # stops at the first bad n, at most top + 1 steps
         if not 1 <= n <= top:
             raise ValueError(f"n must be in 1..{top}, got {n}")
     mode_cls = PerVariable if args.mode == "per-variable" else TotalDegree
     # one profile per k covers every n, at about the cost of the largest n;
     # the k grid ascends, so its first mode_cls(k) checks every k
-    prefix = terms[:max(args.ns)]
+    prefix = terms[:last]
     profiles = {k: complexity_profile(ctx, prefix, mode_cls(k)) for k in args.ks}
     return _write_csv(
         args.out, ["n", "k", "mode", "result_kind", "value_or_lo", "hi"],

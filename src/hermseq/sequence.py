@@ -49,9 +49,11 @@ def _inverse_product_table(ctx: FieldContext,
     return table
 
 
-def build_sequence(ctx: FieldContext, ell: int,
-                   a: Optional[Element] = None) -> tuple[Element, ...]:
-    """Build the full q*(q^2-2)-term sequence for the line x = a.
+def build_sequence(ctx: FieldContext, ell: int, a: Optional[Element] = None,
+                   length: Optional[int] = None) -> tuple[Element, ...]:
+    """Build the full q*(q^2-2)-term sequence for the line x = a, or with
+    length only the rows (blocks of q^2-2 terms) that its first length
+    terms lie in.
 
     a defaults to the primitive element, the canonical nonzero choice.
     Term (i-1)*(q^2-2) + j (1-based) is the quotient value at the j-th orbit
@@ -71,8 +73,9 @@ def build_sequence(ctx: FieldContext, ell: int,
     num_logs = [q * (s + minus_one) for s in diffs]
     shifts = ctx.exp_row(log_aq + s for s in diffs)
     y_scales = ctx.exp_row(-(q + 1) * j for j in steps)
+    rows = q if length is None else -(-length // len(steps))
     terms = []
-    for b in fam.b_list:  # Y = y_j b + shift_j, then 1/P(Y) from the table
+    for b in fam.b_list[:rows]:  # Y = y_j b + shift_j, then 1/P(Y) from the table
         ys = ctx.add_rows(map(ctx.mul_row(b).__getitem__, y_scales), shifts)
         invs = list(map(inv_den.__getitem__, ys))
         if None in invs:  # a pole: None has no log

@@ -230,63 +230,89 @@ def check_sequence_layer(ctx: FieldContext) -> list[CheckResult]:
 # complexity layer: bound consistency and oracle agreement
 # ---------------------------------------------------------------------------
 
-def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element],
-                            ell: int, kind: str,
-                            ks: Optional[Iterable[int]] = None) -> CheckResult:
-    """Every prefix/degree point must respect the matching collinear bound.
+def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: int,
+                            ks: Optional[Iterable[int]] = None
+                            ) -> tuple[CheckResult, CheckResult]:
+    """Every prefix/degree point must respect the collinear bound of both
+    degree disciplines: one CheckResult each, per-variable first.
 
-    kind selects the degree discipline: "per-variable" pairs with the
-    per-variable bound, "total-degree" with the total-degree bound.  The
-    proof obligation N >= ceil(bound) is discharged by a single infeasibility
-    check at window length ceil-1 (recurrence feasibility is monotone in the
-    window length).
-
-    Feasibility is also monotone in the prefix length: a recurrence on a
-    longer prefix holds on every shorter one.  So for each k one proof per
-    distinct window length m serves every longer prefix whose obligation is
-    the same m, and those prefixes make no further call.  The bound reads n
-    only through its (r1, r2) class, so it is evaluated once per class.
+    The obligation complexity >= ceil(bound) at (k, n) is a proof that
+    terms[:n] has no recurrence of window length m = ceil(bound) - 1,
+    listed once per (kind, k, m) at the first n that needs it.  A proof at (kind A, K, M, N)
+    covers every (kind B, k <= K, m <= M, n >= N) with A = B or A
+    per-variable: the degree sets grow with k, a window-m recurrence is a
+    window-M one, a recurrence holds on every shorter prefix, and
+    TotalDegree(k) lies inside PerVariable(k).  Only the obligations no
+    other one covers are proven.  Each kind's grid is then walked in order,
+    asking the solver only where nothing proven covers a point: never on
+    the passing path, and below a maximal proof that found a recurrence at
+    each obligation it covered, so the failures read as if every point were
+    proven.  The bound is evaluated once per (r1, r2) class.
     """
-    if kind == "per-variable":
-        (pair, gap), mode_cls = bnd.BOUNDS["N_collinear"], PerVariable
-    elif kind == "total-degree":
-        (pair, gap), mode_cls = bnd.BOUNDS["L_collinear"], TotalDegree
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     q = ctx.q
     ks = tuple(range(1, q * q - 1) if ks is None else ks)
     # terms[:n] is all zero exactly when n <= zeros
     zeros = next((i for i, t in enumerate(terms) if t != ctx.zero), len(terms))
+    classes = list(bnd.n_classes(q, range(1, len(terms) + 1)))
+    kinds = {"per-variable": (PerVariable, "N_collinear"),
+             "total-degree": (TotalDegree, "L_collinear")}
 
-    def failures():
+    def ceilings(name):
+        pair, gap = bnd.BOUNDS[name]
         for k in ks:
-            mode = mode_cls(k)
-            proven: set[int] = set()  # window lengths infeasible on a shorter prefix
-            for r1, r2, run in bnd.n_classes(q, range(1, len(terms) + 1)):
+            for r1, r2, run in classes:
                 bnd.check_point(q, k, ell, run[0], q * q - gap)
                 num, den = pair(q, k, ell, r1, r2)
-                ceiling = -(-num // den)
-                if ceiling < 1:
-                    continue
-                m = ceiling - 1
-                for n in run:
-                    if n <= zeros:
-                        yield f"k={k} n={n}: zero prefix but bound {ceiling}"
-                        continue
-                    if ceiling == 1:
-                        continue  # any nonzero prefix has complexity >= 1
-                    if m > n - 1:
-                        yield f"k={k} n={n}: bound {ceiling} exceeds n-1"
-                        continue
-                    if m in proven:
-                        continue
-                    if exists_recurrence(ctx, terms[:n], m, mode):
-                        yield f"k={k} n={n}: recurrence of length {m} exists below bound"
-                    else:
-                        proven.add(m)
+                yield k, run, -(-num // den)
 
-    return _result(f"bound-{kind}[q={q},ell={ell}]", failures(),
-                   f"{len(ks) * len(terms)} grid points")
+    grids = {kind: list(ceilings(name)) for kind, (_, name) in kinds.items()}
+    first: dict[tuple[str, int, int], int] = {}  # (kind, k, m) -> the first n
+    for kind, grid in grids.items():
+        for k, run, ceiling in grid:
+            n = max(run[0], zeros + 1, ceiling)  # nonzero prefix, m <= n - 1
+            if ceiling >= 2 and n <= run[-1]:
+                first.setdefault((kind, k, ceiling - 1), n)
+
+    def covered(kind, k, m, n, by):
+        return any(K >= k and M >= m and N <= n and A in (kind, "per-variable")
+                   for A, K, M, N in by)
+
+    # a coverer sorts before what it covers ("per-variable" < "total-degree"),
+    # so an obligation no kept one covers is maximal
+    maximal: list[tuple[str, int, int, int]] = []
+    for kind, k, m in sorted(first, key=lambda o: (-o[1], o[0], -o[2], first[o])):
+        if not covered(kind, k, m, first[kind, k, m], maximal):
+            maximal.append((kind, k, m, first[kind, k, m]))
+    proven = [(kind, k, m, n) for kind, k, m, n in maximal
+              if not exists_recurrence(ctx, terms[:n], m, kinds[kind][0](k))]
+
+    def failures(kind):
+        mode_cls = kinds[kind][0]
+        settled: set[tuple[int, int]] = set()  # (k, m) covered on a shorter prefix
+        for k, run, ceiling in grids[kind]:
+            if ceiling < 1:
+                continue
+            m = ceiling - 1
+            for n in run:
+                if n <= zeros:
+                    yield f"k={k} n={n}: zero prefix but bound {ceiling}"
+                    continue
+                if ceiling == 1:
+                    continue  # any nonzero prefix has complexity >= 1
+                if m > n - 1:
+                    yield f"k={k} n={n}: bound {ceiling} exceeds n-1"
+                    continue
+                if (k, m) in settled:
+                    continue
+                if not covered(kind, k, m, n, proven):
+                    if exists_recurrence(ctx, terms[:n], m, mode_cls(k)):
+                        yield f"k={k} n={n}: recurrence of length {m} exists below bound"
+                        continue
+                    proven.append((kind, k, m, n))
+                settled.add((k, m))
+
+    return tuple(_result(f"bound-{kind}[q={q},ell={ell}]", failures(kind),
+                         f"{len(ks) * len(terms)} grid points") for kind in kinds)
 
 
 def check_oracle_agreement(ctx: FieldContext) -> CheckResult:
@@ -447,7 +473,9 @@ def run_suite(field_specs: Optional[Sequence[tuple[int, int]]] = None) -> list[C
     (p, e) pairs plus the global bound grids and figure regeneration.
 
     Bound-consistency checks run only for q <= 5, where exact recurrence
-    infeasibility is computable at every grid point.
+    infeasibility is computable at every grid point.  They run once per
+    ell and give both kinds' results, so one proof can discharge the
+    obligations of both kinds.
     """
     if field_specs is None:
         field_specs = [(2, 1), (3, 1)]
@@ -462,8 +490,7 @@ def run_suite(field_specs: Optional[Sequence[tuple[int, int]]] = None) -> list[C
         if ctx.q <= 5:
             for ell in range(2, ctx.q + 1):
                 terms = build_sequence(ctx, ell)
-                results.append(check_bound_consistency(ctx, terms, ell, "per-variable"))
-                results.append(check_bound_consistency(ctx, terms, ell, "total-degree"))
+                results.extend(check_bound_consistency(ctx, terms, ell))
     for check in (check_n_improvement, check_l_improvement,
                   check_l_twopoint_equivalence, check_figures):
         results.append(check())

@@ -46,7 +46,8 @@ def _bound_criterion(num: int, kind: str, name: str, mode_cls, desc: str):
     for q, ctx in _contexts().items():
         for ell in range(2, q + 1):
             seq = build_sequence(ctx, ell)
-            result = check_bound_consistency(ctx, seq, ell, kind)
+            result, = (r for r in check_bound_consistency(ctx, seq, ell)
+                       if r.name.startswith(f"bound-{kind}["))
             if not result.passed:
                 failures.append(f"q={q} ell={ell}: {result.detail}")
             grid_points += (q * q - 2) * len(seq)

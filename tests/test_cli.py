@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hermseq import cli
 from hermseq.bounds import bound, decimal_string, figure_rows, floor_ratios
 from hermseq.cli import EXIT_OK, EXIT_USAGE, main
 from hermseq.complexity import PerVariable, TotalDegree, nonlinear_complexity
@@ -105,6 +106,24 @@ def test_complexity_csv_matches_in_process(tmp_path):
         assert row[3] == "exact"
         assert int(row[4]) == result
         assert int(row[5]) == result
+
+
+def test_complexity_builds_only_the_rows_it_reads(monkeypatch, capsys):
+    # n = 3..15 at q = 4 reads two rows of q^2 - 2 = 14 terms; the n check
+    # still names the full length
+    built = []
+
+    def spy(ctx, ell, a=None, length=None):
+        terms = build_sequence(ctx, ell, a, length)
+        built.append(len(terms))
+        return terms
+
+    monkeypatch.setattr(cli, "build_sequence", spy)
+    base = ["complexity", "--p", "2", "--e", "2", "--ell", "2", "--k", "1"]
+    assert main([*base, "--n", "3:15"]) == EXIT_OK
+    assert built == [28]
+    assert main([*base, "--n", "57"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: n must be in 1..56, got 57\n"
 
 
 def test_complexity_usage(tmp_path):

@@ -92,6 +92,22 @@ def test_inverse_product_table(p, e):
             assert ctx.mul(table[y], prod) == ctx.one
 
 
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
+def test_prefix_build_stops_after_its_rows(p, e):
+    # a length builds whole rows of q^2 - 2 terms, as few as hold the
+    # prefix, and they agree with the full sequence; lengths at and around
+    # each row boundary
+    ctx = FieldContext(p, e)
+    steps = ctx.order - 2
+    for ell in (2, ctx.q):
+        full = build_sequence(ctx, ell)
+        lengths = {1, *(i * steps + d for i in range(1, ctx.q + 1) for d in (-1, 0, 1))}
+        for length in sorted(lengths - {len(full) + 1}):
+            built = build_sequence(ctx, ell, length=length)
+            assert len(built) == -(-length // steps) * steps, length
+            assert built == full[:len(built)], length
+
+
 def test_pole_in_table_raises(f9, monkeypatch):
     # a None entry is a pole: it must raise, never be multiplied in as zero
     monkeypatch.setattr(sequence, "_inverse_product_table",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hermseq import bounds, complexity, verify
-from hermseq.complexity import TotalDegree
+from hermseq.complexity import PerVariable, TotalDegree
 from hermseq.field import FieldContext
 from hermseq.sequence import build_sequence
 from hermseq.verify import (
@@ -20,17 +20,13 @@ from hermseq.verify import (
 def test_intact_sequence_passes(f9):
     seq = build_sequence(f9, 3)
     assert check_nonzero_terms(f9, seq, 3).passed
-    assert check_bound_consistency(f9, seq, 3, "per-variable").passed
-    assert check_bound_consistency(f9, seq, 3, "total-degree").passed
+    assert all(r.passed for r in check_bound_consistency(f9, seq, 3))
 
 
 def test_corrupt_constant_sequence_breaks_bound_check(f9):
     # a constant sequence has complexity 1 everywhere, far below the bounds
     corrupted = (f9.one,) * len(build_sequence(f9, 3))
-    result = check_bound_consistency(f9, corrupted, 3, "per-variable")
-    assert not result.passed
-    result = check_bound_consistency(f9, corrupted, 3, "total-degree")
-    assert not result.passed
+    assert not any(r.passed for r in check_bound_consistency(f9, corrupted, 3))
 
 
 def test_corrupt_zero_term_breaks_term_check(f9):
@@ -41,10 +37,10 @@ def test_corrupt_zero_term_breaks_term_check(f9):
     assert "positions [5]" in result.detail
 
 
-def test_bound_check_kind_validated(f9):
+def test_bound_check_names_both_kinds(f9):
     seq = build_sequence(f9, 2)
-    with pytest.raises(ValueError):
-        check_bound_consistency(f9, seq, 2, "cubic")
+    assert [r.name for r in check_bound_consistency(f9, seq, 2)] == [
+        "bound-per-variable[q=3,ell=2]", "bound-total-degree[q=3,ell=2]"]
 
 
 def test_bound_properties_hold_for_every_a(f9):
@@ -54,10 +50,8 @@ def test_bound_properties_hold_for_every_a(f9):
             continue
         for ell in (2, 3):
             seq = build_sequence(f9, ell, a)
-            assert check_bound_consistency(f9, seq, ell, "per-variable",
-                                           ks=(1, 2)).passed
-            assert check_bound_consistency(f9, seq, ell, "total-degree",
-                                           ks=(1, 2)).passed
+            assert all(r.passed for r in check_bound_consistency(f9, seq, ell,
+                                                                 ks=(1, 2)))
 
 
 def test_bound_consistency_q5_slowest_rows():
@@ -65,30 +59,22 @@ def test_bound_consistency_q5_slowest_rows():
     # so that exact bound verification at q = 5 stays in the fast suite
     ctx = FieldContext(5, 1)
     seq = build_sequence(ctx, 5)
-    for kind in ("per-variable", "total-degree"):
-        assert check_bound_consistency(ctx, seq, 5, kind, ks=(1, 2, 3)).passed
+    assert all(r.passed for r in check_bound_consistency(ctx, seq, 5, ks=(1, 2, 3)))
 
 
 def test_bound_check_proves_at_the_ceiling(f9, monkeypatch):
     # every infeasibility proof runs at window ceil(bound) - 1 of its prefix,
-    # so a weaker obligation, such as a floor in place of the ceiling, fails
-    calls = []
-    real = verify.exists_recurrence
-
-    def spy(ctx, terms, m, mode):
-        calls.append((len(terms), m, mode.k))
-        return real(ctx, terms, m, mode)
-
-    monkeypatch.setattr(verify, "exists_recurrence", spy)
+    # for the bound of the proof's own mode, so a weaker obligation, such as
+    # a floor in place of the ceiling, fails.  A proof may discharge
+    # obligations of the other kind too, so the kinds are not checked apart
+    calls = _spy(monkeypatch, "exists_recurrence")
     for ell in (2, 3):
-        seq = build_sequence(f9, ell)
-        for kind, name in (("per-variable", "N_collinear"),
-                           ("total-degree", "L_collinear")):
-            calls.clear()
-            assert check_bound_consistency(f9, seq, ell, kind).passed
-            assert calls
-            for n, m, k in calls:
-                assert m == math.ceil(bounds.bound(name, 3, k, ell, n)) - 1, (kind, ell, k, n)
+        calls.clear()
+        assert all(r.passed for r in check_bound_consistency(f9, build_sequence(f9, ell), ell))
+        assert calls
+        for t, m, mode in calls:
+            name = "N_collinear" if isinstance(mode, PerVariable) else "L_collinear"
+            assert m == math.ceil(bounds.bound(name, 3, mode.k, ell, len(t))) - 1, (ell, mode, len(t))
 
 
 def test_suite_single_field():
@@ -121,7 +107,8 @@ def test_bound_check_stops_after_seven_failures(f9, kind, value):
     # the zero sequence fails on every prefix without a solver call, the
     # constant one on solver calls; both stop at the seventh failure
     terms = (getattr(f9, value),) * len(build_sequence(f9, 3))
-    result = check_bound_consistency(f9, terms, 3, kind)
+    result, = (r for r in check_bound_consistency(f9, terms, 3)
+               if r.name.startswith(f"bound-{kind}["))
     assert not result.passed
     shown, tail = result.detail.rsplit("; ... ", 1)
     assert tail == "stopped after 7 failures"
@@ -292,3 +279,109 @@ def test_oracle_agreement_fails_at_each_repeat(monkeypatch, question, failures):
     result = verify.check_oracle_agreement(FieldContext(2, 1))
     assert result == CheckResult("oracle-agreement", False, "; ".join(failures))
     assert sum(flip(*call) for call in oracle) == 1
+
+
+# ---------------------------------------------------------------------------
+# bound consistency: proofs only at the maximal obligations
+# ---------------------------------------------------------------------------
+
+def _obligations(q, ell, length):
+    """(mode class, k, m, n) for a sequence with no zero term: each window
+    length m = ceil(bound) - 1 >= 1 of each kind and k, at the first prefix
+    n with m <= n - 1, from bounds.bound alone."""
+    first = {}
+    for mode_cls, name in ((PerVariable, "N_collinear"), (TotalDegree, "L_collinear")):
+        for k in range(1, q * q - 1):
+            for n in range(1, length + 1):
+                ceiling = math.ceil(bounds.bound(name, q, k, ell, n))
+                if 2 <= ceiling <= n:
+                    first.setdefault((mode_cls, k, ceiling - 1), n)
+    return [(mode_cls, k, m, n) for (mode_cls, k, m), n in first.items()]
+
+
+def _covers(a, b):
+    """A proof at a discharges the obligation b: more degree, a longer
+    window, a shorter prefix, and the same mode or a per-variable one."""
+    return (a[1] >= b[1] and a[2] >= b[2] and a[3] <= b[3]
+            and a[0] in (b[0], PerVariable))
+
+
+@pytest.mark.parametrize("p,e,proofs", [(3, 1, 11), (2, 2, 48)])
+def test_bound_check_proves_only_the_maximal_obligations(p, e, proofs, monkeypatch):
+    # on the passing path the proofs are exactly the obligations that no
+    # other one covers (84 window lengths at q = 4 take 48 proofs)
+    calls = _spy(monkeypatch, "exists_recurrence")
+    ctx = FieldContext(p, e)
+    for ell in range(2, ctx.q + 1):
+        calls.clear()
+        seq = build_sequence(ctx, ell)
+        assert all(r.passed for r in check_bound_consistency(ctx, seq, ell))
+        obligations = _obligations(ctx.q, ell, len(seq))
+        maximal = {o for o in obligations
+                   if not any(_covers(b, o) for b in obligations if b != o)}
+        asked = [(type(mode), mode.k, m, len(t)) for t, m, mode in calls]
+        assert (len(asked), set(asked)) == (len(maximal), maximal)
+        proofs -= len(asked)
+    assert proofs == 0
+
+
+def test_bound_check_reproves_what_a_failed_maximal_proof_covered(f9, monkeypatch):
+    # a recurrence planted at the maximal per-variable obligation k = 3,
+    # m = 1, n = 14 of q = 3, ell = 3: the obligations it covered fall
+    # through to proofs of their own, and the failure names the same n as a
+    # proof at every point would
+    seq = build_sequence(f9, 3)
+    planted = (PerVariable, 3, 1, 14)
+    calls = _spy(monkeypatch, "exists_recurrence")
+    check_bound_consistency(f9, seq, 3)
+    maximal = [(type(mode), mode.k, m, len(t)) for t, m, mode in calls]
+    assert planted in maximal
+    monkeypatch.undo()
+    calls = _spy(monkeypatch, "exists_recurrence",
+                 lambda t, m, mode: (type(mode), mode.k, m, len(t)) == planted)
+    assert check_bound_consistency(f9, seq, 3) == (
+        CheckResult("bound-per-variable[q=3,ell=3]", False,
+                    "k=3 n=14: recurrence of length 1 exists below bound"),
+        CheckResult("bound-total-degree[q=3,ell=3]", True, "147 grid points"))
+    asked = [(type(mode), mode.k, m, len(t)) for t, m, mode in calls]
+    assert asked[:len(maximal)] == maximal
+    singles = asked[len(maximal):]
+    covered = [o for o in _obligations(3, 3, len(seq)) if o != planted and _covers(planted, o)]
+    assert len(covered) == 3
+    for mode_cls, k, m, n in covered:
+        # proven at its own point, in its own mode or per-variable, which
+        # also discharges the total-degree obligation at the same point
+        assert {(mode_cls, k, m, n), (PerVariable, k, m, n)} & set(singles), (mode_cls, k)
+    # and nothing is proven again outside what the planted obligation covered
+    assert all(_covers(planted, o) for o in singles)
+
+
+def _four_of_seven(first, text):
+    return "; ".join(f"k=1 n={n}: {text}" for n in range(first, first + 4)) + \
+        "; ... stopped after 7 failures"
+
+
+@pytest.mark.parametrize("ell,value,details", [
+    (2, "zero", [_four_of_seven(7, "zero prefix but bound 1")] * 2),
+    (3, "zero", [_four_of_seven(7, "zero prefix but bound 2")] * 2),
+    (2, "one", [_four_of_seven(14, "recurrence of length 1 exists below bound"),
+                _four_of_seven(14, "recurrence of length 2 exists below bound")]),
+    (3, "one", [_four_of_seven(7, "recurrence of length 1 exists below bound")] * 2),
+])
+def test_bound_check_failure_text(f9, ell, value, details):
+    # the per-variable and total-degree details of a constant sequence, as
+    # the check gave them when it proved every window length of every k
+    terms = (getattr(f9, value),) * len(build_sequence(f9, ell))
+    assert [r.detail for r in check_bound_consistency(f9, terms, ell)] == details
+
+
+def test_bound_check_names_a_lone_failure():
+    # a period-5 sequence at q = 4, ell = 2: seven of the eleven maximal
+    # proofs find a recurrence, and the per-variable bound breaks only at
+    # k = 1 on the last prefix
+    ctx = FieldContext(2, 2)
+    seq = build_sequence(ctx, 2)
+    terms = tuple(seq[i % 5] for i in range(len(seq)))
+    assert [r.detail for r in check_bound_consistency(ctx, terms, 2)] == [
+        "k=1 n=56: recurrence of length 3 exists below bound",
+        _four_of_seven(28, "recurrence of length 5 exists below bound")]
