@@ -22,7 +22,6 @@ from .complexity import (
     nonlinear_complexity,
 )
 from .curve import (
-    INFINITY,
     AffinePlace,
     CollinearFamily,
     PoleError,

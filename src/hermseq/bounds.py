@@ -220,7 +220,6 @@ def l_bound_improves_twopoint(q: int, k: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class FigurePreset:
-    name: str
     q: int
     k: int
     family: str  # "N" (per-variable) or "L" (total-degree)
@@ -231,8 +230,8 @@ class FigurePreset:
 
 
 FIGURE_PRESETS = {
-    "fig1": FigurePreset("fig1", q=32, k=5, family="N"),
-    "fig2": FigurePreset("fig2", q=32, k=20, family="L"),
+    "fig1": FigurePreset(q=32, k=5, family="N"),
+    "fig2": FigurePreset(q=32, k=20, family="L"),
 }
 
 

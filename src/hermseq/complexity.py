@@ -119,7 +119,7 @@ class _Chain:
         admits a recurrence of window length m.  The stream of products
         stops once the whole target is spanned."""
         tracker = SpanTracker(self.ctx, self.codes[m:])
-        if not tracker.consistent:
+        if tracker.spanned_prefix() < len(self.codes) - m:  # else the target is zero
             for _, col in self.products(list(zip(self.codes, self.at[1:]))):
                 if tracker.offer(col):
                     break

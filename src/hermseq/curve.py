@@ -1,8 +1,9 @@
 """Rational places of the curve y^q + y = x^(q+1) over GF(q^2).
 
-The affine places are the q^3 coordinate pairs satisfying the equation; one
-extra place sits at infinity.  Fixing a nonzero x-coordinate `a` picks out a
-family of q collinear places on the vertical line x = a, which carries:
+The affine places are the q^3 coordinate pairs satisfying the equation;
+the one other place, P_inf, is the pole of x and y and enters only the
+bound arguments.  Fixing a nonzero x-coordinate `a` picks out a family of
+q collinear places on the vertical line x = a, which carries:
 
   * a tangent-line function per family place, y - b_i - a^q (x - a), whose
     only affine zero is that place;
@@ -27,7 +28,7 @@ Everything is immutable and side-effect free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 from .field import Element, FieldContext
 
@@ -36,27 +37,12 @@ class PoleError(ArithmeticError):
     """Function evaluation was requested at one of its poles."""
 
 
-class PlaceAtInfinity:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = PlaceAtInfinity()
-
-
 class AffinePlace(NamedTuple):
     x: Element
     y: Element
 
 
-Place = Union[AffinePlace, PlaceAtInfinity]
-
-
-def on_curve(ctx: FieldContext, place: Place) -> bool:
-    if place is INFINITY:
-        return True
+def on_curve(ctx: FieldContext, place: AffinePlace) -> bool:
     return ctx.rel_trace(place.y) == ctx.rel_norm(place.x)
 
 
@@ -109,24 +95,20 @@ def collinear_family(ctx: FieldContext, a: Element) -> CollinearFamily:
 # the coordinate-scaling automorphism and its orbits
 # ---------------------------------------------------------------------------
 
-def scale_place(ctx: FieldContext, place: Place, j: int) -> Place:
-    """j-th power of the scaling action on a place; infinity is fixed.
+def scale_place(ctx: FieldContext, place: AffinePlace, j: int) -> AffinePlace:
+    """j-th power of the scaling action on an affine place (it fixes P_inf).
 
     The map (x, y) -> (eps*x, eps^(q+1)*y) moves a place (u, v) to
     (eps^-1 u, eps^-(q+1) v), dividing by the scaling factors, so that the
     scaled function takes the old value at the moved place.
     """
-    if place is INFINITY:
-        return INFINITY
     xf = ctx.pow(ctx.epsilon, -j)
     yf = ctx.pow(ctx.epsilon, -(ctx.q + 1) * j)
     return AffinePlace(ctx.mul(xf, place.x), ctx.mul(yf, place.y))
 
 
-def orbit(ctx: FieldContext, place: Place) -> tuple[Place, ...]:
+def orbit(ctx: FieldContext, place: AffinePlace) -> tuple[AffinePlace, ...]:
     """The q^2 - 1 distinct images of an affine place with nonzero x."""
-    if place is INFINITY:
-        raise ValueError("orbit is defined for affine places only")
     if place.x == ctx.zero:
         raise ValueError("places with x = 0 are fixed lines, not full orbits")
     return tuple(scale_place(ctx, place, j) for j in range(ctx.order - 1))
@@ -136,11 +118,9 @@ def orbit(ctx: FieldContext, place: Place) -> tuple[Place, ...]:
 # function evaluation
 # ---------------------------------------------------------------------------
 
-def eval_tangent(fam: CollinearFamily, i: int, place: Place) -> Element:
+def eval_tangent(fam: CollinearFamily, i: int, place: AffinePlace) -> Element:
     """Value of the tangent line at the i-th family place:
     y - b_i - a^q (x - a).  Its only affine zero is that place."""
-    if place is INFINITY:
-        raise PoleError("tangent lines have their pole at infinity")
     ctx = fam.ctx
     if not 1 <= i <= fam.q:
         raise ValueError(f"tangent index must be in 1..{fam.q}, got {i}")
@@ -148,17 +128,16 @@ def eval_tangent(fam: CollinearFamily, i: int, place: Place) -> Element:
     return ctx.sub(ctx.sub(place.y, fam.b_list[i - 1]), ctx.mul(fam.a_pow_q, shift))
 
 
-def eval_quotient(fam: CollinearFamily, ell: int, place: Place) -> Element:
+def eval_quotient(fam: CollinearFamily, ell: int, place: AffinePlace) -> Element:
     """Value of (x - a)^q / (tangent_1 * ... * tangent_(ell-1)).
 
-    Poles sit at infinity and at the first ell-1 family places; evaluation
-    there raises PoleError.  At the remaining family places the value is 0.
+    The poles are the first ell-1 family places, where evaluation raises
+    PoleError, and P_inf, of order q^2 - (ell-1)(q+1).  At the remaining
+    family places the value is 0.
     """
     ctx = fam.ctx
     if not 2 <= ell <= fam.q:
         raise ValueError(f"ell must be in 2..{fam.q}, got {ell}")
-    if place is INFINITY:
-        raise PoleError("the quotient has a pole at infinity")
     den = ctx.one
     for i in range(1, ell):
         den = ctx.mul(den, eval_tangent(fam, i, place))
@@ -172,7 +151,7 @@ def eval_quotient(fam: CollinearFamily, ell: int, place: Place) -> Element:
 # zero sets
 # ---------------------------------------------------------------------------
 
-def zero_set(ctx: FieldContext, fn: Callable[[Place], Element]) -> tuple[AffinePlace, ...]:
+def zero_set(ctx: FieldContext, fn: Callable[[AffinePlace], Element]) -> tuple[AffinePlace, ...]:
     """All affine places where fn vanishes; places where fn raises
     PoleError are poles and are left out."""
     zeros = []

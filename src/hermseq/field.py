@@ -567,9 +567,9 @@ class SpanTracker:
     arrive one at a time; at most len(target) of them are kept as basis
     vectors, so arbitrarily many columns stream in bounded memory.  offer()
     inserts a column only while the target is unspanned and reports whether
-    it now is, so callers can stop the stream early; spanned_prefix() and
-    consistent read how many leading target rows the span covers, and
-    whether it covers them all.
+    it now is, so callers can stop the stream early.  spanned_prefix() is
+    the one read of spannedness: how many leading target rows the span
+    covers, len(target) once it covers them all.
 
     Each basis vector's pivot is its first nonzero row and the vector is
     scaled to 1 there.  A column is reduced in increasing pivot order, so it
@@ -584,10 +584,6 @@ class SpanTracker:
         self._basis: list[tuple] = []  # entries in increasing pivot order
         self._residual, self._first = self._form.reduce(
             self._form.vector(target), (), self._rows)  # first: nonzero row, or _rows
-
-    @property
-    def consistent(self) -> bool:
-        return self._first == self._rows
 
     @property
     def rank(self) -> int:

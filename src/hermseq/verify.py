@@ -245,9 +245,9 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
     TotalDegree(k) lies inside PerVariable(k).  Only the obligations no
     other one covers are proven.  Each kind's grid is then walked in order,
     asking the solver only where nothing proven covers a point: never on
-    the passing path, and below a maximal proof that found a recurrence at
-    each obligation it covered, so the failures read as if every point were
-    proven.  The bound is evaluated once per (r1, r2) class.
+    the passing path, and below a maximal proof that found a recurrence, at
+    every other obligation it covered, so the failures read as if every
+    point were proven.  The bound is evaluated once per (r1, r2) class.
     """
     q = ctx.q
     ks = tuple(range(1, q * q - 1) if ks is None else ks)
@@ -283,8 +283,9 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
     for kind, k, m in sorted(first, key=lambda o: (-o[1], o[0], -o[2], first[o])):
         if not covered(kind, k, m, first[kind, k, m], maximal):
             maximal.append((kind, k, m, first[kind, k, m]))
-    proven = [(kind, k, m, n) for kind, k, m, n in maximal
-              if not exists_recurrence(ctx, terms[:n], m, kinds[kind][0](k))]
+    refuted = {(kind, k, m, n) for kind, k, m, n in maximal
+               if exists_recurrence(ctx, terms[:n], m, kinds[kind][0](k))}
+    proven = [o for o in maximal if o not in refuted]
 
     def failures(kind):
         mode_cls = kinds[kind][0]
@@ -305,7 +306,8 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
                 if (k, m) in settled:
                     continue
                 if not covered(kind, k, m, n, proven):
-                    if exists_recurrence(ctx, terms[:n], m, mode_cls(k)):
+                    if ((kind, k, m, n) in refuted
+                            or exists_recurrence(ctx, terms[:n], m, mode_cls(k))):
                         yield f"k={k} n={n}: recurrence of length {m} exists below bound"
                         continue
                     proven.append((kind, k, m, n))
@@ -379,22 +381,30 @@ def _n_grid(q: int) -> list[int]:
     return [*range(q * q - 1, q * (q * q - 2), q if q >= 16 else 1), q * (q * q - 2)]
 
 
-def _grid(name: str, rows: Sequence[tuple[int, int, Sequence[int]]], holds,
+def _class_rows(q: int, ks: Iterable[int], ns: Sequence[int]) -> list:
+    """(q, k, classes) for each k, sharing one bnd.n_classes(q, ns) list."""
+    classes = list(bnd.n_classes(q, ns))
+    return [(q, k, classes) for k in ks]
+
+
+def _grid(name: str, rows: Sequence[tuple[int, int, list]], holds,
           verb: str) -> CheckResult:
-    """Check holds(q, k, n) at every n of each (q, k, ns) row, in order.
-    holds reads n only through its (r1, r2) class, so it is called once per
-    class, at its first n, and a failing class fails at each of its n."""
-    failures = (f"q={q} k={k} n={n}" for q, k, ns in rows
-                for _, _, run in bnd.n_classes(q, ns) if not holds(q, k, run[0])
+    """Check holds(q, k, n) at every n of each (q, k, classes) row, in order.
+    holds reads n only through its (r1, r2, run) class, so it is called once
+    per class, at its first n, and a failing class fails at each of its n."""
+    failures = (f"q={q} k={k} n={n}" for q, k, classes in rows
+                for _, _, run in classes if not holds(q, k, run[0])
                 for n in run)
-    return _result(name, failures, f"{sum(len(ns) for _, _, ns in rows)} points {verb}")
+    points = sum(len(run) for _, _, classes in rows for _, _, run in classes)
+    return _result(name, failures, f"{points} points {verb}")
 
 
 def check_n_improvement() -> CheckResult:
     """Collinear per-variable bound beats the refined two-point bound on the
     claimed grid: q in {3, 4, 5, 7, 8, 9, 16, 32} on the _k_grid x _n_grid
     points."""
-    rows = [(q, k, _n_grid(q)) for q in (3, 4, 5, 7, 8, 9, 16, 32) for k in _k_grid(q)]
+    rows = [row for q in (3, 4, 5, 7, 8, 9, 16, 32)
+            for row in _class_rows(q, _k_grid(q), _n_grid(q))]
     return _grid("n-bound-improvement", rows, bnd.n_bound_improves, "dominated")
 
 
@@ -408,11 +418,13 @@ def check_l_improvement() -> CheckResult:
     q, exactly where r1 = r2 is q-2 or q-1 (at q = 5, n = 72..91 and
     96..114); at k = 2 it fails only at q = 3 on r1 = r2 = 2 (n = 16..20),
     inside the q = 3 exception.  test_l_improvement_at_small_k pins both."""
-    rows = [(q, k, _n_grid(q)) for q in (5, 7, 8, 9, 16, 32) for k in _k_grid(q)]
+    rows = [row for q in (5, 7, 8, 9, 16, 32)
+            for row in _class_rows(q, _k_grid(q), _n_grid(q))]
     for q, k_equal in ((3, 4), (4, 3)):
         classes = list(bnd.n_classes(q, range(q * q - 1, q * (q * q - 2) + 1)))
-        rows += [(q, k, [n for r1, r2, run in classes if r1 != r2 or k >= k_equal
-                         for n in run]) for k in range(1, q * q - 1)]
+        unequal = [(r1, r2, run) for r1, r2, run in classes if r1 != r2]
+        rows += [(q, k, classes if k >= k_equal else unequal)
+                 for k in range(1, q * q - 1)]
     return _grid("l-bound-improvement", rows, bnd.l_bound_improves, "dominated")
 
 
@@ -427,7 +439,7 @@ def check_l_twopoint_equivalence() -> CheckResult:
         top_n = q * (q * q - 2)
         ns = {1, q * q - 2, q * q - 1, 2 * (q * q - 2), top_n // 2, top_n}
         ns.update(rng.randrange(1, top_n + 1) for _ in range(10))
-        rows += [(q, k, sorted(ns)) for k in sorted(set(_k_grid(q)) | {1})]
+        rows += _class_rows(q, sorted(set(_k_grid(q)) | {1}), sorted(ns))
     condition, exact = bnd.l_twopoint_condition, bnd.l_bound_improves_twopoint
     return _grid("l-twopoint-equivalence", rows,
                  lambda q, k, n: condition(q, k, n) == exact(q, k, n), "agree")

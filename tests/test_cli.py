@@ -395,6 +395,19 @@ def test_output_matches_reference(reference, argv, capsys):
         pytest.fail(f"{reference} differs from the output at line {line}")
 
 
+@pytest.mark.parametrize("pinned,argv", [
+    ("verify_p5.txt", ["--p", "5"]),
+    ("verify_p7.txt", ["--p", "7"]),
+    ("verify_p2_e3.txt", ["--p", "2", "--e", "3"]),
+    ("verify_p3_e2.txt", ["--p", "3", "--e", "2"]),
+], ids=["q5", "q7", "q8", "q9"])
+def test_verify_text_matches_pin(pinned, argv, capsys):
+    # the per-field verify text of the fields the CI entry-point step runs;
+    # q = 5 includes its bound proofs
+    assert main(["verify", *argv]) == EXIT_OK
+    assert capsys.readouterr().out == (DATA / pinned).read_text()
+
+
 # ---------------------------------------------------------------------------
 # the line writer against csv.writer
 # ---------------------------------------------------------------------------

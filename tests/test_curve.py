@@ -3,7 +3,6 @@ import random
 import pytest
 
 from hermseq.curve import (
-    INFINITY,
     AffinePlace,
     PoleError,
     affine_places,
@@ -64,7 +63,6 @@ def test_scale_identity_cases(f4):
     for place in affine_places(f4):
         assert scale_place(f4, place, 0) == place
         assert scale_place(f4, place, f4.order - 1) == place
-    assert scale_place(f4, INFINITY, 5) is INFINITY
 
 
 def test_scale_known_value(f4):
@@ -125,8 +123,6 @@ def test_orbits_cover_everything_but_x_zero(p, e):
 
 def test_orbit_preconditions(f4):
     with pytest.raises(ValueError):
-        orbit(f4, INFINITY)
-    with pytest.raises(ValueError):
         orbit(f4, AffinePlace(f4.zero, f4.zero))
 
 
@@ -155,12 +151,6 @@ def test_tangent_known_value(f4):
     assert eval_tangent(fam, 1, place) == z
 
 
-def test_tangent_pole_at_infinity(f4):
-    fam = collinear_family(f4, f4.one)
-    with pytest.raises(PoleError):
-        eval_tangent(fam, 1, INFINITY)
-
-
 # ---------------------------------------------------------------------------
 # the tangent quotient
 # ---------------------------------------------------------------------------
@@ -178,8 +168,6 @@ def test_quotient_pole_at_marked_places(f9):
         for r in range(1, ell):
             with pytest.raises(PoleError):
                 eval_quotient(fam, ell, fam.place(r))
-    with pytest.raises(PoleError):
-        eval_quotient(fam, 2, INFINITY)
 
 
 def test_quotient_nonzero_on_orbit_step(f4):

@@ -444,7 +444,8 @@ def _span_enumeration_consistent(columns, target, ctx):
 def _streamed_consistent(columns, target, ctx):
     """Stream the columns into a SpanTracker until the target is spanned."""
     tracker = SpanTracker(ctx, target)
-    return tracker.consistent or any(tracker.offer(col) for col in columns)
+    spanned = tracker.spanned_prefix() == len(target)
+    return spanned or any(tracker.offer(col) for col in columns)
 
 
 def test_solver_standard_basis(f4):
@@ -503,9 +504,9 @@ def test_solver_against_span_enumeration_f4_sampled_3x3(f4):
 def test_tracker_early_exit(f4):
     one, zero = f4.one, f4.zero
     tracker = SpanTracker(f4, [one, one])
-    assert not tracker.consistent
+    assert tracker.spanned_prefix() == 0
     assert tracker.offer([one, one])
-    # one column spans the target; once consistent, later offers add no pivot
+    # one column spans the target; once spanned, later offers add no pivot
     assert tracker.rank == 1
     assert tracker.offer([one, zero])
     assert tracker.rank == 1

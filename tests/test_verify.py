@@ -178,15 +178,16 @@ def test_grid_predicates_are_constant_on_each_class(check, predicate, points,
                                                     classes, monkeypatch):
     # the per-point reference: at every grid point, the predicate at n equals
     # the predicate at the first n of its (r1, r2) class, found here from the
-    # floor ratios alone
+    # floor ratios alone, not from the classes the rows carry
     captured = []
     monkeypatch.setattr(verify, "_grid", lambda name, rows, holds, verb:
                         captured.append((rows, holds)))
     check()
     (rows, holds), = captured
     seen, first = 0, {}
-    for q, k, ns in rows:
-        assert list(ns) == sorted(set(ns))
+    for q, k, row in rows:
+        ns = [n for _, _, run in row for n in run]
+        assert ns == sorted(set(ns))
         for n in ns:
             value = holds(q, k, n)
             key = (q, k, n // (q * q - 1), n // (q * q - 2))
@@ -385,3 +386,18 @@ def test_bound_check_names_a_lone_failure():
     assert [r.detail for r in check_bound_consistency(ctx, terms, 2)] == [
         "k=1 n=56: recurrence of length 3 exists below bound",
         _four_of_seven(28, "recurrence of length 5 exists below bound")]
+
+
+def test_bound_check_asks_each_question_once(monkeypatch):
+    # the same period-5 sequence: a maximal proof that finds a recurrence
+    # keeps its answer, so the walk that reaches that point asks nothing
+    # again ((56, 3, PerVariable(1)) and (28, 5, TotalDegree(1)) were asked
+    # twice, in 19 calls)
+    ctx = FieldContext(2, 2)
+    seq = build_sequence(ctx, 2)
+    terms = tuple(seq[i % 5] for i in range(len(seq)))
+    calls = _spy(monkeypatch, "exists_recurrence")
+    check_bound_consistency(ctx, terms, 2)
+    asked = [(len(t), m, mode) for t, m, mode in calls]
+    assert (len(asked), len(set(asked))) == (17, 17)
+    assert {(56, 3, PerVariable(1)), (28, 5, TotalDegree(1))} <= set(asked)
