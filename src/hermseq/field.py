@@ -27,7 +27,6 @@ code; a mul or sub row is built from the field's rows on its first read.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -455,9 +454,9 @@ class _CodeVectors:
         return list(column)
 
     def reduce(self, col: list[int], basis, rows: int) -> tuple[list[int], int]:
-        """col reduced against the entries in increasing pivot order, so it
-        is zero at every pivot (in place), and its first nonzero row, or
-        rows if none."""
+        """col reduced against the entries in insertion order, so it is
+        zero at every pivot (in place), and its first nonzero row, or rows
+        if none."""
         mul, sub = self.mul, self.sub
         for p_i, tail in basis:
             c = col[p_i]
@@ -572,16 +571,17 @@ class SpanTracker:
     covers, len(target) once it covers them all.
 
     Each basis vector's pivot is its first nonzero row and the vector is
-    scaled to 1 there.  A column is reduced in increasing pivot order, so it
-    ends zero at every pivot.  Every insert keeps the residual target zero
-    at every pivot too and records its first nonzero row, which is
-    len(target) exactly when the target is spanned.
+    scaled to 1 there.  The basis is kept in insertion order: each vector is
+    zero at every older pivot, so a column reduced against the vectors in
+    that order ends zero at every pivot.  Every insert keeps the residual
+    target zero at every pivot too and records its first nonzero row, which
+    is len(target) exactly when the target is spanned.
     """
 
     def __init__(self, ctx: FieldContext, target):
         self._form = ctx.vector_form()
         self._rows = len(target)
-        self._basis: list[tuple] = []  # entries in increasing pivot order
+        self._basis: list[tuple] = []  # entries in insertion order
         self._residual, self._first = self._form.reduce(
             self._form.vector(target), (), self._rows)  # first: nonzero row, or _rows
 
@@ -600,7 +600,7 @@ class SpanTracker:
         if pivot == rows:
             return None
         entry, vec = form.pivot_entry(col, pivot, rows)
-        bisect.insort(self._basis, entry)  # pivots are distinct
+        self._basis.append(entry)
         # the residual, like the new vector, is zero at every older pivot, so
         # one row op at the new pivot keeps it zero at all of them
         if self._first <= pivot:  # else the residual is zero up to and at the pivot

@@ -2,9 +2,9 @@
 
 Each check returns a CheckResult instead of asserting, so the same engine
 backs both the `verify` CLI subcommand (pass/fail table, exit status) and
-the pytest acceptance suite (which asserts on the results).  Each check
-runs one fixed grid, stated in its docstring; the randomized checks use
-fixed seeds and are fully reproducible.
+the tests (which assert on the results).  Each check runs one fixed grid,
+stated in its docstring; the randomized checks use fixed seeds and are
+fully reproducible.
 """
 
 from __future__ import annotations

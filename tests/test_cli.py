@@ -16,8 +16,7 @@ from hermseq.field import Element, FieldContext, element_from_str, element_to_st
 from hermseq.sequence import build_sequence
 
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
-DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _read_csv(path):
@@ -228,33 +227,6 @@ def test_bounds_usage_error_at_the_far_end_writes_nothing(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_figures_fig1(tmp_path):
-    from fractions import Fraction
-
-    out = tmp_path / "fig1.csv"
-    assert main(["figures", "--preset", "fig1", "--out", str(out)]) == EXIT_OK
-    rows = _read_csv(out)
-    assert rows[0] == ["n", "N1", "N2", "N1_exact", "N2_exact"]
-    assert rows[1][0] == "1023"
-    assert rows[-1][0] == "32704"
-    # exact columns are normalized num/den; compare as rationals
-    assert Fraction(rows[-1][3]) == Fraction(32673, 192)
-    assert Fraction(rows[-1][4]) == Fraction(31682, 341)
-
-
-@pytest.mark.parametrize("preset", ["fig1", "fig2"])
-def test_figures_csv_renders_every_row(preset, tmp_path):
-    # the CLI renders once per (r1, r2) class; here every n is rendered
-    out = tmp_path / f"{preset}.csv"
-    assert main(["figures", "--preset", preset, "--out", str(out)]) == EXIT_OK
-    _, classes = figure_rows(preset)
-    label = "N" if preset == "fig1" else "L"
-    want = [["n", f"{label}1", f"{label}2", f"{label}1_exact", f"{label}2_exact"]]
-    want += [[str(n), decimal_string(own), decimal_string(rival), str(own), str(rival)]
-             for ns, own, rival in classes for n in ns]
-    assert _read_csv(out) == want
-
-
 def test_figures_bad_preset():
     assert main(["figures", "--preset", "fig3"]) == EXIT_USAGE
     assert main(["figures"]) == EXIT_USAGE
@@ -359,53 +331,69 @@ def test_bounds_large_prime_quickly(capsys):
 
 
 # ---------------------------------------------------------------------------
-# verify
+# pinned outputs
 # ---------------------------------------------------------------------------
 
-def test_verify_single_field_passes(capsys):
-    # restricted to q = 4: structural groups only at this size
-    code = main(["verify", "--p", "2", "--e", "2"])
-    captured = capsys.readouterr()
-    assert code == EXIT_OK
-    assert "RESULT:" in captured.out
-    assert "FAIL" not in captured.out
+# (argv, pinned file): the benchmark's references, read and never written,
+# and tests/data.  verify's text is pinned at every field the CI entry-point
+# step runs.  The bounds grids: every formula at q = 3, recorded with
+# csv.writer, and at q = 32, ell = 17 < q, recorded from the Fraction
+# formulas, where the (q - ell) terms do not vanish and many values are
+# negative.  The complexity profiles over GF(25), GF(49) and GF(64) were
+# recorded from the code-table solver and are now solved in byte vectors, and
+# GF(81) solves on code tables: a wrong "infeasible" in either form moves a value
+PINS = {
+    "verify-default": (["verify"], "perfbench/reference/verify-default/verify.txt.gz"),
+    "prove-q4": (["verify", "--p", "2", "--e", "2"],
+                 "perfbench/reference/prove-q4/verify.txt.gz"),
+    "profile-q4": (["complexity", "--p", "2", "--e", "2", "--ell", "4", "--mode",
+                    "total-degree", "--k-range", "1:2", "--n-range", "1:56"],
+                   "perfbench/reference/profile-q4/complexity.csv.gz"),
+    "emit-q32-sequence": (["sequence", "--p", "2", "--e", "5", "--ell", "32"],
+                          "perfbench/reference/emit-q32/sequence.csv.gz"),
+    "emit-q32-fig1": (["figures", "--preset", "fig1"],
+                      "perfbench/reference/emit-q32/fig1.csv.gz"),
+    "emit-q32-fig2": (["figures", "--preset", "fig2"],
+                      "perfbench/reference/emit-q32/fig2.csv.gz"),
+    "verify-q3": (["verify", "--p", "3"], "tests/data/verify_p3.txt"),
+    "verify-q5": (["verify", "--p", "5"], "tests/data/verify_p5.txt"),
+    "verify-q7": (["verify", "--p", "7"], "tests/data/verify_p7.txt"),
+    "verify-q8": (["verify", "--p", "2", "--e", "3"], "tests/data/verify_p2_e3.txt"),
+    "verify-q9": (["verify", "--p", "3", "--e", "2"], "tests/data/verify_p3_e2.txt"),
+    "verify-q11": (["verify", "--p", "11"], "tests/data/verify_p11.txt"),
+    "verify-q16": (["verify", "--p", "2", "--e", "4"], "tests/data/verify_p2_e4.txt"),
+    "bounds-q3": (["bounds", "--p", "3", "--k-range", "1:7", "--n-range", "1:21"],
+                  "tests/data/bounds_q3.csv"),
+    "bounds-q32-ell17": (["bounds", "--p", "2", "--e", "5", "--ell", "17", "--k-range",
+                          "1:1022:101", "--n-range", "1:32704:2047"],
+                         "tests/data/bounds_q32_ell17.csv"),
+    "complexity-q5": (["complexity", "--p", "5", "--ell", "5", "--mode", "per-variable",
+                       "--k-range", "1:2", "--n-range", "1:115"],
+                      "tests/data/complexity_q5_ell5_per_variable.csv"),
+    "complexity-q7": (["complexity", "--p", "7", "--ell", "7", "--mode", "total-degree",
+                       "--k-range", "1:2", "--n-range", "1:120"],
+                      "tests/data/complexity_q7_ell7_total_degree.csv"),
+    "complexity-q8": (["complexity", "--p", "2", "--e", "3", "--ell", "8", "--mode",
+                       "total-degree", "--k-range", "1:2", "--n-range", "1:120"],
+                      "tests/data/complexity_q8_ell8_total_degree.csv"),
+    "complexity-q9": (["complexity", "--p", "3", "--e", "2", "--ell", "9", "--mode",
+                       "total-degree", "--k-range", "1:2", "--n-range", "1:120"],
+                      "tests/data/complexity_q9_ell9_total_degree.csv"),
+}
 
 
-@pytest.mark.parametrize("reference,argv", [
-    ("verify-default/verify.txt", ["verify"]),
-    ("prove-q4/verify.txt", ["verify", "--p", "2", "--e", "2"]),
-    ("profile-q4/complexity.csv",
-     ["complexity", "--p", "2", "--e", "2", "--ell", "4", "--mode", "total-degree",
-      "--k-range", "1:2", "--n-range", "1:56"]),
-    ("emit-q32/sequence.csv", ["sequence", "--p", "2", "--e", "5", "--ell", "32"]),
-    ("emit-q32/fig1.csv", ["figures", "--preset", "fig1"]),
-    ("emit-q32/fig2.csv", ["figures", "--preset", "fig2"]),
-], ids=["verify-default", "prove-q4", "profile-q4", "emit-q32-sequence",
-        "emit-q32-fig1", "emit-q32-fig2"])
-def test_output_matches_reference(reference, argv, capsys):
-    # every output the benchmark checks, byte for byte; the .gz files are
-    # only read, never written
+@pytest.mark.parametrize("argv,pinned", list(PINS.values()), ids=list(PINS))
+def test_output_matches_reference(argv, pinned, capsys):
+    # every pinned output, byte for byte
     assert main(argv) == EXIT_OK
     got = capsys.readouterr().out
-    with gzip.open(REFERENCE / f"{reference}.gz", "rt", newline="") as fh:
+    path = ROOT / pinned
+    with (gzip.open if path.suffix == ".gz" else open)(path, "rt", newline="") as fh:
         want = fh.read()
     if got != want:  # name the first differing line: a full diff takes minutes
         pairs = itertools.zip_longest(got.splitlines(), want.splitlines())
         line = next((i for i, (a, b) in enumerate(pairs, 1) if a != b), "end")
-        pytest.fail(f"{reference} differs from the output at line {line}")
-
-
-@pytest.mark.parametrize("pinned,argv", [
-    ("verify_p5.txt", ["--p", "5"]),
-    ("verify_p7.txt", ["--p", "7"]),
-    ("verify_p2_e3.txt", ["--p", "2", "--e", "3"]),
-    ("verify_p3_e2.txt", ["--p", "3", "--e", "2"]),
-], ids=["q5", "q7", "q8", "q9"])
-def test_verify_text_matches_pin(pinned, argv, capsys):
-    # the per-field verify text of the fields the CI entry-point step runs;
-    # q = 5 includes its bound proofs
-    assert main(["verify", *argv]) == EXIT_OK
-    assert capsys.readouterr().out == (DATA / pinned).read_text()
+        pytest.fail(f"{pinned} differs from the output at line {line}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +408,11 @@ def _sequence_cells():
         for idx, term in enumerate(build_sequence(ctx, 3), start=1)]
 
 
-def _figure_cells():
-    _, classes = figure_rows("fig1")
-    return [["n", "N1", "N2", "N1_exact", "N2_exact"]] + [
+def _figure_cells(preset):
+    # the CLI renders once per (r1, r2) class; here every n is rendered
+    _, classes = figure_rows(preset)
+    label = "N" if preset == "fig1" else "L"
+    return [["n", f"{label}1", f"{label}2", f"{label}1_exact", f"{label}2_exact"]] + [
         [n, decimal_string(own), decimal_string(rival), own, rival]
         for ns, own, rival in classes for n in ns]
 
@@ -451,12 +441,13 @@ def _complexity_cells():
 
 @pytest.mark.parametrize("argv,cells", [
     (["sequence", "--p", "3", "--ell", "3"], _sequence_cells),
-    (["figures", "--preset", "fig1"], _figure_cells),
+    (["figures", "--preset", "fig1"], lambda: _figure_cells("fig1")),
+    (["figures", "--preset", "fig2"], lambda: _figure_cells("fig2")),
     (["bounds", "--p", "2", "--e", "2", "--ell", "3", "--k-range", "1:3",
       "--n-range", "1:29:4"], _bounds_cells),
     (["complexity", "--p", "2", "--ell", "2", "--mode", "total-degree",
       "--k-range", "1:2", "--n-range", "1:4"], _complexity_cells),
-], ids=["sequence", "figures", "bounds", "complexity"])
+], ids=["sequence", "figures", "figures-fig2", "bounds", "complexity"])
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 def test_lines_match_csv_writer(argv, cells, to_file, tmp_path, capsys):
     # the subcommands write unquoted comma-joined lines; csv.writer renders
@@ -473,25 +464,11 @@ def test_lines_match_csv_writer(argv, cells, to_file, tmp_path, capsys):
     assert printed == want.getvalue()
 
 
-def test_bounds_matches_pinned_grid(capsys):
-    # every bound formula over a q = 3 grid, recorded with csv.writer, and
-    # over a q = 32 grid at ell = 17 < q, recorded from the Fraction
-    # formulas, where the (q - ell) terms do not vanish and many values
-    # are negative
-    for pinned, argv in [
-        ("bounds_q3.csv", ["--p", "3", "--k-range", "1:7", "--n-range", "1:21"]),
-        ("bounds_q32_ell17.csv", ["--p", "2", "--e", "5", "--ell", "17",
-                                  "--k-range", "1:1022:101", "--n-range", "1:32704:2047"]),
-    ]:
-        assert main(["bounds", *argv]) == EXIT_OK
-        assert capsys.readouterr().out == (DATA / pinned).read_text(), pinned
-
-
 def test_grid_axis_names_are_one_option(capsys):
     # --k and --k-range (and --n and --n-range) are two names for one
     # option: either spelling, a range or one integer, gives the same bytes,
     # and an axis given twice keeps its last value
-    pinned = (DATA / "bounds_q3.csv").read_text()
+    pinned = (ROOT / "tests" / "data" / "bounds_q3.csv").read_text()
     for grid in (["--k", "1:7", "--n", "1:21"], ["--k-range", "1:7", "--n-range", "1:21"]):
         assert main(["bounds", "--p", "3", *grid]) == EXIT_OK
         assert capsys.readouterr().out == pinned
@@ -522,25 +499,6 @@ def test_option_prefixes_are_usage_errors(tmp_path, capsys):
         assert main(base + grid + ["--out", str(out)]) == EXIT_OK
         outs.append(out.read_text())
     assert outs[0].count("\n") == 9 and outs[1] == outs[0]
-
-
-@pytest.mark.parametrize("pinned,argv", [
-    ("complexity_q5_ell5_per_variable.csv",
-     ["--p", "5", "--ell", "5", "--mode", "per-variable", "--n-range", "1:115"]),
-    ("complexity_q7_ell7_total_degree.csv",
-     ["--p", "7", "--ell", "7", "--mode", "total-degree", "--n-range", "1:120"]),
-    ("complexity_q8_ell8_total_degree.csv",
-     ["--p", "2", "--e", "3", "--ell", "8", "--mode", "total-degree", "--n-range", "1:120"]),
-    ("complexity_q9_ell9_total_degree.csv",
-     ["--p", "3", "--e", "2", "--ell", "9", "--mode", "total-degree", "--n-range", "1:120"]),
-], ids=["q5", "q7", "q8", "q9"])
-def test_complexity_matches_pinned_profile(pinned, argv, capsys):
-    # exact profiles over GF(25), GF(49) and GF(64), recorded from the
-    # code-table solver and now solved in byte vectors, and over GF(81),
-    # which solves on code tables: a wrong "infeasible" in either vector
-    # form moves a value
-    assert main(["complexity", *argv, "--k-range", "1:2"]) == EXIT_OK
-    assert capsys.readouterr().out == (DATA / pinned).read_text()
 
 
 def test_verify_e_without_p_is_usage_error(capsys):

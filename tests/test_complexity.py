@@ -19,6 +19,8 @@ from hermseq.field import FieldContext, SpanTracker, _ByteVectors, _CodeVectors
 from hermseq.sequence import build_sequence
 from hermseq.verify import check_field, check_sequence_layer, check_structure
 
+from reference import dense_rank, enumerated_span_contains, monomial_columns
+
 
 def _random_terms(ctx, rng, n):
     return tuple(rng.choice(ctx.elements) for _ in range(n))
@@ -185,7 +187,8 @@ def test_modes_are_frozen_values_of_their_own_kind():
 
 
 # ---------------------------------------------------------------------------
-# oracle agreement (small deterministic slice; the bulk run is in acceptance)
+# oracle agreement (small deterministic slice; the bulk run is verify's
+# oracle-agreement check)
 # ---------------------------------------------------------------------------
 
 def test_oracle_trivial_cases(f4):
@@ -310,28 +313,7 @@ def test_oracle_guard_refuses_before_enumerating(f4):
 def _enumerated(ctx, t, m, mode):
     """Whether some assignment of coefficients to the full monomial basis,
     tried one at a time, fits every window: no halves, spans or lookups."""
-    per_variable = isinstance(mode, PerVariable)
-    monos = [a for a in itertools.product(range(mode.k + 1), repeat=m)
-             if per_variable or sum(a) <= mode.k]
-    rows = []
-    for i in range(len(t) - m):
-        row = []
-        for alpha in monos:
-            v = ctx.one
-            for x, a in zip(t[i:i + m], alpha):
-                v = ctx.mul(v, ctx.pow(x, a))
-            row.append(v)
-        rows.append((row, t[i + m]))
-    for coeffs in itertools.product(ctx.elements, repeat=len(monos)):
-        for row, want in rows:
-            got = ctx.zero
-            for c, v in zip(coeffs, row):
-                got = ctx.add(got, ctx.mul(c, v))
-            if got != want:
-                break
-        else:
-            return True
-    return False
+    return enumerated_span_contains(ctx, monomial_columns(ctx, t, m, mode), t[m:])
 
 
 def test_oracle_skips_dependent_columns():
@@ -440,42 +422,11 @@ def test_full_degree_is_maximum_order_complexity(p, e):
     assert len(values) >= 4
 
 
-def _dense_rank(ctx, rows):
-    """Rank by Gauss-Jordan elimination on coefficient tuples."""
-    rows = [list(row) for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != ctx.zero), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        scale = ctx.inv(rows[rank][col])
-        rows[rank] = [ctx.mul(scale, v) for v in rows[rank]]
-        for i, row in enumerate(rows):
-            if i != rank and row[col] != ctx.zero:
-                f = row[col]
-                rows[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(row, rows[rank])]
-        rank += 1
-    return rank
-
-
 def _reference_exists(ctx, terms, m, mode):
-    """exists_recurrence rebuilt on tuple arithmetic: one column per
-    admissible monomial from ctx.mul and ctx.pow, and a recurrence exists
+    """exists_recurrence rebuilt on scalar arithmetic: a recurrence exists
     iff appending the target column leaves the dense rank unchanged."""
-    k = mode.k
-    monomials = [alpha for alpha in itertools.product(range(k + 1), repeat=m)
-                 if isinstance(mode, PerVariable) or sum(alpha) <= k]
-    rows = []
-    for i in range(len(terms) - m):
-        row = []
-        for alpha in monomials:
-            v = ctx.one
-            for j, a in enumerate(alpha):
-                v = ctx.mul(v, ctx.pow(terms[i + j], a))
-            row.append(v)
-        rows.append(row + [terms[i + m]])
-    return _dense_rank(ctx, [row[:-1] for row in rows]) == _dense_rank(ctx, rows)
+    columns = monomial_columns(ctx, terms, m, mode)
+    return dense_rank(ctx, columns) == dense_rank(ctx, columns + [terms[m:]])
 
 
 # byte vectors over GF(4), GF(9), GF(16), GF(25), GF(49) and GF(64); code
@@ -561,8 +512,8 @@ def test_spanned_prefix_is_longest_spanned_cut(p, e):
                 if i:
                     tracker.insert(order[i - 1])
                 want = max(r for r in range(rows + 1)
-                           if _dense_rank(ctx, [col[:r] for col in order[:i]])
-                           == _dense_rank(ctx, [col[:r] for col in order[:i]] + [target[:r]]))
+                           if dense_rank(ctx, [col[:r] for col in order[:i]])
+                           == dense_rank(ctx, [col[:r] for col in order[:i]] + [target[:r]]))
                 assert tracker.spanned_prefix() == want, (order[:i], target)
         values.add(want == rows)
     assert values == {True, False}
@@ -718,22 +669,13 @@ def linear_complexity(ctx, t):
 
 
 def _brute_linear_complexity(ctx, terms):
+    """Least m whose shifted windows combine into terms[m:], by trying every
+    coefficient tuple; n if none does."""
     n = len(terms)
     if all(v == ctx.zero for v in terms):
         return 0
-    for m in range(1, n):
-        for coeffs in itertools.product(ctx.elements, repeat=m):
-            ok = True
-            for j in range(n - m):
-                acc = ctx.zero
-                for i, c in enumerate(coeffs):
-                    acc = ctx.add(acc, ctx.mul(c, terms[j + i]))
-                if acc != terms[j + m]:
-                    ok = False
-                    break
-            if ok:
-                return m
-    return n
+    return next((m for m in range(1, n) if enumerated_span_contains(
+        ctx, [terms[j:n - m + j] for j in range(m)], terms[m:])), n)
 
 
 def test_linear_complexity_zero(f4):

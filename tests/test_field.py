@@ -18,6 +18,8 @@ from hermseq.field import (
     element_to_str,
 )
 
+from reference import dense_rank, enumerated_span_contains
+
 
 # ---------------------------------------------------------------------------
 # construction
@@ -398,49 +400,6 @@ def test_fiber_partitions_curve():
 # streamed linear solver
 # ---------------------------------------------------------------------------
 
-def _dense_consistent(columns, target, ctx):
-    """Independent dense Gaussian elimination on the full matrix."""
-    rows = len(target)
-    cols = len(columns)
-    mat = [[columns[c][r] for c in range(cols)] + [target[r]] for r in range(rows)]
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if mat[r][col] != ctx.zero), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        scale = ctx.inv(mat[rank][col])
-        mat[rank] = [ctx.mul(scale, v) for v in mat[rank]]
-        for r in range(rows):
-            if r != rank and mat[r][col] != ctx.zero:
-                f = mat[r][col]
-                mat[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    for r in range(rank, rows):
-        if any(v != ctx.zero for v in mat[r][:cols]):
-            continue
-        if mat[r][cols] != ctx.zero:
-            return False
-    # rows below rank have zero coefficient part after full reduction
-    for r in range(rows):
-        if all(v == ctx.zero for v in mat[r][:cols]) and mat[r][cols] != ctx.zero:
-            return False
-    return True
-
-
-def _span_enumeration_consistent(columns, target, ctx):
-    """Ground truth by enumerating every coefficient combination."""
-    rows = len(target)
-    for combo in itertools.product(ctx.elements, repeat=len(columns)):
-        acc = [ctx.zero] * rows
-        for c, col in zip(combo, columns):
-            if c != ctx.zero:
-                acc = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(acc, col)]
-        if tuple(acc) == tuple(target):
-            return True
-    return False
-
-
 def _streamed_consistent(columns, target, ctx):
     """Stream the columns into a SpanTracker until the target is spanned."""
     tracker = SpanTracker(ctx, target)
@@ -478,7 +437,7 @@ def test_solver_against_dense_oracle_f9(f9):
         columns = [[rng.choice(f9.elements) for _ in range(rows)] for _ in range(cols)]
         target = [rng.choice(f9.elements) for _ in range(rows)]
         assert (_streamed_consistent(columns, target, f9)
-                == _dense_consistent(columns, target, f9))
+                == (dense_rank(f9, columns) == dense_rank(f9, columns + [target])))
 
 
 def test_solver_against_span_enumeration_f4_exhaustive_2x2(f4):
@@ -487,9 +446,8 @@ def test_solver_against_span_enumeration_f4_exhaustive_2x2(f4):
         for c2 in itertools.product(els, repeat=2):
             columns = [list(c1), list(c2)]
             for target in itertools.product(els, repeat=2):
-                assert _streamed_consistent(columns, list(target), f4) == (
-                    _span_enumeration_consistent(columns, target, f4)
-                )
+                assert (_streamed_consistent(columns, list(target), f4)
+                        == enumerated_span_contains(f4, columns, target))
 
 
 def test_solver_against_span_enumeration_f4_sampled_3x3(f4):
@@ -498,7 +456,7 @@ def test_solver_against_span_enumeration_f4_sampled_3x3(f4):
         columns = [[rng.choice(f4.elements) for _ in range(3)] for _ in range(3)]
         target = [rng.choice(f4.elements) for _ in range(3)]
         assert (_streamed_consistent(columns, target, f4)
-                == _span_enumeration_consistent(columns, target, f4))
+                == enumerated_span_contains(f4, columns, target))
 
 
 def test_tracker_early_exit(f4):

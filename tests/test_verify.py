@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,14 +14,7 @@ from hermseq.verify import (
     check_n_improvement,
     check_nonzero_terms,
     check_bound_consistency,
-    run_suite,
 )
-
-
-def test_intact_sequence_passes(f9):
-    seq = build_sequence(f9, 3)
-    assert check_nonzero_terms(f9, seq, 3).passed
-    assert all(r.passed for r in check_bound_consistency(f9, seq, 3))
 
 
 def test_corrupt_constant_sequence_breaks_bound_check(f9):
@@ -62,6 +56,22 @@ def test_bound_consistency_q5_slowest_rows():
     assert all(r.passed for r in check_bound_consistency(ctx, seq, 5, ks=(1, 2, 3)))
 
 
+@pytest.mark.parametrize("mode_cls,name", [(PerVariable, "N_collinear"),
+                                           (TotalDegree, "L_collinear")],
+                         ids=["per-variable", "total-degree"])
+def test_exact_complexity_meets_the_collinear_bound(mode_cls, name):
+    # exact values on top of verify's infeasibility proofs: on every ell at
+    # q = 2 and 3, sampled prefixes reach the ceiling of the bound
+    for p, ks, ns in ((2, (1, 2), range(1, 5)), (3, (1, 2, 3), (7, 14, 21))):
+        ctx = FieldContext(p, 1)
+        for ell in range(2, ctx.q + 1):
+            seq = build_sequence(ctx, ell)
+            for k, n in itertools.product(ks, ns):
+                want = math.ceil(bounds.bound(name, ctx.q, k, ell, n))
+                got = complexity.nonlinear_complexity(ctx, seq[:n], mode_cls(k))
+                assert got >= want, (ctx.q, ell, k, n)
+
+
 def test_bound_check_proves_at_the_ceiling(f9, monkeypatch):
     # every infeasibility proof runs at window ceil(bound) - 1 of its prefix,
     # for the bound of the proof's own mode, so a weaker obligation, such as
@@ -75,15 +85,6 @@ def test_bound_check_proves_at_the_ceiling(f9, monkeypatch):
         for t, m, mode in calls:
             name = "N_collinear" if isinstance(mode, PerVariable) else "L_collinear"
             assert m == math.ceil(bounds.bound(name, 3, mode.k, ell, len(t))) - 1, (ell, mode, len(t))
-
-
-def test_suite_single_field():
-    results = run_suite(field_specs=[(3, 1)])
-    assert results
-    assert all(r.passed for r in results)
-    names = {r.name for r in results}
-    assert "structure[q=3]" in names
-    assert "figure-presets" in names
 
 
 # ---------------------------------------------------------------------------
