@@ -17,12 +17,12 @@ fiber table and the solver's vector form are built on first use and
 cached, so callers that never run the solver never pay for the latter.
 
 The field picks the vector form that SpanTracker and the suffix chain
-compute in (vector_form()).  Where an element fits one byte and a row op
-stays inside it, q in {2, 4, 8} and q in {3, 5, 7}, a vector has one byte
-per row and a row op or a product column is a few C-level bytes/int calls
-(_ByteVectors).  Every other field reduces lists of codes with the mul, sub
-and inv tables of _CodeVectors, at every order lists with one entry per
-code; a mul or sub row is built from the field's rows on its first read.
+compute in (vector_form()).  In a field of at most 64 elements, q in {2, 4,
+8} and q in {3, 5, 7}, a vector has one byte per row, zero's log is a mark
+the exp table reads as zero, and a row op or a product column is a few
+C-level bytes/int calls (_ByteVectors).  Every other field reduces lists of
+codes over the mul, sub and inv tables of _CodeVectors, one entry per code
+at every order, each mul or sub row built on its first read.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from typing import Iterable, Optional
 Element = int
 
 # Largest field order q^2 a context will tabulate.  Construction enumerates
-# every element, takes epsilon as the first element that no power
-# (q^2-1)/r, r a prime dividing q^2-1, sends to 1, and walks its powers
-# once for the log and Zech tables, so set-up time and memory grow with the
-# field; the largest field any caller uses is q = 32 (1,024 elements).
+# every element, takes epsilon as the first element that no power (q^2-1)/r,
+# r a prime dividing q^2-1, sends to 1, and walks its powers once for the log
+# and Zech tables, so set-up time and memory grow with the field; the largest
+# field any preset or benchmark workload uses is q = 32 (1,024 elements).
 MAX_FIELD_ORDER = 1 << 16
 
 
@@ -182,6 +182,8 @@ class FieldContext:
         self._codes = list(self.elements)  # one int per code: every table reads these
         self._exp, self._log, self._zech = self._build_tables()
         self.epsilon: Element = self._exp[1]
+        # caches set here, not by functools.cached_property: its __dict__ write
+        # slows every later self.x read, add by about 70% on CPython 3.11
         self._fibers: Optional[dict[Element, tuple[Element, ...]]] = None
         self._vector_form = None
 
@@ -371,16 +373,14 @@ class FieldContext:
     def vector_form(self):
         """The solver's vector arithmetic, built on first use and cached.
 
-        Rows are bytes where an element fits one and both row ops stay
-        inside it: two logs add to at most 2(order-2) < 256, and in odd
-        characteristic GF(p^2)'s two digits add to at most 2(p-1) < 16 per
-        nibble.  That is q in {2, 4, 8} and q in {3, 5, 7}; every other
-        field reduces lists of codes over code tables (_CodeVectors).
+        Rows are bytes in a field of at most 64 elements, GF(2^2e) for q in
+        {2, 4, 8} and GF(p^2) for q in {3, 5, 7}: there two logs add to at
+        most 2(order-2) = 124, below zero's mark 127, and GF(p^2)'s two
+        digits add to at most 2(p-1) < 16 per nibble.  Every other field
+        reduces lists of codes over code tables (_CodeVectors).
         """
         if self._vector_form is None:
-            fits = 2 * (self.order - 2) < 256 and (
-                self.p == 2 or self.degree == 2 and 2 * (self.p - 1) < 16)
-            self._vector_form = (_ByteVectors if fits else _CodeVectors)(self)
+            self._vector_form = (_ByteVectors if self.order <= 64 else _CodeVectors)(self)
         return self._vector_form
 
     # -- misc -----------------------------------------------------------------
@@ -494,20 +494,19 @@ class _ByteVectors:
     length; a basis entry is (pivot, shift of the pivot byte, bytes).
     axpy[c] translates y to -c*y, so x - c*y is x XOR that in
     characteristic 2, and otherwise the nibble sum translated through modp.
-    A product x_1^a * h is exp of the sum of two logs, at most 2(order-2)
-    per byte, masked where either factor is zero."""
+    A product x_1^a * h is exp of the sum of two logs.  logpow marks zero
+    with 127 (x_1^0 is 1 even at 0), so a byte of the sum is at most 124,
+    or 127..254 where a factor is zero, which expmod reads as zero: no carry."""
 
     def __init__(self, ctx: FieldContext):
         p, order, n = ctx.p, ctx.order, ctx.order - 1
         enc = bytes(c if p == 2 else c // p << 4 | c % p for c in range(order))
         self.enc = bytes.maketrans(bytes(range(order)), enc)  # code -> byte
         self.unit = enc[ctx.one:ctx.one + 1]
-        logs = [0] + ctx._log[1:]
         # tables indexed by byte; every other byte maps to itself
-        self.nonzero = bytes.maketrans(enc, bytes([0] + [255] * n))
-        self.logpow = [bytes.maketrans(enc, bytes(a * v % n for v in logs))
-                       for a in range(order)]
-        self.expmod = bytes(ctx.exp_row(range(256))).translate(self.enc)
+        self.logpow = [bytes.maketrans(enc, bytes([127 if a else 0] + [
+            a * v % n for v in ctx._log[1:]])) for a in range(order)]
+        self.expmod = bytes(ctx.exp_row(range(127))).translate(self.enc) + bytes(129)
         self.axpy: list = [None] * 256
         self.div = [0] * 256  # byte of c -> byte of -1/c: axpy[div[c]] divides by c
         for c in range(1, order):
@@ -541,17 +540,12 @@ class _ByteVectors:
         rows, frm, expmod = len(points), int.from_bytes, self.expmod
         codes, where = zip(*points)
         xs = bytes(codes).translate(self.enc)
-        # x_1^0 is 1 even where x_1 is 0, so a = 0 masks nothing
         xlog = [frm(xs.translate(t), "big") for t in self.logpow[:top + 1]]
-        xmask = [-1] + [frm(xs.translate(self.nonzero), "big")] * top
         gather = operator.itemgetter(*where)  # one row gives a bare int
-        hlog, hmask = [], []
-        for h in hs:
-            h = bytes(gather(h) if rows > 1 else [gather(h)])
-            hlog.append(frm(h.translate(self.logpow[1]), "big"))  # logpow[1]: log
-            hmask.append(frm(h.translate(self.nonzero), "big"))
+        hlog = [frm(bytes(gather(h) if rows > 1 else [gather(h)]).translate(
+            self.logpow[1]), "big") for h in hs]  # logpow[1]: log
         return lambda a, j: frm((xlog[a] + hlog[j]).to_bytes(rows, "big").translate(
-            expmod), "big") & xmask[a] & hmask[j]
+            expmod), "big")
 
 
 # ---------------------------------------------------------------------------

@@ -520,10 +520,12 @@ def test_spanned_prefix_is_longest_spanned_cut(p, e):
 
 
 @pytest.mark.parametrize("p,e,form", [(2, 2, _ByteVectors), (7, 1, _ByteVectors),
-                                      (3, 2, _CodeVectors), (2, 4, _CodeVectors)])
+                                      (2, 3, _ByteVectors), (3, 2, _CodeVectors),
+                                      (11, 1, _CodeVectors), (2, 4, _CodeVectors)])
 def test_field_picks_the_vector_form(p, e, form):
-    # GF(16) and GF(49) solve in bytes, GF(81) and GF(256) on code tables; a
-    # silent fall-back to tables would pass every comparison above
+    # GF(16), GF(49) and GF(64) solve in bytes, GF(81), GF(121) and GF(256)
+    # on code tables; GF(64) and GF(121) sit on either side of the order
+    # bound, and a silent fall-back to tables would pass every comparison above
     ctx = FieldContext(p, e)
     t = (ctx.one, ctx.epsilon, ctx.zero, ctx.one, ctx.epsilon, ctx.one)
     assert not exists_recurrence(ctx, t, 2, TotalDegree(1))

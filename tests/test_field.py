@@ -9,6 +9,7 @@ import pytest
 from hermseq.field import (
     FieldContext,
     SpanTracker,
+    _ByteVectors,
     _CodeVectors,
     _is_irreducible,
     _is_prime,
@@ -296,6 +297,24 @@ def test_code_tables_build_only_the_rows_read():
         assert sub[a][b] == ctx.sub(a, b)
     assert sum(type(row) is list for row in mul) <= 200
     assert sum(type(row) is list for row in sub) <= 200
+
+
+# the six byte fields, and GF(121), the next field past the order bound
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (11, 1)])
+def test_monomial_columns_match_scalar_products(p, e):
+    # every x_1 code, 0 included, meets every entry of two basis rows that
+    # hold 0; in the byte form zero's log is a mark the exp table reads as
+    # zero, and GF(64) reaches the largest sum of two logs, 62 + 62
+    ctx = FieldContext(p, e)
+    form, top = ctx.vector_form(), 3
+    hs = [list(ctx.elements), list(reversed(ctx.elements))]
+    points = [(x, s) for x in ctx.elements for s in range(ctx.order)]
+    # basis rows come in the form's layout, encoded bytes in the byte form
+    column = form.monomials(points, top, [bytes(h).translate(form.enc) for h in hs]
+                            if type(form) is _ByteVectors else hs)
+    for a, j in itertools.product(range(top + 1), range(len(hs))):
+        want = [ctx.mul(ctx.pow(x, a), hs[j][s]) for x, s in points]
+        assert column(a, j) == form.vector(want), (a, j)
 
 
 # GF(81) and GF(1024) have one table layout, as GF(37^2) has
