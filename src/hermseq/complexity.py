@@ -181,21 +181,30 @@ def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode) -> int:
     return profile[-1] if profile else 0
 
 
+def monomial_basis(m: int, mode: DegreeMode) -> list[tuple[int, ...]]:
+    """The exponent vectors of every monomial in m variables that `mode`
+    admits, uncapped: the oracle's full basis."""
+    return [a for a in itertools.product(range(mode.k + 1), repeat=m)
+            if isinstance(mode, PerVariable) or sum(a) <= mode.k]
+
+
 def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     """Ground truth for exists_recurrence by exhaustive search.
 
-    Builds one column per monomial of the full (uncapped) monomial basis on
-    every window, with the field's log/Zech arithmetic and never the
-    solver's vector form, and decides whether some coefficient assignment
-    sums the columns to the target t[m:].  The search meets in the middle:
-    it looks up target + s in the left half's span for each s in the right
-    half's span, which holds -s too, so it stays exhaustive and free of
-    elimination at |F|^min(half, r) sums a half (4^4, not 4^9, for k = 2
-    per variable, m = 2, six terms, GF(4)).  A half's span grows one column
-    at a time; the zero vector's sums with the column's multiples are the
-    multiples themselves, so they go in as they are.  Refuses, before
-    listing a monomial, when a half has more than 16 columns or the larger
-    half's table of |F|^min(half, r) sums exceeds 2**16.
+    Builds one column per monomial of the full (uncapped) monomial basis,
+    monomial_basis(m, mode), on every window, with the field's log/Zech
+    arithmetic and never the solver's vector form, and decides whether some
+    coefficient assignment sums the columns to the target t[m:].  The
+    search meets in the middle: it looks up target + s in the left half's
+    span for each s in the right half's span, which holds -s too, so it
+    stays exhaustive and free of elimination at |F|^min(half, r) sums a
+    half (4^4, not 4^9, for k = 2 per variable, m = 2, six terms, GF(4)).
+    A half's span grows one column at a time; the zero vector's sums with
+    the column's multiples are the multiples themselves, so they go in as
+    they are.  Refuses, before listing a monomial, when a half has more
+    than 16 columns or the larger half's table of |F|^min(half, r) sums
+    exceeds 2**16.  The answer depends on t, m and the monomial set alone,
+    so verify's oracle-agreement check settles questions by set inclusion.
     """
     terms = tuple(t)
     n = len(terms)
@@ -210,12 +219,10 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     dims = count - half if count - half > 16 else min(count - half, r)
     if count - half > 16 or ctx.order ** dims > 1 << 16:
         raise ValueError(f"enumeration too large: a table of {ctx.order}^{dims} sums")
-    monos = [a for a in itertools.product(range(mode.k + 1), repeat=m)
-             if per_variable or sum(a) <= mode.k]
     mul, add, one, zero = ctx.mul, ctx.add, ctx.one, ctx.zero
     powers = [[ctx.pow(x, a) for a in range(mode.k + 1)] for x in terms[:-1]]
     columns = []
-    for alpha in monos:
+    for alpha in monomial_basis(m, mode):
         col = []
         for i in range(r):
             v = one

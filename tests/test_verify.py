@@ -224,7 +224,8 @@ def test_figures_name_the_first_failing_n(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# oracle agreement: one solver and one oracle answer per distinct question
+# oracle agreement: one solver answer per distinct question, and one oracle
+# answer for each that no earlier answer on the same sequence settles
 # ---------------------------------------------------------------------------
 
 def _spy(monkeypatch, name, flip=lambda t, m, mode: False):
@@ -246,7 +247,24 @@ def test_oracle_agreement_answers_each_question_once(monkeypatch):
     assert result == CheckResult("oracle-agreement", True,
                                  "1313 comparisons over 200 sequences")
     assert (len(solver), len(set(solver))) == (1087, 1087)
-    assert (len(oracle), len(set(oracle))) == (773, 773)
+    assert (len(oracle), len(set(oracle))) == (427, 427)
+
+
+@pytest.mark.parametrize("p,enumerated", [(2, 427), (3, 516)])
+def test_oracle_agreement_settles_exactly(monkeypatch, p, enumerated):
+    # with a direct enumeration as the solver, the check passes only if the
+    # answer it uses for each distinct question, enumerated or settled by
+    # another, is the one the oracle gives when asked that question
+    oracle = _spy(monkeypatch, "brute_force_oracle")
+    monkeypatch.setattr(verify, "exists_recurrence", complexity.brute_force_oracle)
+    assert verify.check_oracle_agreement(FieldContext(p, 1)).passed
+    assert len(oracle) == enumerated
+
+
+def test_oracle_agreement_in_odd_characteristic(f9):
+    # the byte form's nibble-and-modp arithmetic against the oracle
+    assert verify.check_oracle_agreement(f9) == CheckResult(
+        "oracle-agreement", True, "1335 comparisons over 200 sequences")
 
 
 def test_oracle_agreement_calls_no_mode_hash_or_eq(monkeypatch):
@@ -263,8 +281,8 @@ def test_oracle_agreement_calls_no_mode_hash_or_eq(monkeypatch):
 
 
 @pytest.mark.parametrize("question,failures", [
-    # (0, 3, 0) is drawn three times, so its window-2 questions repeat
-    (((0, 3, 0), 2, 1), ["disagree on (0, 3, 0) m=2 TotalDegree(k=1)"] * 3),
+    # (3, 3, 2) is drawn three times, so its window-2 questions repeat
+    (((3, 3, 2), 2, 1), ["disagree on (3, 3, 2) m=2 TotalDegree(k=1)"] * 3),
     # (2, 0) is drawn seven times; at m = 1 one oracle answer serves both
     # modes with k = 1, so the flip fails 14 comparisons and the cap stops it
     (((2, 0), 1, 1), ["disagree on (2, 0) m=1 PerVariable(k=1)",
@@ -281,6 +299,22 @@ def test_oracle_agreement_fails_at_each_repeat(monkeypatch, question, failures):
     result = verify.check_oracle_agreement(FieldContext(2, 1))
     assert result == CheckResult("oracle-agreement", False, "; ".join(failures))
     assert sum(flip(*call) for call in oracle) == 1
+
+
+def test_oracle_agreement_fails_where_the_truth_was_settled(monkeypatch):
+    # (0, 3, 0), drawn three times, has a window-1 recurrence of degree 1,
+    # which settles its window-2 questions: the oracle never enumerates
+    # them, and a flipped solver answer on one still fails at each repeat
+    def flip(t, m, mode):
+        return (t, m, mode.k) == ((0, 3, 0), 2, 1) and isinstance(mode, TotalDegree)
+
+    solver = _spy(monkeypatch, "exists_recurrence", flip)
+    oracle = _spy(monkeypatch, "brute_force_oracle")
+    result = verify.check_oracle_agreement(FieldContext(2, 1))
+    assert result == CheckResult("oracle-agreement", False, "; ".join(
+        ["disagree on (0, 3, 0) m=2 TotalDegree(k=1)"] * 3))
+    assert sum(flip(*call) for call in solver) == 1
+    assert [(m, mode) for t, m, mode in oracle if t == (0, 3, 0)] == [(1, PerVariable(1))]
 
 
 # ---------------------------------------------------------------------------
