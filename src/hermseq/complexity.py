@@ -22,17 +22,19 @@ spanned_rows(m): the longest prefix that a window-m recurrence covers,
 with the columns streamed until the target is spanned.  A brute-force
 oracle provides an independent ground truth at small sizes: it searches
 every coefficient assignment of the full monomial basis, meeting in the
-middle between the spans of two halves of the columns, on the field's log
-and Zech arithmetic and without elimination, so it shares no arithmetic
-with the solver's vector form.
+middle between the spans of two halves of the columns, without
+elimination, on tables of the field's log and Zech mul and add
+(FieldContext.mul_add_tables), so it shares no arithmetic with the
+solver's vector form.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import getitem
 from typing import Union
 
 from .field import FieldContext, SpanTracker
@@ -86,15 +88,16 @@ class _Chain:
         """(degree, column) of every admissible x_1^a * h with h in the
         current level, lowest degree first, on points given as (code of x_1,
         point number of the suffix window)."""
-        total = isinstance(self.mode, TotalDegree)
-        factors = sorted(((a + tag if total else 0, a, j)
-                          for a in range(self.top + 1)
-                          for j, (tag, _) in enumerate(self.basis)
-                          if not total or a + tag <= self.mode.k),
-                         key=itemgetter(0))
         column = self.ctx.vector_form().monomials(
             points, self.top, [h for _, h in self.basis])
-        for degree, a, j in factors:
+        if isinstance(self.mode, PerVariable):
+            for a in range(self.top + 1):
+                for j in range(len(self.basis)):
+                    yield 0, column(a, j)
+            return
+        for degree, a, j in sorted((a + tag, a, j) for a in range(self.top + 1)
+                                   for j, (tag, _) in enumerate(self.basis)
+                                   if a + tag <= self.mode.k):
             yield degree, column(a, j)
 
     def grow(self) -> None:
@@ -181,27 +184,38 @@ def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode) -> int:
     return profile[-1] if profile else 0
 
 
-def monomial_basis(m: int, mode: DegreeMode) -> list[tuple[int, ...]]:
+def monomial_basis(m: int, mode: DegreeMode) -> tuple[tuple[int, ...], ...]:
     """The exponent vectors of every monomial in m variables that `mode`
-    admits, uncapped: the oracle's full basis."""
-    return [a for a in itertools.product(range(mode.k + 1), repeat=m)
-            if isinstance(mode, PerVariable) or sum(a) <= mode.k]
+    admits, uncapped: the oracle's full basis, listed once per (m, mode)."""
+    return _exponents(m, isinstance(mode, PerVariable), mode.k)
+
+
+# keyed by plain values: a mode's dataclass hash runs in Python; the oracle
+# lists at most 33 monomials, and the verify suite asks 8 shapes
+@functools.lru_cache(maxsize=64)
+def _exponents(m: int, per_variable: bool, k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(a for a in itertools.product(range(k + 1), repeat=m)
+                 if per_variable or sum(a) <= k)
 
 
 def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     """Ground truth for exists_recurrence by exhaustive search.
 
     Builds one column per monomial of the full (uncapped) monomial basis,
-    monomial_basis(m, mode), on every window, with the field's log/Zech
-    arithmetic and never the solver's vector form, and decides whether some
-    coefficient assignment sums the columns to the target t[m:].  The
+    monomial_basis(m, mode), on every window, and decides whether some
+    coefficient assignment sums the columns to the target t[m:].  Its
+    arithmetic is lookups in ctx.mul_add_tables(), rows built from the
+    field's log and Zech mul and add, never the solver's vector form, and
+    each column, multiple or sum is one C-level map over those rows.  The
     search meets in the middle: it looks up target + s in the left half's
     span for each s in the right half's span, which holds -s too, so it
     stays exhaustive and free of elimination at |F|^min(half, r) sums a
     half (4^4, not 4^9, for k = 2 per variable, m = 2, six terms, GF(4)).
     A half's span grows one column at a time; the zero vector's sums with
     the column's multiples are the multiples themselves, so they go in as
-    they are.  Refuses, before listing a monomial, when a half has more
+    they are.  A column's multiples are read off the mul rows of its own
+    entries, so the tables hold the rows the question reads, not the field's
+    square.  Refuses, before listing a monomial, when a half has more
     than 16 columns or the larger half's table of |F|^min(half, r) sums
     exceeds 2**16.  The answer depends on t, m and the monomial set alone,
     so verify's oracle-agreement check settles questions by set inclusion.
@@ -219,31 +233,33 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     dims = count - half if count - half > 16 else min(count - half, r)
     if count - half > 16 or ctx.order ** dims > 1 << 16:
         raise ValueError(f"enumeration too large: a table of {ctx.order}^{dims} sums")
-    mul, add, one, zero = ctx.mul, ctx.add, ctx.one, ctx.zero
-    powers = [[ctx.pow(x, a) for a in range(mode.k + 1)] for x in terms[:-1]]
-    columns = []
-    for alpha in monomial_basis(m, mode):
-        col = []
-        for i in range(r):
-            v = one
-            for j, a_j in enumerate(alpha):
-                if a_j:
-                    v = mul(v, powers[i + j][a_j])
-            col.append(v)
-        columns.append(tuple(col))
-    target, full, origin = tuple(terms[m:]), ctx.order ** r, (zero,) * r
+    mul, add = ctx.mul_add_tables()
+    muls, adds = mul.__getitem__, add.__getitem__
+
+    def times(u, v) -> tuple:
+        """The entrywise product of two columns."""
+        return tuple(map(getitem, map(muls, u), v))
+
+    power = [(ctx.one,) * (n - 1)]  # power[a]: x^a for each x in terms[:-1]
+    for _ in range(mode.k):
+        power.append(times(power[-1], terms[:-1]))
+    powers = [[xa[j:j + r] for xa in power] for j in range(m)]  # x_{j+1}^a by window
+    columns = [functools.reduce(times, map(getitem, powers, alpha))
+               for alpha in monomial_basis(m, mode)]
+    full, origin = ctx.order ** r, (ctx.zero,) * r
 
     def sums(cols) -> set:
         """Every sum of c_i * col_i, a subspace: a column in it adds nothing."""
         acc = {origin}
         for col in cols:
             if len(acc) < full and col not in acc:
-                multiples = [tuple([mul(c, y) for y in col]) for c in ctx.elements[1:]]
-                acc |= {tuple(map(add, s, v))
-                        for s in acc if s != origin for v in multiples}
+                multiples = list(zip(*map(muls, col)))[1:]  # c * col for c != 0
+                acc |= {tuple(map(getitem, rows, v))
+                        for rows in [list(map(adds, s)) for s in acc if s != origin]
+                        for v in multiples}
                 acc.update(multiples)
         return acc
 
-    left = sums(columns[:half])
-    return (len(left) == full or target in left
-            or any(tuple(map(add, target, s)) in left for s in sums(columns[half:])))
+    left, target = sums(columns[:half]), list(map(adds, terms[m:]))  # target's add rows
+    return (len(left) == full or terms[m:] in left
+            or any(tuple(map(getitem, target, s)) in left for s in sums(columns[half:])))

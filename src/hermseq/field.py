@@ -12,9 +12,10 @@ Every operation is a pure function of its inputs: mul, inv and pow read
 log/antilog tables on epsilon, add, sub and neg its Zech logarithms, and
 mul_row, sub_row, add_rows, log_row and exp_row return a whole row per
 call.  add_rows XORs codes in characteristic 2, but add stays on Zech logs:
-the brute-force oracle adds with it and shares no XOR with the solver.  The
-fiber table and the solver's vector form are built on first use and
-cached, so callers that never run the solver never pay for the latter.
+the brute-force oracle looks up rows of mul and add (mul_add_tables()) and
+shares no XOR with the solver.  The fiber table, those rows and the
+solver's vector form are built on first use and cached, so callers that
+never run the solver never pay for the latter.
 
 The field picks the vector form that SpanTracker and the suffix chain
 compute in (vector_form()).  In a field of at most 64 elements, q in {2, 4,
@@ -186,6 +187,7 @@ class FieldContext:
         # slows every later self.x read, add by about 70% on CPython 3.11
         self._fibers: Optional[dict[Element, tuple[Element, ...]]] = None
         self._vector_form = None
+        self._mul_add_tables: Optional[tuple[list, list]] = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -353,6 +355,18 @@ class FieldContext:
         exp, n = self._exp, self.order - 1
         return [exp[s % n] for s in logs]
 
+    def mul_add_tables(self) -> tuple[list, list]:
+        """(mul, add): entry [a][b] is the code of mul(a, b) or add(a, b).
+        Each row is built from those two calls on its first read (_RowStandIn)
+        and kept with the context, so the brute-force oracle looks its
+        arithmetic up without sharing any with the vector form."""
+        if self._mul_add_tables is None:
+            codes = self._codes
+            self._mul_add_tables = tuple(_lazy_table(
+                codes, lambda a, op=op: list(map(op, [a] * len(codes), codes)))
+                for op in (self.mul, self.add))
+        return self._mul_add_tables
+
     # -- the curve fiber ------------------------------------------------------
 
     def hermitian_fiber(self, a: Element) -> tuple[Element, ...]:
@@ -431,6 +445,13 @@ class _RowStandIn:
         return row[b]
 
 
+def _lazy_table(codes: list[int], build_row) -> list:
+    """A table with one row per code a, build_row(a) from its first read."""
+    table: list = []
+    table += (_RowStandIn(table, a, build_row) for a in codes)
+    return table
+
+
 class _CodeVectors:
     """Vectors as lists of codes, combined through code tables: mul[a][b]
     and sub[a][b] are the codes of a*b and a-b, inv[a] that of 1/a (inv[0]
@@ -443,9 +464,8 @@ class _CodeVectors:
     vector from the pivot on)."""
 
     def __init__(self, ctx: FieldContext):
-        self.mul, self.sub = [], []
-        for table, row in ((self.mul, ctx.mul_row), (self.sub, ctx.sub_row)):
-            table += (_RowStandIn(table, a, row) for a in ctx._codes)
+        self.mul = _lazy_table(ctx._codes, ctx.mul_row)
+        self.sub = _lazy_table(ctx._codes, ctx.sub_row)
         self.inv = [None] + ctx.exp_row(-s for s in ctx.log_row(ctx.elements[1:]))
         self.one = ctx.one
         self.unit = [ctx.one]  # the constant 1 on one point, as a basis vector
@@ -463,23 +483,39 @@ class _CodeVectors:
             if c:
                 mc = mul[c]
                 col[p_i:] = [sub[x][mc[y]] for x, y in zip(col[p_i:], tail)]
-        return col, next((i for i, v in enumerate(col) if v), rows)
+        return col, self.first(col, rows)
 
-    def pivot_entry(self, col: list[int], pivot: int, rows: int):
-        """col scaled to 1 at its pivot: (basis entry, whole vector)."""
+    def first(self, vec: list[int], rows: int) -> int:
+        """vec's first nonzero row, or rows if none."""
+        return next((i for i, v in enumerate(vec) if v), rows)
+
+    def insert(self, basis, column, rows: int, residual: list[int], first: int):
+        """SpanTracker.insert on this form: column reduced against basis;
+        if anything is left, its entry is appended, scaled to 1 at its pivot,
+        and the residual gets its one row op there.  Returns (whole vector
+        or None, residual, residual's first nonzero row)."""
+        col, pivot = self.reduce(list(column), basis, rows)
+        if pivot == rows:
+            return None, residual, first
         scale = self.mul[self.inv[col[pivot]]]
-        tail = [scale[v] for v in col[pivot:]]
-        return (pivot, tail), [0] * pivot + tail
+        entry = (pivot, [scale[v] for v in col[pivot:]])
+        basis.append(entry)
+        # the residual, like the new vector, is zero at every older pivot, so
+        # one row op at the new pivot keeps it zero at all of them
+        if residual[pivot]:
+            residual, first = self.reduce(residual, (entry,), rows)
+        return [0] * pivot + entry[1], residual, first
 
     def monomials(self, points, top: int, hs):
         """column(a, j): the values of x_1^a * hs[j] at points, given as
-        (code of x_1, index into hs[j]), for a <= top."""
+        (code of x_1, index into hs[j]), for a <= top; the powers of x_1
+        are built up to the highest a read so far."""
         mul = self.mul
         powers = [dict.fromkeys((c for c, _ in points), self.one)]
-        for _ in range(top):
-            powers.append({c: mul[v][c] for c, v in powers[-1].items()})
 
         def column(a: int, j: int) -> list[int]:
+            while len(powers) <= a:
+                powers.append({c: mul[v][c] for c, v in powers[-1].items()})
             pa, h = powers[a], hs[j]
             return [mul[pa[c]][h[s]] for c, s in points]
         return column
@@ -491,7 +527,7 @@ class _ByteVectors:
     A row's byte is its code in characteristic 2, and d0 << 4 | d1 for the
     code d0*p + d1 when e = 1.  A working vector is the int of its bytes,
     row 0 most significant, so its first nonzero row is rows minus its byte
-    length; a basis entry is (pivot, shift of the pivot byte, bytes).
+    length; a basis entry is (shift of the pivot byte, bytes).
     axpy[c] translates y to -c*y, so x - c*y is x XOR that in
     characteristic 2, and otherwise the nibble sum translated through modp.
     A product x_1^a * h is exp of the sum of two logs.  logpow marks zero
@@ -517,35 +553,49 @@ class _ByteVectors:
             (b >> 4) % p << 4 | (b & 15) % p for b in range(256))
 
     def vector(self, column) -> int:
-        if isinstance(column, int):
-            return column
         return int.from_bytes(bytes(column).translate(self.enc), "big")
 
-    def reduce(self, col: int, basis, rows: int) -> tuple[int, int]:
-        axpy, modp = self.axpy, self.modp
-        for _, shift, vec in basis:
+    def first(self, vec: int, rows: int) -> int:
+        return rows - (vec.bit_length() + 7 >> 3)
+
+    def insert(self, basis, column, rows: int, residual: int, first: int):
+        col = column if type(column) is int else self.vector(column)
+        axpy, modp, frm = self.axpy, self.modp, int.from_bytes
+        for shift, vec in basis:
             c = col >> shift & 255
             if c:
-                y = int.from_bytes(vec.translate(axpy[c]), "big")
-                col = col ^ y if modp is None else int.from_bytes(
+                y = frm(vec.translate(axpy[c]), "big")
+                col = col ^ y if modp is None else frm(
                     (col + y).to_bytes(rows, "big").translate(modp), "big")
-        return col, rows - (col.bit_length() + 7 >> 3)
-
-    def pivot_entry(self, col: int, pivot: int, rows: int):
-        shift = 8 * (rows - 1 - pivot)
-        vec = col.to_bytes(rows, "big").translate(self.axpy[self.div[col >> shift & 255]])
-        return (pivot, shift, vec), vec
+        if not col:
+            return None, residual, first
+        shift = col.bit_length() - 1 & ~7
+        vec = col.to_bytes(rows, "big").translate(axpy[self.div[col >> shift & 255]])
+        basis.append((shift, vec))
+        c = residual >> shift & 255
+        if c:  # the residual's one row op, as in _CodeVectors.insert
+            y = frm(vec.translate(axpy[c]), "big")
+            residual = residual ^ y if modp is None else frm(
+                (residual + y).to_bytes(rows, "big").translate(modp), "big")
+            first = self.first(residual, rows)
+        return vec, residual, first
 
     def monomials(self, points, top: int, hs):
-        rows, frm, expmod = len(points), int.from_bytes, self.expmod
+        rows, frm, expmod, logpow = len(points), int.from_bytes, self.expmod, self.logpow
         codes, where = zip(*points)
         xs = bytes(codes).translate(self.enc)
-        xlog = [frm(xs.translate(t), "big") for t in self.logpow[:top + 1]]
         gather = operator.itemgetter(*where)  # one row gives a bare int
-        hlog = [frm(bytes(gather(h) if rows > 1 else [gather(h)]).translate(
-            self.logpow[1]), "big") for h in hs]  # logpow[1]: log
-        return lambda a, j: frm((xlog[a] + hlog[j]).to_bytes(rows, "big").translate(
-            expmod), "big")
+        xlog, hlog = [None] * (top + 1), [None] * len(hs)
+
+        def column(a: int, j: int) -> int:
+            x, h = xlog[a], hlog[j]
+            if x is None:
+                x = xlog[a] = frm(xs.translate(logpow[a]), "big")
+            if h is None:  # logpow[1]: log
+                h = hlog[j] = frm(bytes(gather(hs[j]) if rows > 1 else [gather(hs[j])])
+                                  .translate(logpow[1]), "big")
+            return frm((x + h).to_bytes(rows, "big").translate(expmod), "big")
+        return column
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +605,9 @@ class _ByteVectors:
 class SpanTracker:
     """Incremental echelon basis of a streamed column space.
 
-    target and every column are sequences of codes, or working vectors of
-    the context's vector_form(), as the suffix chain passes them.  Columns
+    target is a sequence of codes, and every column is one or a working
+    vector of the context's vector_form(), as the suffix chain passes it;
+    the form's vector, first and insert do all the arithmetic.  Columns
     arrive one at a time; at most len(target) of them are kept as basis
     vectors, so arbitrarily many columns stream in bounded memory.  offer()
     inserts a column only while the target is unspanned and reports whether
@@ -576,8 +627,8 @@ class SpanTracker:
         self._form = ctx.vector_form()
         self._rows = len(target)
         self._basis: list[tuple] = []  # entries in insertion order
-        self._residual, self._first = self._form.reduce(
-            self._form.vector(target), (), self._rows)  # first: nonzero row, or _rows
+        self._residual = self._form.vector(target)
+        self._first = self._form.first(self._residual, self._rows)  # or _rows if zero
 
     @property
     def rank(self) -> int:
@@ -587,18 +638,10 @@ class SpanTracker:
         """Reduce one column against the basis.  If anything is left, add it
         and return it scaled to 1 at its pivot, as a whole vector in the
         vector form's basis layout (list of codes or bytes); else None."""
-        form, rows = self._form, self._rows
-        if not isinstance(column, int) and len(column) != rows:
-            raise ValueError(f"column length {len(column)} != system length {rows}")
-        col, pivot = form.reduce(form.vector(column), self._basis, rows)
-        if pivot == rows:
-            return None
-        entry, vec = form.pivot_entry(col, pivot, rows)
-        self._basis.append(entry)
-        # the residual, like the new vector, is zero at every older pivot, so
-        # one row op at the new pivot keeps it zero at all of them
-        if self._first <= pivot:  # else the residual is zero up to and at the pivot
-            self._residual, self._first = form.reduce(self._residual, (entry,), rows)
+        if not isinstance(column, int) and len(column) != self._rows:
+            raise ValueError(f"column length {len(column)} != system length {self._rows}")
+        vec, self._residual, self._first = self._form.insert(
+            self._basis, column, self._rows, self._residual, self._first)
         return vec
 
     def offer(self, column) -> bool:

@@ -362,6 +362,7 @@ PINS = {
     "verify-q9": (["verify", "--p", "3", "--e", "2"], "tests/data/verify_p3_e2.txt"),
     "verify-q11": (["verify", "--p", "11"], "tests/data/verify_p11.txt"),
     "verify-q16": (["verify", "--p", "2", "--e", "4"], "tests/data/verify_p2_e4.txt"),
+    "verify-q32": (["verify", "--p", "2", "--e", "5"], "tests/data/verify_p2_e5.txt"),
     "bounds-q3": (["bounds", "--p", "3", "--k-range", "1:7", "--n-range", "1:21"],
                   "tests/data/bounds_q3.csv"),
     "bounds-q32-ell17": (["bounds", "--p", "2", "--e", "5", "--ell", "17", "--k-range",

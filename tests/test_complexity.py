@@ -376,6 +376,49 @@ def test_oracle_builds_no_code_tables():
     assert ctx._vector_form is None
 
 
+def test_oracle_computes_on_its_own_tables(monkeypatch):
+    # every row and vector call of a fresh GF(9) refuses, and the oracle
+    # still answers: it reads only ctx.mul_add_tables(), rows built from
+    # ctx.mul and ctx.add, which must equal them on every pair
+    ctx, solver_ctx = FieldContext(3, 1), FieldContext(3, 1)
+
+    def refuse(*args):
+        raise AssertionError("the oracle called the solver's arithmetic")
+
+    for name in ("mul_row", "sub_row", "add_rows", "log_row", "exp_row", "vector_form"):
+        monkeypatch.setattr(ctx, name, refuse)
+    rng = random.Random(9)
+    for _ in range(10):
+        t = _random_terms(ctx, rng, 5)
+        for m, mode in ((1, PerVariable(2)), (2, TotalDegree(1)), (2, PerVariable(1))):
+            assert (brute_force_oracle(ctx, t, m, mode)
+                    == exists_recurrence(solver_ctx, t, m, mode)), (t, m, mode)
+    for field in (FieldContext(2, 1), ctx, FieldContext(2, 2)):
+        mul, add = field.mul_add_tables()
+        for a, b in itertools.product(field.elements, repeat=2):
+            assert mul[a][b] == field.mul(a, b) and add[a][b] == field.add(a, b)
+        assert field.mul_add_tables() is field.mul_add_tables()  # kept with the context
+
+
+def test_oracle_tables_hold_the_rows_read():
+    # GF(256), m = 1, per-variable k = 1 on four terms: the multiples of the
+    # columns 1 and x come from the mul rows of their entries (at most 1 + 3)
+    # and target + s from the target's add rows (3), so each question reads
+    # at most 7 of the 512 rows, not the 65,536 entries of the field's square
+    ctx = FieldContext(2, 4)
+    rng = random.Random(256)
+    c, d, x = ctx.epsilon, ctx.one, rng.choice(ctx.elements)
+    affine = [x]
+    for _ in range(3):
+        affine.append(ctx.add(ctx.mul(c, affine[-1]), d))
+    questions = [tuple(affine)] + [_random_terms(ctx, rng, 4) for _ in range(3)]
+    answers = [brute_force_oracle(ctx, t, 1, PerVariable(1)) for t in questions]
+    assert answers[0]
+    assert answers == [exists_recurrence(ctx, t, 1, PerVariable(1)) for t in questions]
+    read = sum(len(row) for table in ctx.mul_add_tables() for row in table if type(row) is list)
+    assert read <= 7 * len(questions) * ctx.order
+
+
 def test_curve_and_sequence_layers_build_no_code_tables():
     # at q = 32 the mul and sub tables take 8 MB each; the sequence and its
     # checks run on the field's own arithmetic and build no solver table of

@@ -419,6 +419,15 @@ def test_fiber_partitions_curve():
 # streamed linear solver
 # ---------------------------------------------------------------------------
 
+def _both_forms(ctx):
+    """ctx, which solves in bytes, and a fresh context of the same field that
+    solves on code tables: each form's insert must meet the same references."""
+    assert type(ctx.vector_form()) is _ByteVectors
+    codes = FieldContext(ctx.p, ctx.e)
+    codes._vector_form = _CodeVectors(codes)
+    return ctx, codes
+
+
 def _streamed_consistent(columns, target, ctx):
     """Stream the columns into a SpanTracker until the target is spanned."""
     tracker = SpanTracker(ctx, target)
@@ -427,66 +436,74 @@ def _streamed_consistent(columns, target, ctx):
 
 
 def test_solver_standard_basis(f4):
-    cols = [
-        [f4.one, f4.zero, f4.zero],
-        [f4.zero, f4.one, f4.zero],
-        [f4.zero, f4.zero, f4.one],
-    ]
-    target = [f4.epsilon, f4.one, f4.add(f4.epsilon, f4.one)]
-    assert _streamed_consistent(cols, target, f4)
+    for ctx in _both_forms(f4):
+        cols = [
+            [ctx.one, ctx.zero, ctx.zero],
+            [ctx.zero, ctx.one, ctx.zero],
+            [ctx.zero, ctx.zero, ctx.one],
+        ]
+        target = [ctx.epsilon, ctx.one, ctx.add(ctx.epsilon, ctx.one)]
+        assert _streamed_consistent(cols, target, ctx)
 
 
 def test_solver_zero_column_inconsistent(f4):
-    assert not _streamed_consistent([[f4.zero, f4.zero]], [f4.one, f4.zero], f4)
+    for ctx in _both_forms(f4):
+        assert not _streamed_consistent([[ctx.zero, ctx.zero]], [ctx.one, ctx.zero], ctx)
 
 
 def test_solver_zero_target_trivially_consistent(f4):
-    assert _streamed_consistent([], [f4.zero, f4.zero], f4)
+    for ctx in _both_forms(f4):
+        assert _streamed_consistent([], [ctx.zero, ctx.zero], ctx)
 
 
 def test_solver_dimension_mismatch(f4):
-    with pytest.raises(ValueError):
-        _streamed_consistent([[f4.one]], [f4.one, f4.zero], f4)
+    for ctx in _both_forms(f4):
+        with pytest.raises(ValueError):
+            _streamed_consistent([[ctx.one]], [ctx.one, ctx.zero], ctx)
 
 
 def test_solver_against_dense_oracle_f9(f9):
-    rng = random.Random(20240917)
-    for _ in range(40):
-        rows, cols = 5, 8
-        columns = [[rng.choice(f9.elements) for _ in range(rows)] for _ in range(cols)]
-        target = [rng.choice(f9.elements) for _ in range(rows)]
-        assert (_streamed_consistent(columns, target, f9)
-                == (dense_rank(f9, columns) == dense_rank(f9, columns + [target])))
+    for ctx in _both_forms(f9):
+        rng = random.Random(20240917)
+        for _ in range(40):
+            rows, cols = 5, 8
+            columns = [[rng.choice(ctx.elements) for _ in range(rows)] for _ in range(cols)]
+            target = [rng.choice(ctx.elements) for _ in range(rows)]
+            assert (_streamed_consistent(columns, target, ctx)
+                    == (dense_rank(ctx, columns) == dense_rank(ctx, columns + [target])))
 
 
 def test_solver_against_span_enumeration_f4_exhaustive_2x2(f4):
     els = f4.elements
-    for c1 in itertools.product(els, repeat=2):
-        for c2 in itertools.product(els, repeat=2):
-            columns = [list(c1), list(c2)]
-            for target in itertools.product(els, repeat=2):
-                assert (_streamed_consistent(columns, list(target), f4)
-                        == enumerated_span_contains(f4, columns, target))
+    for ctx in _both_forms(f4):
+        for c1 in itertools.product(els, repeat=2):
+            for c2 in itertools.product(els, repeat=2):
+                columns = [list(c1), list(c2)]
+                for target in itertools.product(els, repeat=2):
+                    assert (_streamed_consistent(columns, list(target), ctx)
+                            == enumerated_span_contains(ctx, columns, target))
 
 
 def test_solver_against_span_enumeration_f4_sampled_3x3(f4):
-    rng = random.Random(7)
-    for _ in range(300):
-        columns = [[rng.choice(f4.elements) for _ in range(3)] for _ in range(3)]
-        target = [rng.choice(f4.elements) for _ in range(3)]
-        assert (_streamed_consistent(columns, target, f4)
-                == enumerated_span_contains(f4, columns, target))
+    for ctx in _both_forms(f4):
+        rng = random.Random(7)
+        for _ in range(300):
+            columns = [[rng.choice(ctx.elements) for _ in range(3)] for _ in range(3)]
+            target = [rng.choice(ctx.elements) for _ in range(3)]
+            assert (_streamed_consistent(columns, target, ctx)
+                    == enumerated_span_contains(ctx, columns, target))
 
 
 def test_tracker_early_exit(f4):
-    one, zero = f4.one, f4.zero
-    tracker = SpanTracker(f4, [one, one])
-    assert tracker.spanned_prefix() == 0
-    assert tracker.offer([one, one])
-    # one column spans the target; once spanned, later offers add no pivot
-    assert tracker.rank == 1
-    assert tracker.offer([one, zero])
-    assert tracker.rank == 1
+    for ctx in _both_forms(f4):
+        one, zero = ctx.one, ctx.zero
+        tracker = SpanTracker(ctx, [one, one])
+        assert tracker.spanned_prefix() == 0
+        assert tracker.offer([one, one])
+        # one column spans the target; once spanned, later offers add no pivot
+        assert tracker.rank == 1
+        assert tracker.offer([one, zero])
+        assert tracker.rank == 1
 
 
 # ---------------------------------------------------------------------------
