@@ -13,7 +13,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import bounds as bnd
 from .complexity import (
@@ -203,15 +203,14 @@ def check_nonzero_terms(ctx: FieldContext, terms: Sequence[Element],
     return _result(name, failures, f"{len(terms)} nonzero terms")
 
 
-def check_sequence_layer(ctx: FieldContext) -> list[CheckResult]:
-    """Nonzero terms and recomputed corner terms of the sequence at every
-    ell in 2..q for q <= 5, and at ell in {2, q} above that."""
-    ells = range(2, ctx.q + 1) if ctx.q <= 5 else (2, ctx.q)
+def check_sequence_layer(ctx: FieldContext,
+                         sequences: Mapping[int, Sequence[Element]]) -> list[CheckResult]:
+    """Nonzero terms and recomputed corner terms of each constructed
+    sequence, given by its ell."""
     fam = collinear_family(ctx, ctx.epsilon)
     steps = ctx.order - 2
     results = []
-    for ell in ells:
-        terms = build_sequence(ctx, ell)
+    for ell, terms in sequences.items():
         results.append(check_nonzero_terms(ctx, terms, ell))
         mismatch = None
         for i in (1, ctx.q):
@@ -318,10 +317,10 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
                          f"{len(ks) * len(terms)} grid points") for kind in kinds)
 
 
-def check_oracle_agreement(ctx: FieldContext) -> CheckResult:
+def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) -> CheckResult:
     """Solver vs brute-force oracle on 200 random sequences (seed 2024;
-    n <= 6, m <= 2, k <= 2, both modes) and on the full constructed ell = 2
-    sequence.
+    n <= 6, m <= 2, k <= 2, both modes) and on the constructed ell = 2
+    sequence, which the caller builds.
 
     Every sequence runs window 1 under all four modes and window 2 under
     three; per-variable k=2 at window 2, the largest case (9 monomial
@@ -337,25 +336,22 @@ def check_oracle_agreement(ctx: FieldContext) -> CheckResult:
     1,313 comparisons ask the solver 1,087 questions and the oracle 427.
     """
     sequences = 200
+    modes = [cls(k) for k in (1, 2) for cls in (PerVariable, TotalDegree)]
+    per1, tot1, per2, tot2 = modes
     rng = random.Random(2024)
     cases = []
     for case in range(sequences):
         n = rng.randrange(2, 7)
         t = tuple(rng.choice(ctx.elements) for _ in range(n))
-        for k in (1, 2):
-            cases += [(t, 1, PerVariable(k)), (t, 1, TotalDegree(k))]
+        cases += [(t, 1, mode) for mode in modes]
         if n >= 3:
-            cases += [(t, 2, TotalDegree(1)), (t, 2, TotalDegree(2)),
-                      (t, 2, PerVariable(1))]
+            cases += [(t, 2, tot1), (t, 2, tot2), (t, 2, per1)]
             if case % 4 == 0:
-                cases.append((t, 2, PerVariable(2)))
-    constructed = build_sequence(ctx, 2)
-    for m in (1, 2):
-        for k in (1, 2):
-            cases += [(constructed, m, PerVariable(k)),
-                      (constructed, m, TotalDegree(k))]
-    # keys of plain values: a mode's dataclass hash and eq run in Python
-    solver, monomials, enumerated = {}, {}, {}
+                cases.append((t, 2, per2))
+    cases += [(constructed, m, mode) for m in (1, 2) for mode in modes]
+    # one verdict per distinct question, keyed by plain values: a mode's
+    # dataclass hash and eq run in Python
+    verdicts, monomials, enumerated = {}, {}, {}
     width = max(m for _, m, _ in cases)
 
     def truth(t, m, mode) -> bool:
@@ -378,9 +374,9 @@ def check_oracle_agreement(ctx: FieldContext) -> CheckResult:
     def disagrees(case) -> bool:
         t, m, mode = case
         key = (t, m, type(mode), mode.k)
-        if (solved := solver.get(key)) is None:
-            solved = solver[key] = exists_recurrence(ctx, t, m, mode)
-        return solved != truth(t, m, mode)
+        if (verdict := verdicts.get(key)) is None:
+            verdict = verdicts[key] = exists_recurrence(ctx, t, m, mode) != truth(t, m, mode)
+        return verdict
 
     failures = ("disagree on {} m={} {}".format(*case) for case in cases
                 if disagrees(case))
@@ -441,7 +437,7 @@ def check_l_improvement() -> CheckResult:
     rows = [row for q in (5, 7, 8, 9, 16, 32)
             for row in _class_rows(q, _k_grid(q), _n_grid(q))]
     for q, k_equal in ((3, 4), (4, 3)):
-        classes = list(bnd.n_classes(q, range(q * q - 1, q * (q * q - 2) + 1)))
+        classes = list(bnd.n_classes(q, _n_grid(q)))
         unequal = [(r1, r2, run) for r1, r2, run in classes if r1 != r2]
         rows += [(q, k, classes if k >= k_equal else unequal)
                  for k in range(1, q * q - 1)]
@@ -504,9 +500,11 @@ def run_suite(field_specs: Optional[Sequence[tuple[int, int]]] = None) -> list[C
     """The default verification suite: per-field checks at the configured
     (p, e) pairs plus the global bound grids and figure regeneration.
 
-    Bound-consistency checks run only for q <= 5, where exact recurrence
-    infeasibility is computable at every grid point.  They run once per
-    ell and give both kinds' results, so one proof can discharge the
+    Each field's plan is stated here, and each sequence it reads is built
+    once: every ell in 2..q for q <= 5 and ell in {2, q} above that, the
+    oracle comparison at q = 2, and bound consistency for q <= 5, where
+    exact recurrence infeasibility is computable at every grid point.  It
+    gives both kinds' results per ell, so one proof can discharge the
     obligations of both kinds.
     """
     if field_specs is None:
@@ -514,14 +512,15 @@ def run_suite(field_specs: Optional[Sequence[tuple[int, int]]] = None) -> list[C
     results: list[CheckResult] = []
     for p, e in field_specs:
         ctx = FieldContext(p, e)
+        ells = range(2, ctx.q + 1) if ctx.q <= 5 else (2, ctx.q)
+        sequences = {ell: build_sequence(ctx, ell) for ell in ells}
         results.append(check_field(ctx))
         results.append(check_structure(ctx))
-        results.extend(check_sequence_layer(ctx))
+        results.extend(check_sequence_layer(ctx, sequences))
         if ctx.q == 2:
-            results.append(check_oracle_agreement(ctx))
+            results.append(check_oracle_agreement(ctx, sequences[2]))
         if ctx.q <= 5:
-            for ell in range(2, ctx.q + 1):
-                terms = build_sequence(ctx, ell)
+            for ell, terms in sequences.items():
                 results.extend(check_bound_consistency(ctx, terms, ell))
     for check in (check_n_improvement, check_l_improvement,
                   check_l_twopoint_equivalence, check_figures):

@@ -357,3 +357,8 @@ def test_figure_rows_match_per_n_evaluation(preset_name, own, rival):
     # maximal runs: adjacent classes differ in (r1, r2)
     assert all(a != b for a, b in zip(keys, keys[1:]))
     assert len(classes) == 2 * preset.q - 2
+
+
+def test_unknown_figure_preset_rejected():
+    with pytest.raises(ValueError, match=r"unknown preset 'fig3'; choose from \['fig1', 'fig2'\]"):
+        figure_rows("fig3")

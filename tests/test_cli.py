@@ -2,6 +2,7 @@ import csv
 import gzip
 import io
 import itertools
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -60,6 +61,15 @@ def test_sequence_explicit_a_and_modulus(tmp_path):
     rows = _read_csv(out)
     assert len(rows) == 5
     assert all(r[3] != "0:0" for r in rows[1:])
+
+
+def test_sequence_modulus_is_read_monic(tmp_path):
+    # 2z^2 + 2 names the same field as z^2 + 1 over F_3
+    outs = [tmp_path / "non-monic.csv", tmp_path / "monic.csv"]
+    for modulus, out in zip(("2:0:2", "1:0:1"), outs):
+        assert main(["sequence", "--p", "3", "--modulus", modulus, "--ell", "2",
+                     "--out", str(out)]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_sequence_csv_deterministic(tmp_path):
@@ -280,7 +290,12 @@ def test_usage_error_writes_nothing(argv, tmp_path, capsys):
      "argument --n/--n-range: range '5:1' is empty"),
     (["sequence", "--p", "2", "--ell", "2", "--modulus", "1:x:1"],
      "argument --modulus: bad value '1:x:1'"),
-], ids=["no-ell", "no-p", "no-k", "no-preset", "empty-n-range", "bad-modulus"])
+    (["complexity", "--p", "2", "--ell", "2", "--k", "1:2:3:4", "--n", "1"],
+     "argument --k/--k-range: bad range '1:2:3:4'; expected LO:HI[:STEP]"),
+    (["complexity", "--p", "2", "--ell", "2", "--k", "1:5:0", "--n", "1"],
+     "argument --k/--k-range: bad range '1:5:0'; step must be >= 1"),
+], ids=["no-ell", "no-p", "no-k", "no-preset", "empty-n-range", "bad-modulus",
+        "four-part-range", "zero-step"])
 def test_grammar_error_is_argparse_usage(argv, message, tmp_path, capsys):
     # missing or malformed options are refused by argparse:
     # its usage line, exit 2 and nothing written
@@ -512,3 +527,14 @@ def test_verify_e_without_p_is_usage_error(capsys):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["bounds", "--p", "2", "--k", "1", "--n", "1"], EXIT_OK),
+    (["sequence", "--p", "2", "--ell", "3"], EXIT_USAGE),
+], ids=["ok", "usage"])
+def test_entrypoint_exits_with_mains_code(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hermseq", *argv])
+    with pytest.raises(SystemExit) as exited:
+        cli.entrypoint()
+    assert exited.value.code == code == main(argv)

@@ -198,6 +198,12 @@ def test_oracle_trivial_cases(f4):
     assert brute_force_oracle(f4, z, 1, PerVariable(1))      # zero polynomial
 
 
+@pytest.mark.parametrize("m", [0, 3])
+def test_oracle_refuses_a_window_outside_the_sequence(f4, m):
+    with pytest.raises(ValueError, match=f"window length must be in 1..2, got {m}"):
+        brute_force_oracle(f4, (f4.one,) * 3, m, PerVariable(1))
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_window_one_modes_agree(p):
     # at m = 1 both disciplines admit exactly 1, x, .., x^k, so each k has
@@ -424,9 +430,9 @@ def test_curve_and_sequence_layers_build_no_code_tables():
     # checks run on the field's own arithmetic and build no solver table of
     # either form
     ctx = FieldContext(2, 3)
-    build_sequence(ctx, ctx.q)
+    sequences = {ell: build_sequence(ctx, ell) for ell in (2, ctx.q)}
     assert check_field(ctx).passed and check_structure(ctx).passed
-    assert all(result.passed for result in check_sequence_layer(ctx))
+    assert all(result.passed for result in check_sequence_layer(ctx, sequences))
     assert ctx._vector_form is None
 
 

@@ -55,6 +55,11 @@ def test_collinear_family_rejects_zero(f4):
         collinear_family(f4, f4.zero)
 
 
+def test_family_place_index_starts_at_one(f4):
+    with pytest.raises(ValueError, match="family index must be in 1..2, got 0"):
+        collinear_family(f4, f4.one).place(0)
+
+
 # ---------------------------------------------------------------------------
 # the scaling action
 # ---------------------------------------------------------------------------

@@ -149,6 +149,16 @@ def test_user_modulus_accepted():
     assert ctx.modulus == FieldContext(2, 1).modulus
 
 
+def test_non_monic_modulus_is_made_monic():
+    # 2z^2 + 2 over F_3 is twice z^2 + 1
+    assert FieldContext(3, 1, (2, 0, 2)).modulus == (1, 0, 1)
+
+
+def test_zero_extension_degree_rejected():
+    with pytest.raises(ValueError, match="extension degree must be >= 1, got 0"):
+        FieldContext(2, 0)
+
+
 def test_bad_degree_modulus_rejected():
     with pytest.raises(ValueError):
         FieldContext(2, 1, modulus=[1, 1, 1, 1])
@@ -178,6 +188,17 @@ def test_inv_zero_raises(f4):
         f4.inv(f4.zero)
     with pytest.raises(ZeroDivisionError):
         f4.pow(f4.zero, -1)
+
+
+def test_zero_has_no_multiplicative_order(f4):
+    with pytest.raises(ValueError, match="zero has no multiplicative order"):
+        f4.multiplicative_order(f4.zero)
+
+
+def test_element_refuses_too_many_coefficients(f9):
+    assert f9.coeffs(f9.element([1, 2])) == (1, 2)
+    with pytest.raises(ValueError, match="longer than field degree 2"):
+        f9.element([1, 2, 0])
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermseq import bounds, complexity, verify
+from hermseq import bounds, cli, complexity, verify
 from hermseq.complexity import PerVariable, TotalDegree
 from hermseq.field import FieldContext
 from hermseq.sequence import build_sequence
@@ -85,6 +85,94 @@ def test_bound_check_proves_at_the_ceiling(f9, monkeypatch):
         for t, m, mode in calls:
             name = "N_collinear" if isinstance(mode, PerVariable) else "L_collinear"
             assert m == math.ceil(bounds.bound(name, 3, mode.k, ell, len(t))) - 1, (ell, mode, len(t))
+
+
+@pytest.mark.parametrize("argv,built", [
+    ([], [(2, 2), (3, 2), (3, 3)]),
+    (["--p", "2", "--e", "2"], [(4, 2), (4, 3), (4, 4)]),
+    (["--p", "5"], [(5, 2), (5, 3), (5, 4), (5, 5)]),
+], ids=["default", "q4", "q5"])
+def test_suite_builds_each_sequence_once(monkeypatch, capsys, argv, built):
+    # run_suite builds each (q, ell) sequence its field's checks read, once,
+    # and hands it to every check that reads it
+    calls = []
+    original = verify.build_sequence
+    monkeypatch.setattr(verify, "build_sequence",
+                        lambda ctx, ell: calls.append((ctx.q, ell)) or original(ctx, ell))
+    assert cli.main(["verify", *argv]) == cli.EXIT_OK
+    assert calls == built
+
+
+# ---------------------------------------------------------------------------
+# each check's failure text, from a corrupted input
+# ---------------------------------------------------------------------------
+
+def test_sequence_layer_names_a_wrong_corner_term(f9):
+    terms = list(build_sequence(f9, 2))
+    terms[-1] = f9.mul(terms[-1], f9.epsilon)  # the corner (i, j) = (q, q^2 - 2)
+    assert verify.check_sequence_layer(f9, {2: tuple(terms)}) == [
+        CheckResult("sequence-terms[q=3,ell=2]", True, "21 nonzero terms"),
+        CheckResult("sequence-layout[q=3,ell=2]", False, "corner term (3, 7) disagrees")]
+
+
+def test_short_sequence_breaks_term_check(f9):
+    assert check_nonzero_terms(f9, build_sequence(f9, 2)[:-1], 2) == CheckResult(
+        "sequence-terms[q=3,ell=2]", False, "length 20, expected 21")
+
+
+def test_bound_check_names_a_bound_above_the_prefix(f9, monkeypatch):
+    # a per-variable pair whose ceiling is 7 on the first class, n = 1..6,
+    # asks for a window no prefix there has room for
+    pair, gap = bounds.BOUNDS["N_collinear"]
+    monkeypatch.setitem(bounds.BOUNDS, "N_collinear", (
+        lambda q, k, ell, r1, r2: (7, 1) if (r1, r2) == (0, 0) else pair(q, k, ell, r1, r2),
+        gap))
+    assert check_bound_consistency(f9, build_sequence(f9, 2), 2, ks=(1,)) == (
+        CheckResult("bound-per-variable[q=3,ell=2]", False, "; ".join(
+            f"k=1 n={n}: bound 7 exceeds n-1" for n in range(1, 5))
+            + "; ... 6 failures total"),
+        CheckResult("bound-total-degree[q=3,ell=2]", True, "21 grid points"))
+
+
+@pytest.mark.parametrize("fiber,detail", [
+    (lambda ys: ys[:-1], "fiber above 3 is not 3 distinct points"),
+    (lambda ys: ys + ys[:1], "fibers cover 28 pairs, expected 27"),
+], ids=["lost-point", "repeated-point"])
+def test_field_check_names_a_wrong_fiber(fiber, detail):
+    # a context of its own, so the shared fixture stays whole
+    ctx = FieldContext(3, 1)
+    original = ctx.hermitian_fiber
+    ctx.hermitian_fiber = lambda a: fiber(original(a)) if a == ctx.one else original(a)
+    assert verify.check_field(ctx) == CheckResult("field[q=3]", False, detail)
+
+
+def test_field_check_names_an_imprimitive_epsilon():
+    ctx = FieldContext(3, 1)
+    ctx.epsilon = ctx.one
+    assert verify.check_field(ctx) == CheckResult("field[q=3]", False,
+                                                  "epsilon is not primitive")
+
+
+def test_structure_check_names_short_orbits(f9, monkeypatch):
+    # every orbit loses its first place, which the family orbits then miss
+    original = verify.orbit
+    monkeypatch.setattr(verify, "orbit", lambda ctx, pl: original(ctx, pl)[1:])
+    assert verify.check_structure(f9) == CheckResult("structure[q=3]", False, "; ".join(
+        [f"orbit of AffinePlace(x=4, y={y}) has 7 places" for y in (3, 4, 5)]
+        + ["orbits do not miss exactly the x = 0 places"]))
+
+
+def test_figures_name_a_lost_class(monkeypatch):
+    # fig1 without its first class, n = 1023..2043
+    original = bounds.figure_rows
+
+    def broken(name):
+        preset, classes = original(name)
+        return preset, classes[1:] if name == "fig1" else classes
+
+    monkeypatch.setattr(bounds, "figure_rows", broken)
+    assert verify.check_figures() == CheckResult(
+        "figure-presets", False, "fig1: range 2044..32704; fig1: 30661 rows")
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +328,14 @@ def _spy(monkeypatch, name, flip=lambda t, m, mode: False):
     return calls
 
 
+def _oracle_agreement(ctx):
+    return verify.check_oracle_agreement(ctx, build_sequence(ctx, 2))
+
+
 def test_oracle_agreement_answers_each_question_once(monkeypatch):
     solver = _spy(monkeypatch, "exists_recurrence")
     oracle = _spy(monkeypatch, "brute_force_oracle")
-    result = verify.check_oracle_agreement(FieldContext(2, 1))
+    result = _oracle_agreement(FieldContext(2, 1))
     assert result == CheckResult("oracle-agreement", True,
                                  "1313 comparisons over 200 sequences")
     assert (len(solver), len(set(solver))) == (1087, 1087)
@@ -257,13 +349,13 @@ def test_oracle_agreement_settles_exactly(monkeypatch, p, enumerated):
     # another, is the one the oracle gives when asked that question
     oracle = _spy(monkeypatch, "brute_force_oracle")
     monkeypatch.setattr(verify, "exists_recurrence", complexity.brute_force_oracle)
-    assert verify.check_oracle_agreement(FieldContext(p, 1)).passed
+    assert _oracle_agreement(FieldContext(p, 1)).passed
     assert len(oracle) == enumerated
 
 
 def test_oracle_agreement_in_odd_characteristic(f9):
     # the byte form's nibble-and-modp arithmetic against the oracle
-    assert verify.check_oracle_agreement(f9) == CheckResult(
+    assert _oracle_agreement(f9) == CheckResult(
         "oracle-agreement", True, "1335 comparisons over 200 sequences")
 
 
@@ -276,7 +368,7 @@ def test_oracle_agreement_calls_no_mode_hash_or_eq(monkeypatch):
             calls[name] += 1
             return method(*args)
         monkeypatch.setattr(complexity._Degree, name, counted)
-    assert verify.check_oracle_agreement(FieldContext(2, 1)).passed
+    assert _oracle_agreement(FieldContext(2, 1)).passed
     assert calls == {"__hash__": 0, "__eq__": 0}
 
 
@@ -296,7 +388,7 @@ def test_oracle_agreement_fails_at_each_repeat(monkeypatch, question, failures):
                 and (m == 1 or isinstance(mode, TotalDegree)))
 
     oracle = _spy(monkeypatch, "brute_force_oracle", flip)
-    result = verify.check_oracle_agreement(FieldContext(2, 1))
+    result = _oracle_agreement(FieldContext(2, 1))
     assert result == CheckResult("oracle-agreement", False, "; ".join(failures))
     assert sum(flip(*call) for call in oracle) == 1
 
@@ -310,7 +402,7 @@ def test_oracle_agreement_fails_where_the_truth_was_settled(monkeypatch):
 
     solver = _spy(monkeypatch, "exists_recurrence", flip)
     oracle = _spy(monkeypatch, "brute_force_oracle")
-    result = verify.check_oracle_agreement(FieldContext(2, 1))
+    result = _oracle_agreement(FieldContext(2, 1))
     assert result == CheckResult("oracle-agreement", False, "; ".join(
         ["disagree on (0, 3, 0) m=2 TotalDegree(k=1)"] * 3))
     assert sum(flip(*call) for call in solver) == 1
