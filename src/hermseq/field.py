@@ -18,12 +18,14 @@ solver's vector form are built on first use and cached, so callers that
 never run the solver never pay for the latter.
 
 The field picks the vector form that SpanTracker and the suffix chain
-compute in (vector_form()).  In a field of at most 64 elements, q in {2, 4,
-8} and q in {3, 5, 7}, a vector has one byte per row, zero's log is a mark
-the exp table reads as zero, and a row op or a product column is a few
-C-level bytes/int calls (_ByteVectors).  Every other field reduces lists of
-codes over the mul, sub and inv tables of _CodeVectors, one entry per code
-at every order, each mul or sub row built on its first read.
+compute in (vector_form()).  Both keep a vector as one int with a lane of
+F_p digits per row.  In a field of at most 64 elements, q in {2, 4, 8} and
+q in {3, 5, 7}, the lane is one byte, zero's log is a mark the exp table
+reads as zero, and a row op or a product column is a few C-level bytes/int
+calls (_ByteVectors).  Every other field greases each basis entry: it
+stores tables of the entry's F_p multiples, so -c*y is a few table reads,
+and a row op is an XOR or an int add reduced mod p on guard bits
+(_LaneVectors).  No table grows with the field's square.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import struct
 from typing import Iterable, Optional
 
 Element = int
@@ -180,7 +183,7 @@ class FieldContext:
         self.zero: Element = 0
         self.one: Element = self._weights[0]
         self.elements = range(self.order)
-        self._codes = list(self.elements)  # one int per code: every table reads these
+        self._codes = list(self.elements)  # one int per code: shared by the rows built here
         self._exp, self._log, self._zech = self._build_tables()
         self.epsilon: Element = self._exp[1]
         # caches set here, not by functools.cached_property: its __dict__ write
@@ -391,10 +394,10 @@ class FieldContext:
         {2, 4, 8} and GF(p^2) for q in {3, 5, 7}: there two logs add to at
         most 2(order-2) = 124, below zero's mark 127, and GF(p^2)'s two
         digits add to at most 2(p-1) < 16 per nibble.  Every other field
-        reduces lists of codes over code tables (_CodeVectors).
+        computes in wider lanes with greased basis entries (_LaneVectors).
         """
         if self._vector_form is None:
-            self._vector_form = (_ByteVectors if self.order <= 64 else _CodeVectors)(self)
+            self._vector_form = (_ByteVectors if self.order <= 64 else _LaneVectors)(self)
         return self._vector_form
 
     # -- misc -----------------------------------------------------------------
@@ -426,11 +429,12 @@ def element_from_str(text: str, ctx: FieldContext) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# solver vectors: lists of codes, or one byte per row
+# the oracle's lazy tables, and the solver's lanes of F_p digits: one byte
+# per row, or wider lanes with greased basis entries
 # ---------------------------------------------------------------------------
 
 class _RowStandIn:
-    """Entry a of a code table until its row is first read, which builds the
+    """Entry a of a lazy table until its row is first read, which builds the
     row and puts it in this stand-in's place: a caller holding the stand-in
     still reads right, and later table reads find a plain list."""
     __slots__ = ("table", "a", "build_row")
@@ -450,75 +454,6 @@ def _lazy_table(codes: list[int], build_row) -> list:
     table: list = []
     table += (_RowStandIn(table, a, build_row) for a in codes)
     return table
-
-
-class _CodeVectors:
-    """Vectors as lists of codes, combined through code tables: mul[a][b]
-    and sub[a][b] are the codes of a*b and a-b, inv[a] that of 1/a (inv[0]
-    is None).
-
-    mul and sub are lists with one entry per code, at every field order.
-    Entry a is ctx.mul_row(a) or ctx.sub_row(a), built on its first read
-    (_RowStandIn), so memory follows the rows a solver run reads.  sub is
-    digitwise: it shares nothing with ctx.sub.  A basis entry is (pivot,
-    vector from the pivot on)."""
-
-    def __init__(self, ctx: FieldContext):
-        self.mul = _lazy_table(ctx._codes, ctx.mul_row)
-        self.sub = _lazy_table(ctx._codes, ctx.sub_row)
-        self.inv = [None] + ctx.exp_row(-s for s in ctx.log_row(ctx.elements[1:]))
-        self.one = ctx.one
-        self.unit = [ctx.one]  # the constant 1 on one point, as a basis vector
-
-    def vector(self, column) -> list[int]:
-        return list(column)
-
-    def reduce(self, col: list[int], basis, rows: int) -> tuple[list[int], int]:
-        """col reduced against the entries in insertion order, so it is
-        zero at every pivot (in place), and its first nonzero row, or rows
-        if none."""
-        mul, sub = self.mul, self.sub
-        for p_i, tail in basis:
-            c = col[p_i]
-            if c:
-                mc = mul[c]
-                col[p_i:] = [sub[x][mc[y]] for x, y in zip(col[p_i:], tail)]
-        return col, self.first(col, rows)
-
-    def first(self, vec: list[int], rows: int) -> int:
-        """vec's first nonzero row, or rows if none."""
-        return next((i for i, v in enumerate(vec) if v), rows)
-
-    def insert(self, basis, column, rows: int, residual: list[int], first: int):
-        """SpanTracker.insert on this form: column reduced against basis;
-        if anything is left, its entry is appended, scaled to 1 at its pivot,
-        and the residual gets its one row op there.  Returns (whole vector
-        or None, residual, residual's first nonzero row)."""
-        col, pivot = self.reduce(list(column), basis, rows)
-        if pivot == rows:
-            return None, residual, first
-        scale = self.mul[self.inv[col[pivot]]]
-        entry = (pivot, [scale[v] for v in col[pivot:]])
-        basis.append(entry)
-        # the residual, like the new vector, is zero at every older pivot, so
-        # one row op at the new pivot keeps it zero at all of them
-        if residual[pivot]:
-            residual, first = self.reduce(residual, (entry,), rows)
-        return [0] * pivot + entry[1], residual, first
-
-    def monomials(self, points, top: int, hs):
-        """column(a, j): the values of x_1^a * hs[j] at points, given as
-        (code of x_1, index into hs[j]), for a <= top; the powers of x_1
-        are built up to the highest a read so far."""
-        mul = self.mul
-        powers = [dict.fromkeys((c for c, _ in points), self.one)]
-
-        def column(a: int, j: int) -> list[int]:
-            while len(powers) <= a:
-                powers.append({c: mul[v][c] for c, v in powers[-1].items()})
-            pa, h = powers[a], hs[j]
-            return [mul[pa[c]][h[s]] for c, s in points]
-        return column
 
 
 class _ByteVectors:
@@ -573,7 +508,7 @@ class _ByteVectors:
         vec = col.to_bytes(rows, "big").translate(axpy[self.div[col >> shift & 255]])
         basis.append((shift, vec))
         c = residual >> shift & 255
-        if c:  # the residual's one row op, as in _CodeVectors.insert
+        if c:  # the residual's one row op: it stays zero at every older pivot
             y = frm(vec.translate(axpy[c]), "big")
             residual = residual ^ y if modp is None else frm(
                 (residual + y).to_bytes(rows, "big").translate(modp), "big")
@@ -595,6 +530,161 @@ class _ByteVectors:
                 h = hlog[j] = frm(bytes(gather(hs[j]) if rows > 1 else [gather(hs[j])])
                                   .translate(logpow[1]), "big")
             return frm((x + h).to_bytes(rows, "big").translate(expmod), "big")
+        return column
+
+
+class _LaneVectors:
+    """Vectors as ints of lanes, one lane per row, row 0 most significant.
+
+    A lane holds its element's base-p digits, digit k (place value p^k) at
+    bit k*w: w = 1 in characteristic 2, where the lane is the code, and for
+    odd p a sub-lane wide enough that two reduced digits add below its guard
+    bit 2^(w-1).  A lane is the smallest of 8, 16, 32 or 64 bits that holds
+    them, so a vector's first nonzero row is rows minus its lane length.
+    x + y is x XOR y in characteristic 2; otherwise one int add, then p off
+    every digit whose sum reached p, read off the guard bits after adding
+    2^(w-1) - p to every sub-lane.
+
+    A basis entry is (shift of its pivot lane, tables) for the column y
+    scaled to 1 at its pivot.  -c*y is F_p-linear in c's digits, so the
+    entry stores -u*y for the unit u of each digit (z^j, j = 2e-1-k, for
+    digit k), each by the multiply-by-a map on the whole int: a sum over
+    the bit planes of the column's digits, each a 0 or 1 in every lane,
+    times one lane constant.  From them it keeps greased tables (the Method
+    of Four Russians, Boothby and Bradshaw, arXiv:0901.1413) of their F_p
+    combinations over groups of digits, each of at most 16 multiples, so
+    -c*y is one read per group.  A product column is exp of the per-row sums
+    of two logs; zero's log is a mark whose sums the exp list reads as zero.
+    """
+
+    def __init__(self, ctx: FieldContext):
+        p, d, n = ctx.p, ctx.degree, ctx.order - 1
+        w = 1 if p == 2 else next(w for w in (4, 8, 16) if p <= 1 << w - 1)
+        size = next(s for s in (1, 2, 4, 8) if d * w <= 8 * s)
+        self.p, self.n, self.w, self.bits = p, n, w, size * 8
+        self.fmt = ">%d" + "BHIQ"[size.bit_length() - 1]
+        self.lane = [0]  # by code
+        for k in range(d):
+            self.lane = [v << k * w | x for v in range(p) for x in self.lane]
+        self.mark = 2 * n - 1  # above any sum of two logs
+        self.log = dict(zip(self.lane, [self.mark] + ctx._log[1:]))
+        exp = list(map(self.lane.__getitem__, ctx._exp))
+        self.exp = exp + exp[:n - 1] + [0] * (2 * n)  # index: a sum of logs
+        self.codelog = [self.mark] + ctx._log[1:]
+        self.minus = n // 2 if p > 2 else 0  # log of -1
+        self.units = [ctx._log[p ** k] for k in range(d)]  # log of digit k's unit
+        # digit k's bit planes: the unit 2^b * p^k of plane b, as a log
+        self.planes = [(k * w + b, ctx._log[(1 << b) % p * p ** k])
+                       for k in range(d) for b in range((p - 1).bit_length())]
+        # a group is as many digits as keep its table within 16 multiples
+        group = max([1] + [g for g in range(1, d + 1) if p ** g <= 16])
+        self.groups = []
+        for digits in (range(k, min(k + group, d)) for k in range(0, d, group)):
+            keys = [0]
+            for k in digits:
+                keys = [v << k * w | x for v in range(p) for x in keys]
+            self.groups.append((sum((1 << w) - 1 << k * w for k in digits), digits, keys))
+        self.masks: dict[int, tuple[int, int, int]] = {}
+        self.unit = self.lane[ctx.one].to_bytes(size, "big")
+
+    def _masks(self, rows: int) -> tuple[int, int, int]:
+        """(bit 0 of every lane, 2^(w-1) - p and the guard bit in every
+        sub-lane) for vectors of this many rows."""
+        if rows not in self.masks:
+            lsb = ((1 << self.bits * rows) - 1) // ((1 << self.bits) - 1)
+            digits = ((1 << self.bits) - 1) // ((1 << self.w) - 1)  # bit 0 of each sub-lane
+            self.masks[rows] = (lsb, lsb * digits * ((1 << self.w - 1) - self.p),
+                                lsb * digits << self.w - 1)
+        return self.masks[rows]
+
+    def _add_all(self, xs, y: int, rows: int) -> list[int]:
+        """x + y for each x in xs."""
+        if self.p == 2:
+            return list(map(y.__xor__, xs))
+        _, k, g = self._masks(rows)
+        h, p = self.w - 1, self.p
+        return [s - ((s + k & g) >> h) * p for s in map(y.__add__, xs)]
+
+    def vector(self, column) -> int:
+        return int.from_bytes(struct.pack(self.fmt % len(column),
+                                          *map(self.lane.__getitem__, column)), "big")
+
+    def first(self, vec: int, rows: int) -> int:
+        return rows - (vec.bit_length() + self.bits - 1) // self.bits
+
+    def _times(self, logs, vec: int, rows: int) -> list[int]:
+        """epsilon^log * vec for each log in logs: each bit plane of vec's
+        digits, a 0 or 1 in every lane, times the lane of epsilon^log times
+        the plane's unit, summed."""
+        lsb, k, g = self._masks(rows)
+        h, p, exp = self.w - 1, self.p, self.exp
+        planes = [(bit, unit) for shift, unit in self.planes if (bit := vec >> shift & lsb)]
+        out = []
+        for log in logs:
+            acc = 0
+            for bit, unit in planes:
+                if p == 2:
+                    acc ^= bit * exp[log + unit]
+                else:
+                    s = acc + bit * exp[log + unit]
+                    acc = s - ((s + k & g) >> h) * p
+            out.append(acc)
+        return out
+
+    def insert(self, basis, column, rows: int, residual: int, first: int):
+        col = column if type(column) is int else self.vector(column)
+        lane, h, p = (1 << self.bits) - 1, self.w - 1, self.p
+        _, k, g = self._masks(rows)
+        for shift, tables in basis:
+            c = col >> shift & lane
+            if c:
+                for mask, table in tables:
+                    if p == 2:
+                        col ^= table[c & mask]
+                    else:
+                        s = col + table[c & mask]
+                        col = s - ((s + k & g) >> h) * p
+        if not col:
+            return None, residual, first
+        shift = (col.bit_length() - 1) // self.bits * self.bits
+        inv = (self.minus - self.log[col >> shift & lane]) % self.n  # log of -1/pivot
+        tables, n = [], self.n
+        multiples = self._times([(inv + u) % n for u in self.units], col, rows)
+        for mask, digits, keys in self.groups:
+            table = [0]
+            for d in digits:  # the F_p multiples of -(p^d / pivot) * col
+                block = table
+                for _ in range(p - 1):
+                    block = self._add_all(block, multiples[d], rows)
+                    table += block
+            tables.append((mask, dict(zip(keys, table))))
+        basis.append((shift, tables))
+        c = residual >> shift & lane
+        if c:  # the residual's one row op: it stays zero at every older pivot
+            for mask, table in tables:
+                residual, = self._add_all([residual], table[c & mask], rows)
+            first = self.first(residual, rows)
+        # -(-1) * y in the last group, which holds the one's digit: y itself
+        y = tables[-1][1][p - 1 << (len(self.units) - 1) * self.w]
+        return y.to_bytes(rows * self.bits // 8, "big"), residual, first
+
+    def monomials(self, points, top: int, hs):
+        """column(a, j): x_1^a * hs[j] at points, given as (code of x_1,
+        index into hs[j]), for a <= top: exp of per-row log sums."""
+        rows, n, mark, size = len(points), self.n, self.mark, self.bits // 8
+        codes, where = zip(*points)
+        logx = list(map(self.codelog.__getitem__, codes))
+        xlog, hlog = [None] * (top + 1), [None] * len(hs)
+        pack = struct.Struct(self.fmt % rows).pack
+
+        def column(a: int, j: int) -> int:
+            x, h = xlog[a], hlog[j]
+            if x is None:  # x^0 is 1 at zero too
+                x = xlog[a] = [a * s % n if s < n else mark for s in logx] if a else [0] * rows
+            if h is None:
+                lanes = struct.unpack(self.fmt % (len(hs[j]) // size), hs[j])
+                h = hlog[j] = list(map(self.log.__getitem__, map(lanes.__getitem__, where)))
+            return int.from_bytes(pack(*map(self.exp.__getitem__, map(operator.add, x, h))), "big")
         return column
 
 

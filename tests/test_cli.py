@@ -354,9 +354,11 @@ def test_bounds_large_prime_quickly(capsys):
 # step runs.  The bounds grids: every formula at q = 3, recorded with
 # csv.writer, and at q = 32, ell = 17 < q, recorded from the Fraction
 # formulas, where the (q - ell) terms do not vanish and many values are
-# negative.  The complexity profiles over GF(25), GF(49) and GF(64) were
-# recorded from the code-table solver and are now solved in byte vectors, and
-# GF(81) solves on code tables: a wrong "infeasible" in either form moves a value
+# negative.  The complexity profiles over GF(25), GF(49) and GF(64) are
+# solved in byte vectors; those over GF(81), GF(121), GF(256) and GF(251^2)
+# were recorded on the code tables the digit lanes replaced, one per lane
+# layout: four 4-bit digits, two 8-bit and two 16-bit digits, and the code
+# in characteristic 2: a wrong "infeasible" in either form moves a value
 PINS = {
     "verify-default": (["verify"], "perfbench/reference/verify-default/verify.txt.gz"),
     "prove-q4": (["verify", "--p", "2", "--e", "2"],
@@ -395,6 +397,15 @@ PINS = {
     "complexity-q9": (["complexity", "--p", "3", "--e", "2", "--ell", "9", "--mode",
                        "total-degree", "--k-range", "1:2", "--n-range", "1:120"],
                       "tests/data/complexity_q9_ell9_total_degree.csv"),
+    "complexity-q11": (["complexity", "--p", "11", "--ell", "11", "--mode", "total-degree",
+                        "--k-range", "1:2", "--n-range", "1:120"],
+                       "tests/data/complexity_q11_ell11_total_degree.csv"),
+    "complexity-q16": (["complexity", "--p", "2", "--e", "4", "--ell", "16", "--mode",
+                        "total-degree", "--k-range", "1:2", "--n-range", "1:120"],
+                       "tests/data/complexity_q16_ell16_total_degree.csv"),
+    "complexity-q251": (["complexity", "--p", "251", "--ell", "2", "--mode", "per-variable",
+                         "--k", "1", "--n-range", "1:20"],
+                        "tests/data/complexity_q251_ell2_per_variable.csv"),
 }
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,7 @@ from hermseq.complexity import (
     exists_recurrence,
     nonlinear_complexity,
 )
-from hermseq.field import FieldContext, SpanTracker, _ByteVectors, _CodeVectors
+from hermseq.field import FieldContext, SpanTracker, _ByteVectors, _LaneVectors
 from hermseq.sequence import build_sequence
 from hermseq.verify import check_field, check_sequence_layer, check_structure
 
@@ -369,9 +370,8 @@ def test_oracle_needs_minus_one_across_halves():
 
 
 def test_oracle_builds_no_code_tables():
-    # SpanTracker and the suffix chain both build the context's vector form
-    # (which, in the table form, builds the code tables), so none built
-    # means the oracle used neither: it shares no arithmetic and no
+    # SpanTracker and the suffix chain both build the context's vector
+    # form, so none built means the oracle used neither: it shares no arithmetic and no
     # elimination with the solver
     ctx = FieldContext(3, 1)
     rng = random.Random(12)
@@ -426,9 +426,8 @@ def test_oracle_tables_hold_the_rows_read():
 
 
 def test_curve_and_sequence_layers_build_no_code_tables():
-    # at q = 32 the mul and sub tables take 8 MB each; the sequence and its
-    # checks run on the field's own arithmetic and build no solver table of
-    # either form
+    # the sequence and its checks run on the field's own arithmetic and
+    # build no solver table
     ctx = FieldContext(2, 3)
     sequences = {ell: build_sequence(ctx, ell) for ell in (2, ctx.q)}
     assert check_field(ctx).passed and check_structure(ctx).passed
@@ -478,10 +477,10 @@ def _reference_exists(ctx, terms, m, mode):
     return dense_rank(ctx, columns) == dense_rank(ctx, columns + [terms[m:]])
 
 
-# byte vectors over GF(4), GF(9), GF(16), GF(25), GF(49) and GF(64); code
-# tables, whose rows are built on first read, over GF(81), GF(256) and GF(37^2)
-@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (37, 1),
-                                 (2, 1), (7, 1), (2, 3), (3, 2), (2, 4)])
+# every layout class of the digit lanes: characteristic 2 up to GF(1024),
+# odd p with e = 1 from GF(9) to GF(251^2), and GF(81)
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (37, 1), (2, 1), (7, 1),
+                                 (2, 3), (3, 2), (2, 4), (2, 5), (11, 1), (251, 1)])
 def test_engine_matches_dense_reference(p, e):
     ctx = FieldContext(p, e)
     rng = random.Random(p * 10 + e)
@@ -501,7 +500,7 @@ def test_engine_matches_dense_reference(p, e):
     assert outcomes == {True, False}
 
 
-# byte vectors over GF(9) and GF(16), code tables over GF(37^2)
+# one byte a lane over GF(9) and GF(16), two over GF(37^2)
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (37, 1)])
 def test_complexity_is_least_reference_window(p, e):
     # nonlinear_complexity reads complexity_profile's suffix chain rather
@@ -528,8 +527,8 @@ def test_complexity_is_least_reference_window(p, e):
     assert {1, 2, 3} <= values
 
 
-# byte vectors over GF(4), GF(9), GF(16), GF(49) and GF(64); code tables
-# over GF(81) and GF(256)
+# one byte a lane over GF(4), GF(9), GF(16), GF(49), GF(64) and GF(256),
+# two over GF(81)
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2), (2, 4)])
 def test_spanned_prefix_is_longest_spanned_cut(p, e):
     # the largest R with target[:R] in the span of the columns cut to R
@@ -569,17 +568,41 @@ def test_spanned_prefix_is_longest_spanned_cut(p, e):
 
 
 @pytest.mark.parametrize("p,e,form", [(2, 2, _ByteVectors), (7, 1, _ByteVectors),
-                                      (2, 3, _ByteVectors), (3, 2, _CodeVectors),
-                                      (11, 1, _CodeVectors), (2, 4, _CodeVectors)])
+                                      (2, 3, _ByteVectors), (3, 2, _LaneVectors),
+                                      (11, 1, _LaneVectors), (2, 4, _LaneVectors),
+                                      (2, 5, _LaneVectors), (251, 1, _LaneVectors)])
 def test_field_picks_the_vector_form(p, e, form):
-    # GF(16), GF(49) and GF(64) solve in bytes, GF(81), GF(121) and GF(256)
-    # on code tables; GF(64) and GF(121) sit on either side of the order
-    # bound, and a silent fall-back to tables would pass every comparison above
+    # GF(16), GF(49) and GF(64) solve in bytes, every larger field in lanes
+    # of (lane bits, digit bits): the code in characteristic 2, 8 bits up to
+    # GF(256) and 16 above, and for odd p sub-lanes of 4 bits up to p = 7, 8
+    # up to 127 and 16 above; GF(64) and GF(81) sit on either side of the
+    # order bound, and a silent fall-back to bytes would pass every
+    # comparison above
     ctx = FieldContext(p, e)
     t = (ctx.one, ctx.epsilon, ctx.zero, ctx.one, ctx.epsilon, ctx.one)
     assert not exists_recurrence(ctx, t, 2, TotalDegree(1))
-    # only _CodeVectors builds code tables, so its type says whether any exist
     assert type(ctx._vector_form) is form
+    lanes = {(3, 2): (16, 4), (11, 1): (16, 8), (2, 4): (8, 1), (2, 5): (16, 1),
+             (251, 1): (32, 16)}
+    if form is _LaneVectors:
+        assert (ctx._vector_form.bits, ctx._vector_form.w) == lanes[p, e]
+
+
+def test_profile_memory_at_gf251_squared():
+    # the vector form holds O(order) lists and each basis entry a few
+    # tables, so the profile's peak stays small; row tables of the field's
+    # square would take hundreds of MB.  The field, the sequence and
+    # nothing of the solver are built before the traced section
+    ctx = FieldContext(251, 1)
+    terms = build_sequence(ctx, 2, length=20)[:20]
+    tracemalloc.start()
+    try:
+        profile = complexity_profile(ctx, terms, PerVariable(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(profile) == 20
+    assert peak < 50_000_000, peak
 
 
 def test_exists_recurrence_stops_offering_once_spanned(f4, monkeypatch):
@@ -625,7 +648,7 @@ def _reference_profile(ctx, terms, mode):
     return profile
 
 
-# byte vectors over GF(9) and GF(16), code tables over GF(37^2)
+# one byte a lane over GF(9) and GF(16), two over GF(37^2)
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (37, 1)])
 def test_profile_matches_reference_at_every_prefix(p, e):
     ctx = FieldContext(p, e)

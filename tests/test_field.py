@@ -9,8 +9,6 @@ import pytest
 from hermseq.field import (
     FieldContext,
     SpanTracker,
-    _ByteVectors,
-    _CodeVectors,
     _is_irreducible,
     _is_prime,
     _pmul,
@@ -272,8 +270,9 @@ def test_whole_rows_match_scalar_arithmetic(p, e):
 
 
 def test_whole_rows_share_one_int_per_code():
-    # a solver table holds 1,024 rows of 1,024 entries over GF(1024), so
-    # every row reads its entries from one int object per code
+    # the oracle's tables and the sequence builder read rows of 1,024
+    # entries over GF(1024), so every row reads its entries from one int
+    # object per code
     ctx = FieldContext(2, 5)
     identity = ctx.mul_row(ctx.one)
     assert identity == list(ctx.elements)
@@ -294,94 +293,32 @@ def test_coeffs_walk_elements_in_product_order(f9):
         assert walk[ctx.one] == (1,) + (0,) * (ctx.degree - 1)
 
 
-@pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
-def test_code_tables_match_tuple_arithmetic(p, e):
-    ctx = FieldContext(p, e)
-    form = _CodeVectors(ctx)
-    mul, sub, inv = form.mul, form.sub, form.inv
-    for a, b in itertools.product(ctx.elements, repeat=2):
-        assert mul[a][b] == ctx.mul(a, b)
-        assert sub[a][b] == ctx.sub(a, b)
-    for a in ctx.elements[1:]:
-        assert inv[a] == ctx.inv(a)
-
-
-def test_code_tables_build_only_the_rows_read():
-    # GF(37^2): 200 reads build at most 200 of the 1,369 rows of each table
-    ctx = FieldContext(37, 1)
-    form = _CodeVectors(ctx)
-    mul, sub = form.mul, form.sub
-    rng = random.Random(37)
-    for _ in range(200):
-        a, b = rng.choice(ctx.elements), rng.choice(ctx.elements)
-        assert mul[a][b] == ctx.mul(a, b)
-        assert sub[a][b] == ctx.sub(a, b)
-    assert sum(type(row) is list for row in mul) <= 200
-    assert sum(type(row) is list for row in sub) <= 200
-
-
-# the six byte fields, and GF(121), the next field past the order bound
-@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (11, 1)])
+# the byte fields, and one field of each lane layout past the order bound
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (11, 1),
+                                 (3, 2), (2, 4), (2, 5), (251, 1)])
 def test_monomial_columns_match_scalar_products(p, e):
-    # every x_1 code, 0 included, meets every entry of two basis rows that
-    # hold 0; in the byte form zero's log is a mark the exp table reads as
-    # zero, and GF(64) reaches the largest sum of two logs, 62 + 62
+    # up to 121 elements every x_1 code, 0 included, meets every code in two
+    # basis rows; zero's log is a mark the exp table reads as zero, and
+    # GF(64) reaches the byte form's largest sum of two logs, 62 + 62.
+    # Larger fields sample x_1 and rows that hold 0, -1 and the element
+    # whose digits are all p - 1.  A basis row comes in the form's layout
+    # as SpanTracker.insert returns it: one at row 0 keeps it unscaled
     ctx = FieldContext(p, e)
-    form, top = ctx.vector_form(), 3
-    hs = [list(ctx.elements), list(reversed(ctx.elements))]
-    points = [(x, s) for x in ctx.elements for s in range(ctx.order)]
-    # basis rows come in the form's layout, encoded bytes in the byte form
-    column = form.monomials(points, top, [bytes(h).translate(form.enc) for h in hs]
-                            if type(form) is _ByteVectors else hs)
+    form, top, rng = ctx.vector_form(), 3, random.Random(p * e)
+    small = ctx.order <= 121
+    xs = ctx.elements if small else [0] + rng.sample(ctx.elements[1:], 40)
+    tail = list(ctx.elements) if small else [ctx.zero, ctx.neg(ctx.one), ctx.order - 1] + \
+        rng.choices(ctx.elements, k=8)
+    hs = [[ctx.one] + tail, [ctx.one] + tail[::-1]]
+    rows = [SpanTracker(ctx, [ctx.zero] * len(h)).insert(h) for h in hs]
+    points = [(x, s) for x in xs for s in range(len(tail) + 1)]
+    column = form.monomials(points, top, rows)
     for a, j in itertools.product(range(top + 1), range(len(hs))):
         want = [ctx.mul(ctx.pow(x, a), hs[j][s]) for x, s in points]
         assert column(a, j) == form.vector(want), (a, j)
 
 
-# GF(81) and GF(1024) have one table layout, as GF(37^2) has
-@pytest.mark.parametrize("p,e", [(3, 2), (2, 5)])
-def test_code_table_row_is_a_plain_list_once_read(p, e):
-    ctx = FieldContext(p, e)
-    form = _CodeVectors(ctx)
-    assert len(form.mul) == len(form.sub) == ctx.order
-    assert not any(type(row) is list for row in form.mul + form.sub)
-    rng = random.Random(p * e)
-    for table, op in ((form.mul, ctx.mul), (form.sub, ctx.sub)):
-        for a in rng.sample(ctx.elements, 5):
-            b = rng.choice(ctx.elements)
-            assert table[a][b] == op(a, b)
-            row = table[a]
-            assert type(row) is list and table[a] is row
-            assert row == [op(a, x) for x in ctx.elements]
-
-
-@pytest.mark.parametrize("p,e", [(3, 2), (2, 5)])
-def test_reduce_through_an_unread_multiplier_row(p, e):
-    # reduce binds mul[c] before its row op, so the first read of that row
-    # happens inside the op and must still give x - c*y at every entry
-    ctx = FieldContext(p, e)
-    form = _CodeVectors(ctx)
-    rng = random.Random(p + e)
-    tail = [ctx.one] + [rng.choice(ctx.elements) for _ in range(7)]
-    col = [rng.choice(ctx.elements) for _ in range(10)]
-    col[2] = c = ctx.epsilon
-    assert type(form.mul[c]) is not list
-    want = col[:2] + [ctx.sub(x, ctx.mul(c, y)) for x, y in zip(col[2:], tail)]
-    got, first = form.reduce(list(col), [(2, tail)], len(col))
-    assert got == want and got[2] == 0
-    assert first == next(i for i, v in enumerate(want) if v)
-    assert type(form.mul[c]) is list
-
-
-def test_code_tables_built_on_first_use():
-    # GF(1024) solves on code tables, built once, with the form, on first use
-    ctx = FieldContext(2, 5)
-    assert ctx._vector_form is None
-    form = ctx.vector_form()
-    assert type(form) is _CodeVectors and ctx.vector_form() is form
-
-
-# byte vectors over GF(16) and GF(49), code tables over GF(81)
+# lanes of one byte over GF(16) and GF(49), of two over GF(81)
 @pytest.mark.parametrize("p,e", [(2, 2), (7, 1), (3, 2)])
 def test_construction_builds_no_solver_tables(p, e):
     ctx = FieldContext(p, e)
@@ -440,15 +377,6 @@ def test_fiber_partitions_curve():
 # streamed linear solver
 # ---------------------------------------------------------------------------
 
-def _both_forms(ctx):
-    """ctx, which solves in bytes, and a fresh context of the same field that
-    solves on code tables: each form's insert must meet the same references."""
-    assert type(ctx.vector_form()) is _ByteVectors
-    codes = FieldContext(ctx.p, ctx.e)
-    codes._vector_form = _CodeVectors(codes)
-    return ctx, codes
-
-
 def _streamed_consistent(columns, target, ctx):
     """Stream the columns into a SpanTracker until the target is spanned."""
     tracker = SpanTracker(ctx, target)
@@ -456,8 +384,8 @@ def _streamed_consistent(columns, target, ctx):
     return spanned or any(tracker.offer(col) for col in columns)
 
 
-def test_solver_standard_basis(f4):
-    for ctx in _both_forms(f4):
+def test_solver_standard_basis(layouts):
+    for ctx in layouts:
         cols = [
             [ctx.one, ctx.zero, ctx.zero],
             [ctx.zero, ctx.one, ctx.zero],
@@ -467,56 +395,80 @@ def test_solver_standard_basis(f4):
         assert _streamed_consistent(cols, target, ctx)
 
 
-def test_solver_zero_column_inconsistent(f4):
-    for ctx in _both_forms(f4):
+def test_solver_zero_column_inconsistent(layouts):
+    for ctx in layouts:
         assert not _streamed_consistent([[ctx.zero, ctx.zero]], [ctx.one, ctx.zero], ctx)
 
 
-def test_solver_zero_target_trivially_consistent(f4):
-    for ctx in _both_forms(f4):
+def test_solver_zero_target_trivially_consistent(layouts):
+    for ctx in layouts:
         assert _streamed_consistent([], [ctx.zero, ctx.zero], ctx)
 
 
-def test_solver_dimension_mismatch(f4):
-    for ctx in _both_forms(f4):
+def test_solver_dimension_mismatch(layouts):
+    for ctx in layouts:
         with pytest.raises(ValueError):
             _streamed_consistent([[ctx.one]], [ctx.one, ctx.zero], ctx)
 
 
 def test_solver_against_dense_oracle_f9(f9):
-    for ctx in _both_forms(f9):
-        rng = random.Random(20240917)
-        for _ in range(40):
-            rows, cols = 5, 8
-            columns = [[rng.choice(ctx.elements) for _ in range(rows)] for _ in range(cols)]
-            target = [rng.choice(ctx.elements) for _ in range(rows)]
-            assert (_streamed_consistent(columns, target, ctx)
-                    == (dense_rank(ctx, columns) == dense_rank(ctx, columns + [target])))
+    ctx = f9
+    rng = random.Random(20240917)
+    for _ in range(40):
+        rows, cols = 5, 8
+        columns = [[rng.choice(ctx.elements) for _ in range(rows)] for _ in range(cols)]
+        target = [rng.choice(ctx.elements) for _ in range(rows)]
+        assert (_streamed_consistent(columns, target, ctx)
+                == (dense_rank(ctx, columns) == dense_rank(ctx, columns + [target])))
+
+
+def test_row_op_at_every_pivot_of_a_full_basis(layout):
+    # basis vector i is one at row i and a heavy entry (every digit p - 1,
+    # or random) at the last row, so a column with no zero row takes a row
+    # op at every one of its 40 pivots, and its last row sums them all: a
+    # lane that overflows or a digit left unreduced mod p shows there
+    ctx, rows = layout, 41
+    rng = random.Random(layout.order)
+    heavy = [ctx.order - 1, ctx.neg(ctx.one)] + rng.sample(ctx.elements[1:], min(6, ctx.order - 1))
+    basis = [[ctx.zero] * i + [ctx.one] + [ctx.zero] * (rows - 2 - i) + [rng.choice(heavy)]
+             for i in range(rows - 1)]
+    column = [rng.choice(heavy) for _ in range(rows)]
+    for target in (column, [ctx.zero] * (rows - 1) + [ctx.one]):
+        tracker = SpanTracker(ctx, target)
+        for col in basis + [column]:
+            tracker.insert(col)
+        assert tracker.rank == dense_rank(ctx, basis + [column])
+        assert ((tracker.spanned_prefix() == rows)
+                == (dense_rank(ctx, basis + [column])
+                    == dense_rank(ctx, basis + [column, target])))
+    # the last row of the column's residual, by scalar arithmetic
+    last = column[-1]
+    for i in range(rows - 1):
+        last = ctx.sub(last, ctx.mul(column[i], basis[i][-1]))
+    assert tracker.rank == rows - (last == ctx.zero)
 
 
 def test_solver_against_span_enumeration_f4_exhaustive_2x2(f4):
     els = f4.elements
-    for ctx in _both_forms(f4):
-        for c1 in itertools.product(els, repeat=2):
-            for c2 in itertools.product(els, repeat=2):
-                columns = [list(c1), list(c2)]
-                for target in itertools.product(els, repeat=2):
-                    assert (_streamed_consistent(columns, list(target), ctx)
-                            == enumerated_span_contains(ctx, columns, target))
+    for c1 in itertools.product(els, repeat=2):
+        for c2 in itertools.product(els, repeat=2):
+            columns = [list(c1), list(c2)]
+            for target in itertools.product(els, repeat=2):
+                assert (_streamed_consistent(columns, list(target), f4)
+                        == enumerated_span_contains(f4, columns, target))
 
 
 def test_solver_against_span_enumeration_f4_sampled_3x3(f4):
-    for ctx in _both_forms(f4):
-        rng = random.Random(7)
-        for _ in range(300):
-            columns = [[rng.choice(ctx.elements) for _ in range(3)] for _ in range(3)]
-            target = [rng.choice(ctx.elements) for _ in range(3)]
-            assert (_streamed_consistent(columns, target, ctx)
-                    == enumerated_span_contains(ctx, columns, target))
+    rng = random.Random(7)
+    for _ in range(300):
+        columns = [[rng.choice(f4.elements) for _ in range(3)] for _ in range(3)]
+        target = [rng.choice(f4.elements) for _ in range(3)]
+        assert (_streamed_consistent(columns, target, f4)
+                == enumerated_span_contains(f4, columns, target))
 
 
-def test_tracker_early_exit(f4):
-    for ctx in _both_forms(f4):
+def test_tracker_early_exit(layouts):
+    for ctx in layouts:
         one, zero = ctx.one, ctx.zero
         tracker = SpanTracker(ctx, [one, one])
         assert tracker.spanned_prefix() == 0
