@@ -184,16 +184,12 @@ def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode) -> int:
     return profile[-1] if profile else 0
 
 
-def monomial_basis(m: int, mode: DegreeMode) -> tuple[tuple[int, ...], ...]:
-    """The exponent vectors of every monomial in m variables that `mode`
-    admits, uncapped: the oracle's full basis, listed once per (m, mode)."""
-    return _exponents(m, isinstance(mode, PerVariable), mode.k)
-
-
-# keyed by plain values: a mode's dataclass hash runs in Python; the oracle
-# lists at most 33 monomials, and the verify suite asks 8 shapes
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64)  # the verify suite asks 8 shapes
 def _exponents(m: int, per_variable: bool, k: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors of every monomial in m variables of degree at
+    most k in each variable or in total, uncapped: the oracle's full basis
+    (at most 33 monomials), keyed by plain values, as a mode's dataclass
+    hash runs in Python."""
     return tuple(a for a in itertools.product(range(k + 1), repeat=m)
                  if per_variable or sum(a) <= k)
 
@@ -201,8 +197,8 @@ def _exponents(m: int, per_variable: bool, k: int) -> tuple[tuple[int, ...], ...
 def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     """Ground truth for exists_recurrence by exhaustive search.
 
-    Builds one column per monomial of the full (uncapped) monomial basis,
-    monomial_basis(m, mode), on every window, and decides whether some
+    Builds one column per monomial of the full (uncapped) monomial basis
+    (_exponents) on every window, and decides whether some
     coefficient assignment sums the columns to the target t[m:].  Its
     arithmetic is lookups in ctx.mul_add_tables(), rows built from the
     field's log and Zech mul and add, never the solver's vector form, and
@@ -218,7 +214,8 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     square.  Refuses, before listing a monomial, when a half has more
     than 16 columns or the larger half's table of |F|^min(half, r) sums
     exceeds 2**16.  The answer depends on t, m and the monomial set alone,
-    so verify's oracle-agreement check settles questions by set inclusion.
+    so verify's oracle-agreement check settles questions by verify._within,
+    the inclusion of those sets.
     """
     terms = tuple(t)
     n = len(terms)
@@ -245,7 +242,7 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
         power.append(times(power[-1], terms[:-1]))
     powers = [[xa[j:j + r] for xa in power] for j in range(m)]  # x_{j+1}^a by window
     columns = [functools.reduce(times, map(getitem, powers, alpha))
-               for alpha in monomial_basis(m, mode)]
+               for alpha in _exponents(m, per_variable, mode.k)]
     full, origin = ctx.order ** r, (ctx.zero,) * r
 
     def sums(cols) -> set:

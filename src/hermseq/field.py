@@ -190,7 +190,7 @@ class FieldContext:
         # slows every later self.x read, add by about 70% on CPython 3.11
         self._fibers: Optional[dict[Element, tuple[Element, ...]]] = None
         self._vector_form = None
-        self._mul_add_tables: Optional[tuple[list, list]] = None
+        self._mul_add_tables = (_Rows(self.mul, self._codes), _Rows(self.add, self._codes))
 
     # -- construction helpers ------------------------------------------------
 
@@ -358,16 +358,11 @@ class FieldContext:
         exp, n = self._exp, self.order - 1
         return [exp[s % n] for s in logs]
 
-    def mul_add_tables(self) -> tuple[list, list]:
+    def mul_add_tables(self) -> tuple[dict, dict]:
         """(mul, add): entry [a][b] is the code of mul(a, b) or add(a, b).
-        Each row is built from those two calls on its first read (_RowStandIn)
-        and kept with the context, so the brute-force oracle looks its
+        Each row is built from those two calls on its first read (_Rows) and
+        kept with the context, so the brute-force oracle looks its
         arithmetic up without sharing any with the vector form."""
-        if self._mul_add_tables is None:
-            codes = self._codes
-            self._mul_add_tables = tuple(_lazy_table(
-                codes, lambda a, op=op: list(map(op, [a] * len(codes), codes)))
-                for op in (self.mul, self.add))
         return self._mul_add_tables
 
     # -- the curve fiber ------------------------------------------------------
@@ -433,27 +428,17 @@ def element_from_str(text: str, ctx: FieldContext) -> Element:
 # per row, or wider lanes with greased basis entries
 # ---------------------------------------------------------------------------
 
-class _RowStandIn:
-    """Entry a of a lazy table until its row is first read, which builds the
-    row and puts it in this stand-in's place: a caller holding the stand-in
-    still reads right, and later table reads find a plain list."""
-    __slots__ = ("table", "a", "build_row")
+class _Rows(dict):
+    """A table of op(a, b) for every code b in one row per code a, the row
+    built on a's first read and kept, so later reads are C-level lookups."""
+    __slots__ = ("op", "codes")
 
-    def __init__(self, table: list, a: int, build_row):
-        self.table, self.a, self.build_row = table, a, build_row
+    def __init__(self, op, codes: list[int]):
+        self.op, self.codes = op, codes
 
-    def __getitem__(self, b: int) -> int:
-        row = self.table[self.a]
-        if row is self:
-            row = self.table[self.a] = self.build_row(self.a)
-        return row[b]
-
-
-def _lazy_table(codes: list[int], build_row) -> list:
-    """A table with one row per code a, build_row(a) from its first read."""
-    table: list = []
-    table += (_RowStandIn(table, a, build_row) for a in codes)
-    return table
+    def __missing__(self, a: int) -> list[int]:
+        row = self[a] = list(map(self.op, [a] * len(self.codes), self.codes))
+        return row
 
 
 class _ByteVectors:
@@ -726,8 +711,8 @@ class SpanTracker:
 
     def insert(self, column):
         """Reduce one column against the basis.  If anything is left, add it
-        and return it scaled to 1 at its pivot, as a whole vector in the
-        vector form's basis layout (list of codes or bytes); else None."""
+        and return it scaled to 1 at its pivot, as the bytes of the whole
+        vector, which the vector form's monomials() read; else None."""
         if not isinstance(column, int) and len(column) != self._rows:
             raise ValueError(f"column length {len(column)} != system length {self._rows}")
         vec, self._residual, self._first = self._form.insert(

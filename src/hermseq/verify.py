@@ -21,7 +21,6 @@ from .complexity import (
     TotalDegree,
     brute_force_oracle,
     exists_recurrence,
-    monomial_basis,
 )
 from .curve import (
     affine_places,
@@ -230,32 +229,50 @@ def check_sequence_layer(ctx: FieldContext,
 # complexity layer: bound consistency and oracle agreement
 # ---------------------------------------------------------------------------
 
-def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: int,
-                            ks: Optional[Iterable[int]] = None
-                            ) -> tuple[CheckResult, CheckResult]:
-    """Every prefix/degree point must respect the collinear bound of both
-    degree disciplines: one CheckResult each, per-variable first.
+def _within(a: tuple[int, bool, int], b: tuple[int, bool, int]) -> bool:
+    """Does shape a's monomial set lie in shape b's, read in b's last
+    variables?  A shape (m, per_variable, k) admits the monomials in m
+    variables of degree at most k in each variable, or in total.
 
-    The obligation complexity >= ceil(bound) at (k, n) is a proof that
-    terms[:n] has no recurrence of window length m = ceil(bound) - 1,
-    listed once per (kind, k, m) at the first n that needs it.  A proof at (kind A, K, M, N)
-    covers every (kind B, k <= K, m <= M, n >= N) with A = B or A
-    per-variable: the degree sets grow with k, a window-m recurrence is a
-    window-M one, a recurrence holds on every shorter prefix, and
-    TotalDegree(k) lies inside PerVariable(k).  Only the obligations no
-    other one covers are proven.  Each kind's grid is then walked in order,
-    asking the solver only where nothing proven covers a point: never on
-    the passing path, and below a maximal proof that found a recurrence, at
-    every other obligation it covered, so the failures read as if every
-    point were proven.  The bound is evaluated once per (r1, r2) class.
+    The one law by which a feasibility answer settles another: a window-m
+    recurrence over a's set is a window-M one over b's, and one on a prefix
+    holds on every shorter one, so none at b on terms[:N] means none at a
+    on terms[:n] for any n >= N.  a's set holds x_1, so m <= M, and its
+    largest degree must fit: k <= K, or m*k <= K (x_1^k..x_m^k) for a
+    per-variable a in a total-degree b.
     """
-    q = ctx.q
+    (m, per_variable, k), (M, per_variable_b, K) = a, b
+    return m <= M and k * (m if per_variable and not per_variable_b else 1) <= K
+
+
+def _covered(proofs, kind: str, k: int, m: int, n: int) -> bool:
+    """Does a proof in proofs, (kind, k, m, n) each, cover this obligation?"""
+    shape = (m, kind == "per-variable", k)
+    return any(N <= n and _within(shape, (M, A == "per-variable", K))
+               for A, K, M, N in proofs)
+
+
+_KINDS = {"per-variable": (PerVariable, "N_collinear"),
+          "total-degree": (TotalDegree, "L_collinear")}
+
+
+def bound_obligations(q: int, terms: Sequence[Element], ell: int,
+                      ks: Optional[Iterable[int]] = None) -> tuple[dict, list]:
+    """(grids, maximal) for the bound check, asking the solver nothing.
+
+    grids maps each kind to (k, run, ceiling) rows for k in ks (default
+    1..q^2-2): ceiling = ceil(bound) on the (r1, r2) class whose prefix
+    lengths are run.  complexity >= ceiling at (k, n) is a proof that
+    terms[:n] has no window-(ceiling - 1) recurrence, listed once per
+    (kind, k, m) at the first n that needs it.  maximal lists as
+    (kind, k, m, n) those no other one covers (_covered), in one greedy
+    pass sorted by (-k, -m, n, kind): a strict coverer comes first, and of
+    two that cover each other, the per-variable one.
+    """
     ks = tuple(range(1, q * q - 1) if ks is None else ks)
-    # terms[:n] is all zero exactly when n <= zeros
-    zeros = next((i for i, t in enumerate(terms) if t != ctx.zero), len(terms))
+    # terms[:n] is all zero exactly when n <= zeros (zero's code is 0)
+    zeros = next((i for i, t in enumerate(terms) if t), len(terms))
     classes = list(bnd.n_classes(q, range(1, len(terms) + 1)))
-    kinds = {"per-variable": (PerVariable, "N_collinear"),
-             "total-degree": (TotalDegree, "L_collinear")}
 
     def ceilings(name):
         pair, gap = bnd.BOUNDS[name]
@@ -265,30 +282,40 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
                 num, den = pair(q, k, ell, r1, r2)
                 yield k, run, -(-num // den)
 
-    grids = {kind: list(ceilings(name)) for kind, (_, name) in kinds.items()}
+    grids = {kind: list(ceilings(name)) for kind, (_, name) in _KINDS.items()}
     first: dict[tuple[str, int, int], int] = {}  # (kind, k, m) -> the first n
     for kind, grid in grids.items():
         for k, run, ceiling in grid:
             n = max(run[0], zeros + 1, ceiling)  # nonzero prefix, m <= n - 1
             if ceiling >= 2 and n <= run[-1]:
                 first.setdefault((kind, k, ceiling - 1), n)
-
-    def covered(kind, k, m, n, by):
-        return any(K >= k and M >= m and N <= n and A in (kind, "per-variable")
-                   for A, K, M, N in by)
-
-    # a coverer sorts before what it covers ("per-variable" < "total-degree"),
-    # so an obligation no kept one covers is maximal
     maximal: list[tuple[str, int, int, int]] = []
-    for kind, k, m in sorted(first, key=lambda o: (-o[1], o[0], -o[2], first[o])):
-        if not covered(kind, k, m, first[kind, k, m], maximal):
-            maximal.append((kind, k, m, first[kind, k, m]))
+    for kind, k, m, n in sorted(((*o, n) for o, n in first.items()),
+                                key=lambda o: (-o[1], -o[2], o[3], o[0])):
+        if not _covered(maximal, kind, k, m, n):
+            maximal.append((kind, k, m, n))
+    return grids, maximal
+
+
+def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: int,
+                            ks: Optional[Iterable[int]] = None
+                            ) -> tuple[CheckResult, CheckResult]:
+    """Every prefix/degree point must respect the collinear bound of both
+    degree disciplines: one CheckResult each, per-variable first.
+
+    Only bound_obligations' maximal list is proven.  Each kind's grid is
+    then walked in order, asking the solver only where no proof covers a
+    point (_covered): never on the passing path, and below a maximal proof
+    that found a recurrence, at every other obligation it covered, so the
+    failures read as if every point were proven.
+    """
+    grids, maximal = bound_obligations(ctx.q, terms, ell, ks)
+    zeros = next((i for i, t in enumerate(terms) if t), len(terms))
     refuted = {(kind, k, m, n) for kind, k, m, n in maximal
-               if exists_recurrence(ctx, terms[:n], m, kinds[kind][0](k))}
+               if exists_recurrence(ctx, terms[:n], m, _KINDS[kind][0](k))}
     proven = [o for o in maximal if o not in refuted]
 
     def failures(kind):
-        mode_cls = kinds[kind][0]
         settled: set[tuple[int, int]] = set()  # (k, m) covered on a shorter prefix
         for k, run, ceiling in grids[kind]:
             if ceiling < 1:
@@ -305,16 +332,17 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
                     continue
                 if (k, m) in settled:
                     continue
-                if not covered(kind, k, m, n, proven):
+                if not _covered(proven, kind, k, m, n):
                     if ((kind, k, m, n) in refuted
-                            or exists_recurrence(ctx, terms[:n], m, mode_cls(k))):
+                            or exists_recurrence(ctx, terms[:n], m, _KINDS[kind][0](k))):
                         yield f"k={k} n={n}: recurrence of length {m} exists below bound"
                         continue
                     proven.append((kind, k, m, n))
                 settled.add((k, m))
 
-    return tuple(_result(f"bound-{kind}[q={q},ell={ell}]", failures(kind),
-                         f"{len(ks) * len(terms)} grid points") for kind in kinds)
+    return tuple(_result(f"bound-{kind}[q={ctx.q},ell={ell}]", failures(kind),
+                         f"{sum(len(run) for _, run, _ in grids[kind])} grid points")
+                 for kind in _KINDS)
 
 
 def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) -> CheckResult:
@@ -324,16 +352,12 @@ def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) ->
 
     Every sequence runs window 1 under all four modes and window 2 under
     three; per-variable k=2 at window 2, the largest case (9 monomial
-    columns), runs on every fourth sequence.  The oracle meets in the
-    middle over spans, so even that case tabulates at most 4^4 sums a half.
-    Each distinct question asks the solver once.  The oracle is asked only
-    what no answer it gave on the same sequence settles: a recurrence over
-    the monomial set S' at window m' is one over S at window m >= m' when
-    S', read in the last m' of the m variables, lies inside S, and where
-    none exists at (m', S') none exists at any (m <= m', S) that lies
-    inside it.  So at m = 1, PerVariable(k) and TotalDegree(k), which admit
-    the same monomials 1, x, .., x^k, share one answer.  Over GF(4) the
-    1,313 comparisons ask the solver 1,087 questions and the oracle 427.
+    columns, 4^4 sums a half for the oracle), runs on every fourth
+    sequence.  Each distinct question asks the solver once, and the oracle
+    only what no answer it gave on the same sequence settles by _within, so
+    at m = 1 PerVariable(k) and TotalDegree(k), both 1, x, .., x^k, share
+    one answer.  Over GF(4) the 1,313 comparisons ask the solver 1,087
+    questions and the oracle 427.
     """
     sequences = 200
     modes = [cls(k) for k in (1, 2) for cls in (PerVariable, TotalDegree)]
@@ -351,24 +375,17 @@ def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) ->
     cases += [(constructed, m, mode) for m in (1, 2) for mode in modes]
     # one verdict per distinct question, keyed by plain values: a mode's
     # dataclass hash and eq run in Python
-    verdicts, monomials, enumerated = {}, {}, {}
-    width = max(m for _, m, _ in cases)
+    verdicts, enumerated = {}, {}
 
     def truth(t, m, mode) -> bool:
-        """The oracle's answer, settled by one it gave on t if one does.  A
-        monomial set is padded on the left with zero exponents to the widest
-        window, which reads a shorter window's set in the last variables."""
-        shape = (m, type(mode), mode.k)
-        if (basis := monomials.get(shape)) is None:
-            basis = monomials[shape] = frozenset(
-                (0,) * (width - m) + a for a in monomial_basis(m, mode))
+        """The oracle's answer, settled by one it gave on t if one does."""
+        shape = (m, type(mode) is PerVariable, mode.k)
         known = enumerated.setdefault(t, [])
-        for at, within, found in known:
-            if ((at <= m and within <= basis) if found
-                    else (m <= at and basis <= within)):
+        for at, found in known:
+            if _within(at, shape) if found else _within(shape, at):
                 return found
         found = brute_force_oracle(ctx, t, m, mode)
-        known.append((m, basis, found))
+        known.append((shape, found))
         return found
 
     def disagrees(case) -> bool:

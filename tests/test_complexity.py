@@ -421,7 +421,7 @@ def test_oracle_tables_hold_the_rows_read():
     answers = [brute_force_oracle(ctx, t, 1, PerVariable(1)) for t in questions]
     assert answers[0]
     assert answers == [exists_recurrence(ctx, t, 1, PerVariable(1)) for t in questions]
-    read = sum(len(row) for table in ctx.mul_add_tables() for row in table if type(row) is list)
+    read = sum(len(row) for table in ctx.mul_add_tables() for row in table.values())
     assert read <= 7 * len(questions) * ctx.order
 
 

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,6 +51,36 @@ def test_traced_names_resolve():
         if not callable(target):
             unresolved.append(f"{module_name}.{attr}")
     assert not unresolved, unresolved
+
+
+# what perfbench/child.py does in a traced run: import hermseq.cli alone,
+# install the span tracer, run the command, then list the verify spans
+_TRACED_VERIFY = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from hermseq import cli
+from spans import TRACED, Tracer
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--p", "2"]) == 0
+print(sorted(name for name in tracer.summary() if name.startswith("verify.")))
+print(sorted(name for name in TRACED if name.startswith("verify.")))
+"""
+
+
+def test_traced_verify_through_the_cli_alone():
+    # Tracer.install() reads sys.modules["hermseq.verify"], which only the
+    # cli's import puts there; test_traced_names_resolve imports every
+    # module itself, so it cannot see a cli that imports verify.py lazily
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_VERIFY, str(perfbench)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)})
+    assert proc.returncode == 0, proc.stderr
+    recorded, traced = proc.stdout.splitlines()
+    assert recorded == traced
 
 
 def test_readme_library_example_runs():

@@ -428,26 +428,81 @@ def _obligations(q, ell, length):
 
 
 def _covers(a, b):
-    """A proof at a discharges the obligation b: more degree, a longer
-    window, a shorter prefix, and the same mode or a per-variable one."""
-    return (a[1] >= b[1] and a[2] >= b[2] and a[3] <= b[3]
-            and a[0] in (b[0], PerVariable))
+    """A proof at a discharges the obligation b: a shorter prefix, a window
+    no shorter, and more degree in the same mode or a per-variable one; a
+    total-degree proof covers a per-variable obligation when its degree is
+    at least m times the obligation's k."""
+    (A, K, M, N), (B, k, m, n) = a, b
+    degree = m * k if (A, B) == (TotalDegree, PerVariable) else k
+    return K >= degree and M >= m and N <= n
 
 
-@pytest.mark.parametrize("p,e,proofs", [(3, 1, 11), (2, 2, 48)])
+def _maximal(obligations, covers):
+    """The obligations no other one covers; of two that cover each other
+    (equal monomial sets at the same n), the per-variable one."""
+    return {o for o in obligations
+            if not any(covers(b, o) and (not covers(o, b) or o[0] is TotalDegree)
+                       for b in obligations if b != o)}
+
+
+def _padded(width, m, per_variable, k):
+    """The exponent vectors of a shape's monomials, left-padded with zeros to
+    width variables, so a shorter window's set reads its last variables."""
+    return frozenset((0,) * (width - m) + a
+                     for a in itertools.product(range(k + 1), repeat=m)
+                     if per_variable or sum(a) <= k)
+
+
+def test_within_is_padded_monomial_inclusion():
+    shapes = [(m, per_variable, k) for m in range(1, 5)
+              for per_variable in (True, False) for k in range(1, 5)]
+    sets = {shape: _padded(4, *shape) for shape in shapes}
+    pairs = list(itertools.product(shapes, repeat=2))
+    assert len(pairs) == 1024
+    for a, b in pairs:
+        assert verify._within(a, b) == (sets[a] <= sets[b]), (a, b)
+
+
+_KIND_CLASS = {"per-variable": PerVariable, "total-degree": TotalDegree}
+
+
+@pytest.mark.parametrize("p,e,proofs", [(3, 1, 10), (2, 2, 44), (5, 1, 114)])
+def test_bound_obligations_by_explicit_monomial_sets(p, e, proofs, monkeypatch):
+    # the maximal list asks the solver nothing, and equals the obligations
+    # no other one covers by inclusion of explicit monomial sets
+    def refuse(*args):
+        raise AssertionError("bound_obligations asked the solver")
+
+    monkeypatch.setattr(verify, "exists_recurrence", refuse)
+    ctx = FieldContext(p, e)
+    for ell in range(2, ctx.q + 1):
+        seq = build_sequence(ctx, ell)
+        _, maximal = verify.bound_obligations(ctx.q, seq, ell)
+        obligations = _obligations(ctx.q, ell, len(seq))
+        width = max(m for _, _, m, _ in obligations)
+        sets = {o: _padded(width, o[2], o[0] is PerVariable, o[1]) for o in obligations}
+        want = _maximal(obligations, lambda a, b: a[3] <= b[3] and sets[b] <= sets[a])
+        got = [(_KIND_CLASS[kind], k, m, n) for kind, k, m, n in maximal]
+        assert (len(got), set(got)) == (len(want), want), ell
+        proofs -= len(got)
+    assert proofs == 0
+
+
+@pytest.mark.parametrize("p,e,proofs", [(3, 1, 10), (2, 2, 44)])
 def test_bound_check_proves_only_the_maximal_obligations(p, e, proofs, monkeypatch):
-    # on the passing path the proofs are exactly the obligations that no
-    # other one covers (84 window lengths at q = 4 take 48 proofs)
+    # on the passing path the proofs are exactly bound_obligations' maximal
+    # list, the obligations that no other one covers (84 window lengths at
+    # q = 4 take 44 proofs)
     calls = _spy(monkeypatch, "exists_recurrence")
     ctx = FieldContext(p, e)
     for ell in range(2, ctx.q + 1):
         calls.clear()
         seq = build_sequence(ctx, ell)
         assert all(r.passed for r in check_bound_consistency(ctx, seq, ell))
-        obligations = _obligations(ctx.q, ell, len(seq))
-        maximal = {o for o in obligations
-                   if not any(_covers(b, o) for b in obligations if b != o)}
+        maximal = _maximal(_obligations(ctx.q, ell, len(seq)), _covers)
         asked = [(type(mode), mode.k, m, len(t)) for t, m, mode in calls]
+        listed = verify.bound_obligations(ctx.q, seq, ell)[1]
+        assert asked == [(_KIND_CLASS[kind], k, m, n) for kind, k, m, n in listed]
         assert (len(asked), set(asked)) == (len(maximal), maximal)
         proofs -= len(asked)
     assert proofs == 0
