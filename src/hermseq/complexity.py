@@ -15,8 +15,8 @@ are (k+1)^m in per-variable mode, but the coefficients of a
 chain of suffix levels (_Chain) that spans the same functions on the
 windows with at most k+1 columns per distinct window.  Terms are int codes
 (see field); the solver builds every column and reduces it with the
-incremental span tracker in the context's vector form: one byte per row
-for q in {2, 3, 4, 5, 7, 8}, wider lanes of F_p digits elsewhere.  Both
+incremental span tracker in the context's vector form: one lane of F_p
+digits per row, a byte for q in {2, 3, 4, 5, 7, 8} and wider elsewhere.  Both
 exists_recurrence and complexity_profile ask one question of the chain,
 spanned_rows(m): the longest prefix that a window-m recurrence covers,
 with the columns streamed until the target is spanned.  A brute-force

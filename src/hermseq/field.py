@@ -19,13 +19,12 @@ never run the solver never pay for the latter.
 
 The field picks the vector form that SpanTracker and the suffix chain
 compute in (vector_form()).  Both keep a vector as one int with a lane of
-F_p digits per row.  In a field of at most 64 elements, q in {2, 4, 8} and
-q in {3, 5, 7}, the lane is one byte, zero's log is a mark the exp table
-reads as zero, and a row op or a product column is a few C-level bytes/int
-calls (_ByteVectors).  Every other field greases each basis entry: it
-stores tables of the entry's F_p multiples, so -c*y is a few table reads,
-and a row op is an XOR or an int add reduced mod p on guard bits
-(_LaneVectors).  No table grows with the field's square.
+F_p digits per row, and for odd p reduce a sum mod p on guard bits.  In a
+field of at most 64 elements, q in {2, 4, 8} and q in {3, 5, 7}, the lane
+is one byte, so a basis entry's multiple -c*y or a product column is a few
+C-level bytes/int calls (_ByteVectors).  Every other field greases each
+basis entry: it stores tables of the entry's F_p multiples, so -c*y is a
+few table reads (_LaneVectors).  No table grows with the field's square.
 """
 
 from __future__ import annotations
@@ -385,11 +384,12 @@ class FieldContext:
     def vector_form(self):
         """The solver's vector arithmetic, built on first use and cached.
 
-        Rows are bytes in a field of at most 64 elements, GF(2^2e) for q in
-        {2, 4, 8} and GF(p^2) for q in {3, 5, 7}: there two logs add to at
-        most 2(order-2) = 124, below zero's mark 127, and GF(p^2)'s two
-        digits add to at most 2(p-1) < 16 per nibble.  Every other field
-        computes in wider lanes with greased basis entries (_LaneVectors).
+        Lanes are bytes in a field of at most 64 elements, GF(2^2e) for q
+        in {2, 4, 8} and GF(p^2) for q in {3, 5, 7}: there two logs and
+        zero's mark add below a byte, and GF(p^2)'s two digits take 4-bit
+        sub-lanes, whose guard bit 2^3 holds every digit sum for p <= 8.
+        Every other field computes in wider lanes with greased basis
+        entries (_LaneVectors).
         """
         if self._vector_form is None:
             self._vector_form = (_ByteVectors if self.order <= 64 else _LaneVectors)(self)
@@ -439,83 +439,6 @@ class _Rows(dict):
     def __missing__(self, a: int) -> list[int]:
         row = self[a] = list(map(self.op, [a] * len(self.codes), self.codes))
         return row
-
-
-class _ByteVectors:
-    """Vectors with one byte per row, combined by C-level bytes/int calls.
-
-    A row's byte is its code in characteristic 2, and d0 << 4 | d1 for the
-    code d0*p + d1 when e = 1.  A working vector is the int of its bytes,
-    row 0 most significant, so its first nonzero row is rows minus its byte
-    length; a basis entry is (shift of the pivot byte, bytes).
-    axpy[c] translates y to -c*y, so x - c*y is x XOR that in
-    characteristic 2, and otherwise the nibble sum translated through modp.
-    A product x_1^a * h is exp of the sum of two logs.  logpow marks zero
-    with 127 (x_1^0 is 1 even at 0), so a byte of the sum is at most 124,
-    or 127..254 where a factor is zero, which expmod reads as zero: no carry."""
-
-    def __init__(self, ctx: FieldContext):
-        p, order, n = ctx.p, ctx.order, ctx.order - 1
-        enc = bytes(c if p == 2 else c // p << 4 | c % p for c in range(order))
-        self.enc = bytes.maketrans(bytes(range(order)), enc)  # code -> byte
-        self.unit = enc[ctx.one:ctx.one + 1]
-        # tables indexed by byte; every other byte maps to itself
-        self.logpow = [bytes.maketrans(enc, bytes([127 if a else 0] + [
-            a * v % n for v in ctx._log[1:]])) for a in range(order)]
-        self.expmod = bytes(ctx.exp_row(range(127))).translate(self.enc) + bytes(129)
-        self.axpy: list = [None] * 256
-        self.div = [0] * 256  # byte of c -> byte of -1/c: axpy[div[c]] divides by c
-        for c in range(1, order):
-            row = bytes(ctx.mul_row(ctx.neg(c)))
-            self.axpy[enc[c]] = bytes.maketrans(enc, row.translate(self.enc))
-            self.div[enc[c]] = enc[ctx.neg(ctx.inv(c))]
-        self.modp = None if p == 2 else bytes(
-            (b >> 4) % p << 4 | (b & 15) % p for b in range(256))
-
-    def vector(self, column) -> int:
-        return int.from_bytes(bytes(column).translate(self.enc), "big")
-
-    def first(self, vec: int, rows: int) -> int:
-        return rows - (vec.bit_length() + 7 >> 3)
-
-    def insert(self, basis, column, rows: int, residual: int, first: int):
-        col = column if type(column) is int else self.vector(column)
-        axpy, modp, frm = self.axpy, self.modp, int.from_bytes
-        for shift, vec in basis:
-            c = col >> shift & 255
-            if c:
-                y = frm(vec.translate(axpy[c]), "big")
-                col = col ^ y if modp is None else frm(
-                    (col + y).to_bytes(rows, "big").translate(modp), "big")
-        if not col:
-            return None, residual, first
-        shift = col.bit_length() - 1 & ~7
-        vec = col.to_bytes(rows, "big").translate(axpy[self.div[col >> shift & 255]])
-        basis.append((shift, vec))
-        c = residual >> shift & 255
-        if c:  # the residual's one row op: it stays zero at every older pivot
-            y = frm(vec.translate(axpy[c]), "big")
-            residual = residual ^ y if modp is None else frm(
-                (residual + y).to_bytes(rows, "big").translate(modp), "big")
-            first = self.first(residual, rows)
-        return vec, residual, first
-
-    def monomials(self, points, top: int, hs):
-        rows, frm, expmod, logpow = len(points), int.from_bytes, self.expmod, self.logpow
-        codes, where = zip(*points)
-        xs = bytes(codes).translate(self.enc)
-        gather = operator.itemgetter(*where)  # one row gives a bare int
-        xlog, hlog = [None] * (top + 1), [None] * len(hs)
-
-        def column(a: int, j: int) -> int:
-            x, h = xlog[a], hlog[j]
-            if x is None:
-                x = xlog[a] = frm(xs.translate(logpow[a]), "big")
-            if h is None:  # logpow[1]: log
-                h = hlog[j] = frm(bytes(gather(hs[j]) if rows > 1 else [gather(hs[j])])
-                                  .translate(logpow[1]), "big")
-            return frm((x + h).to_bytes(rows, "big").translate(expmod), "big")
-        return column
 
 
 class _LaneVectors:
@@ -670,6 +593,81 @@ class _LaneVectors:
                 lanes = struct.unpack(self.fmt % (len(hs[j]) // size), hs[j])
                 h = hlog[j] = list(map(self.log.__getitem__, map(lanes.__getitem__, where)))
             return int.from_bytes(pack(*map(self.exp.__getitem__, map(operator.add, x, h))), "big")
+        return column
+
+
+class _ByteVectors(_LaneVectors):
+    """The lane layout's one-byte case, for fields of at most 64 elements:
+    a vector's bytes are its lanes, so a column's codes, a basis entry's
+    multiple -c*y and a product column's logs are each one C-level
+    bytes.translate away.
+
+    A basis entry is (shift of the pivot byte, bytes of the vector scaled
+    to 1 there).  axpy[c] translates y to -c*y; x - c*y is x XOR that in
+    characteristic 2, and otherwise the lane form's int add reduced on guard
+    bits.  A product x_1^a * h is exp of the sum of two logs: a byte of the
+    sum is at most mark + mark < 256, so no byte carries into the next, and
+    expmod reads every sum holding a mark as zero."""
+
+    def __init__(self, ctx: FieldContext):
+        super().__init__(ctx)
+        order, n, mark = ctx.order, self.n, self.mark
+        enc = bytes(self.lane)
+        self.enc = bytes.maketrans(bytes(range(order)), enc)  # code -> byte
+        # tables indexed by byte; every other byte maps to itself
+        self.logpow = [bytes.maketrans(enc, bytes([mark if a else 0] + [
+            a * v % n for v in ctx._log[1:]])) for a in range(order)]  # x^0 is 1 at 0
+        self.expmod = bytes(self.exp).ljust(256, b"\0")
+        self.axpy: list = [None] * 256
+        for c in range(1, order):
+            row = bytes(ctx.mul_row(ctx.neg(c)))
+            self.axpy[enc[c]] = bytes.maketrans(enc, row.translate(self.enc))
+
+    def vector(self, column) -> int:
+        return int.from_bytes(bytes(column).translate(self.enc), "big")
+
+    def insert(self, basis, column, rows: int, residual: int, first: int):
+        col = column if type(column) is int else self.vector(column)
+        axpy, frm, p = self.axpy, int.from_bytes, self.p
+        if p > 2:  # characteristic 2 adds by XOR and reads no guard bits
+            h, (_, k, g) = self.w - 1, self._masks(rows)
+        for shift, vec in basis:
+            c = col >> shift & 255
+            if c:
+                y = frm(vec.translate(axpy[c]), "big")
+                if p == 2:
+                    col ^= y
+                else:
+                    s = col + y
+                    col = s - ((s + k & g) >> h) * p
+        if not col:
+            return None, residual, first
+        shift = col.bit_length() - 1 & ~7
+        inv = self.exp[(self.minus - self.log[col >> shift & 255]) % self.n]  # -1/pivot
+        vec = col.to_bytes(rows, "big").translate(axpy[inv])
+        basis.append((shift, vec))
+        c = residual >> shift & 255
+        if c:  # the residual's one row op: it stays zero at every older pivot
+            y = frm(vec.translate(axpy[c]), "big")
+            residual = residual ^ y if p == 2 else self._add_all([residual], y, rows)[0]
+            first = self.first(residual, rows)
+        return vec, residual, first
+
+    def monomials(self, points, top: int, hs):
+        rows, frm, expmod, logpow = len(points), int.from_bytes, self.expmod, self.logpow
+        codes, where = zip(*points)
+        xs = bytes(codes).translate(self.enc)
+        gather = operator.itemgetter(*where)  # one row gives a bare int
+        xlog, hlog = [None] * (top + 1), [None] * len(hs)
+
+        def column(a: int, j: int) -> int:
+            x, h = xlog[a], hlog[j]
+            if x is None:
+                x = xlog[a] = frm(xs.translate(logpow[a]), "big")
+            if h is None:  # logpow[1]: log
+                h = hlog[j] = frm(bytes(gather(hs[j]) if rows > 1 else [gather(hs[j])])
+                                  .translate(logpow[1]), "big")
+            return frm((x + h).to_bytes(rows, "big").translate(expmod), "big")
         return column
 
 

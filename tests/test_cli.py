@@ -358,7 +358,9 @@ def test_bounds_large_prime_quickly(capsys):
 # solved in byte vectors; those over GF(81), GF(121), GF(256) and GF(251^2)
 # were recorded on the code tables the digit lanes replaced, one per lane
 # layout: four 4-bit digits, two 8-bit and two 16-bit digits, and the code
-# in characteristic 2: a wrong "infeasible" in either form moves a value
+# in characteristic 2.  The one over GF(3^10), ten 4-bit digits in 64-bit
+# lanes, the widest the lanes take, was recorded before the byte form
+# became the lanes' one-byte case.  A wrong "infeasible" moves a value
 PINS = {
     "verify-default": (["verify"], "perfbench/reference/verify-default/verify.txt.gz"),
     "prove-q4": (["verify", "--p", "2", "--e", "2"],
@@ -406,6 +408,9 @@ PINS = {
     "complexity-q251": (["complexity", "--p", "251", "--ell", "2", "--mode", "per-variable",
                          "--k", "1", "--n-range", "1:20"],
                         "tests/data/complexity_q251_ell2_per_variable.csv"),
+    "complexity-q243": (["complexity", "--p", "3", "--e", "5", "--ell", "2", "--mode",
+                         "per-variable", "--k", "1", "--n-range", "1:30"],
+                        "tests/data/complexity_q243_ell2_per_variable.csv"),
 }
 
 

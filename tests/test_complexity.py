@@ -567,25 +567,27 @@ def test_spanned_prefix_is_longest_spanned_cut(p, e):
     assert values == {True, False}
 
 
-@pytest.mark.parametrize("p,e,form", [(2, 2, _ByteVectors), (7, 1, _ByteVectors),
-                                      (2, 3, _ByteVectors), (3, 2, _LaneVectors),
-                                      (11, 1, _LaneVectors), (2, 4, _LaneVectors),
-                                      (2, 5, _LaneVectors), (251, 1, _LaneVectors)])
+@pytest.mark.parametrize("p,e,form", [(2, 2, _ByteVectors), (5, 1, _ByteVectors),
+                                      (7, 1, _ByteVectors), (2, 3, _ByteVectors),
+                                      (3, 2, _LaneVectors), (11, 1, _LaneVectors),
+                                      (2, 4, _LaneVectors), (2, 5, _LaneVectors),
+                                      (3, 5, _LaneVectors), (251, 1, _LaneVectors)])
 def test_field_picks_the_vector_form(p, e, form):
-    # GF(16), GF(49) and GF(64) solve in bytes, every larger field in lanes
-    # of (lane bits, digit bits): the code in characteristic 2, 8 bits up to
-    # GF(256) and 16 above, and for odd p sub-lanes of 4 bits up to p = 7, 8
-    # up to 127 and 16 above; GF(64) and GF(81) sit on either side of the
-    # order bound, and a silent fall-back to bytes would pass every
-    # comparison above
+    # GF(16), GF(25), GF(49) and GF(64) solve in bytes, every larger field
+    # in lanes of (lane bits, digit bits): the code in characteristic 2, 8
+    # bits up to GF(256) and 16 above, and for odd p sub-lanes of 4 bits up
+    # to p = 7, 8 up to 127 and 16 above, in the narrowest lane of 8, 16, 32
+    # or 64 bits that holds all 2e digits; GF(64) and GF(81) sit on either
+    # side of the order bound.  The byte form subclasses the lane form, so
+    # only the exact type catches a silent fall-back to bytes
     ctx = FieldContext(p, e)
     t = (ctx.one, ctx.epsilon, ctx.zero, ctx.one, ctx.epsilon, ctx.one)
     assert not exists_recurrence(ctx, t, 2, TotalDegree(1))
     assert type(ctx._vector_form) is form
-    lanes = {(3, 2): (16, 4), (11, 1): (16, 8), (2, 4): (8, 1), (2, 5): (16, 1),
-             (251, 1): (32, 16)}
-    if form is _LaneVectors:
-        assert (ctx._vector_form.bits, ctx._vector_form.w) == lanes[p, e]
+    lanes = {(2, 2): (8, 1), (5, 1): (8, 4), (7, 1): (8, 4), (2, 3): (8, 1),
+             (3, 2): (16, 4), (11, 1): (16, 8), (2, 4): (8, 1), (2, 5): (16, 1),
+             (3, 5): (64, 4), (251, 1): (32, 16)}
+    assert (ctx._vector_form.bits, ctx._vector_form.w) == lanes[p, e]
 
 
 def test_profile_memory_at_gf251_squared():

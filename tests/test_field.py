@@ -9,6 +9,8 @@ import pytest
 from hermseq.field import (
     FieldContext,
     SpanTracker,
+    _ByteVectors,
+    _LaneVectors,
     _is_irreducible,
     _is_prime,
     _pmul,
@@ -316,6 +318,41 @@ def test_monomial_columns_match_scalar_products(p, e):
     for a, j in itertools.product(range(top + 1), range(len(hs))):
         want = [ctx.mul(ctx.pow(x, a), hs[j][s]) for x, s in points]
         assert column(a, j) == form.vector(want), (a, j)
+
+
+# every field of at most 64 elements
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])
+def test_byte_form_is_the_one_byte_lane_form(p, e):
+    # the byte form computes in the lane layout's one-byte case, so on one
+    # seeded column stream both forms give equal vector ints, equal insert
+    # triples (basis bytes, residual, first row) and equal product columns
+    # on the basis rows they return; a drift of either layout shows here
+    ctx, rows = FieldContext(p, e), 12
+    rng = random.Random(ctx.order)
+    forms = _ByteVectors(ctx), _LaneVectors(ctx)
+    target = [rng.choice(ctx.elements) for _ in range(rows)]
+    states = [([], form.vector(target), form.first(form.vector(target), rows))
+              for form in forms]
+    hs, outcomes = [], set()
+    for _ in range(40):
+        # a few zero rows, so pivots fall below row 0
+        column = [rng.choice(ctx.elements) if rng.random() < 0.7 else ctx.zero
+                  for _ in range(rows)]
+        vectors = [form.vector(column) for form in forms]
+        assert vectors[0] == vectors[1]
+        got = [form.insert(basis, vec, rows, residual, first)
+               for form, (basis, residual, first), vec in zip(forms, states, vectors)]
+        assert got[0] == got[1]
+        states = [(basis, residual, first) for (basis, _, _), (_, residual, first)
+                  in zip(states, got)]
+        outcomes.add(got[0][0] is None)
+        if got[0][0] is not None:
+            hs.append(got[0][0])
+    assert outcomes == {True, False}
+    points = [(rng.choice(ctx.elements), rng.randrange(rows)) for _ in range(30)]
+    columns = [form.monomials(points, 3, hs) for form in forms]
+    for a, j in itertools.product(range(4), range(len(hs))):
+        assert columns[0](a, j) == columns[1](a, j), (a, j)
 
 
 # lanes of one byte over GF(16) and GF(49), of two over GF(81)

@@ -354,7 +354,7 @@ def test_oracle_agreement_settles_exactly(monkeypatch, p, enumerated):
 
 
 def test_oracle_agreement_in_odd_characteristic(f9):
-    # the byte form's nibble-and-modp arithmetic against the oracle
+    # the byte form's guard-bit mod-p arithmetic against the oracle
     assert _oracle_agreement(f9) == CheckResult(
         "oracle-agreement", True, "1335 comparisons over 200 sequences")
 
