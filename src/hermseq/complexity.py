@@ -16,16 +16,14 @@ chain of suffix levels (_Chain) that spans the same functions on the
 windows with at most k+1 columns per distinct window.  Terms are int codes
 (see field); the solver builds every column and reduces it with the
 incremental span tracker in the context's vector form: one lane of F_p
-digits per row, a byte for q in {2, 3, 4, 5, 7, 8} and wider elsewhere.  Both
-exists_recurrence and complexity_profile ask one question of the chain,
-spanned_rows(m): the longest prefix that a window-m recurrence covers,
-with the columns streamed until the target is spanned.  A brute-force
-oracle provides an independent ground truth at small sizes: it searches
-every coefficient assignment of the full monomial basis, meeting in the
-middle between the spans of two halves of the columns, without
+digits per row, a byte for q in {2, 3, 4, 5, 7, 8} and wider elsewhere.
+Every reader walks one chain (reaches), whose steps each build a level and
+read the longest prefix its window length covers in one elimination.  A
+brute-force oracle provides an independent ground truth at small sizes: it
+searches every coefficient assignment of the full monomial basis, meeting
+in the middle between the spans of two halves of the columns, without
 elimination, on tables of the field's log and Zech mul and add
-(FieldContext.mul_add_tables), so it shares no arithmetic with the
-solver's vector form.
+(FieldContext.mul_add_tables), so it shares no arithmetic with the solver.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import getitem
+from operator import getitem, ne
 from typing import Union
 
 from .field import FieldContext, SpanTracker
@@ -61,6 +59,22 @@ class TotalDegree(_Degree):
 DegreeMode = Union[PerVariable, TotalDegree]
 
 
+def _within(a: tuple[int, bool, int], b: tuple[int, bool, int]) -> bool:
+    """Does shape a's monomial set lie in shape b's, read in b's last
+    variables?  A shape (m, per_variable, k) admits the monomials in m
+    variables of degree at most k in each variable, or in total.
+
+    The one law by which a feasibility answer settles another: a window-m
+    recurrence over a's set is a window-M one over b's, and one on a prefix
+    holds on every shorter one, so none at b on terms[:N] means none at a
+    on terms[:n] for any n >= N.  a's set holds x_1, so m <= M, and its
+    largest degree must fit: k <= K, or m*k <= K (x_1^k..x_m^k) for a
+    per-variable a in a total-degree b.
+    """
+    (m, per_variable, k), (M, per_variable_b, K) = a, b
+    return m <= M and k * (m if per_variable and not per_variable_b else 1) <= K
+
+
 class _Chain:
     """Suffix levels of one code sequence under one degree mode.
 
@@ -74,8 +88,7 @@ class _Chain:
     <= d span the polynomials of degree <= d.  A level stops once its rank
     equals its number of points.  Exponents above q^2-1 never yield new
     functions (x^(q^2) = x pointwise), so they are capped; the degree
-    constraint itself is unchanged by this.  The one question a chain
-    answers about its target is spanned_rows(m).
+    constraint itself is unchanged by this.
     """
 
     def __init__(self, ctx: FieldContext, codes: list[int], mode: DegreeMode):
@@ -100,33 +113,51 @@ class _Chain:
                                    if a + tag <= self.mode.k):
             yield degree, column(a, j)
 
-    def grow(self) -> None:
-        """Replace the current level by the next one."""
+    def step(self) -> int:
+        """Build the next level, m, and return the reach at window m: m + R for
+        the largest R such that codes[:m+R] admits a window-m recurrence.
+
+        A point's target is codes[j+m] at its first window j, and stop is the
+        first window whose target differs from its point's.  One tracker on
+        the point targets keeps the level's basis; its stream stops at full
+        rank, or once the target is spanned if stop is n-m, as the reach is
+        then all of codes.  Points are numbered by first appearance, so the
+        first R windows cover the points below the one at window R, and R is
+        the lesser of stop and the first window on point spanned_prefix().
+        """
+        codes, n = self.codes, len(self.codes)
         number: dict[tuple[int, int], int] = {}
-        self.at = [number.setdefault(window, len(number))
-                   for window in zip(self.codes, self.at[1:])]
-        tracker = SpanTracker(self.ctx, [0] * len(number))
-        basis = []
-        for degree, col in self.products(list(number)):
-            vec = tracker.insert(col)
-            if vec is not None:
+        self.at = at = [number.setdefault(window, len(number))
+                        for window in zip(codes, self.at[1:])]
+        m, rows = n - len(at), len(number)
+        first = dict(zip(reversed(at), reversed(codes[m:])))  # a point's first target
+        target = list(map(first.__getitem__, range(rows)))
+        disagree = map(ne, map(target.__getitem__, at), codes[m:])
+        stop = next(itertools.compress(itertools.count(), disagree), n - m)
+        whole = stop == n - m  # no target disagrees
+        tracker, basis = SpanTracker(self.ctx, target), []
+        stream = () if whole and tracker.spanned_prefix() == rows else self.products(list(number))
+        for degree, col in stream:
+            if (vec := tracker.offer(col)) is not None:
                 basis.append((degree, vec))
-                if len(basis) == len(number):
+                if len(basis) == rows or whole and tracker.spanned_prefix() == rows:
                     break
         self.basis = basis
+        covered = tracker.spanned_prefix()
+        return m + min(stop, at.index(covered) if covered < rows else n - m)
 
-    def spanned_rows(self, m: int) -> int:
-        """Taking the current level as level m-1: the largest R such that
-        the products x_1^a * h on the first R windows codes[i:i+m] span the
-        target codes[m:m+R], that is, such that the prefix codes[:m+R]
-        admits a recurrence of window length m.  The stream of products
-        stops once the whole target is spanned."""
-        tracker = SpanTracker(self.ctx, self.codes[m:])
-        if tracker.spanned_prefix() < len(self.codes) - m:  # else the target is zero
-            for _, col in self.products(list(zip(self.codes, self.at[1:]))):
-                if tracker.offer(col):
-                    break
-        return tracker.spanned_prefix()
+
+def reaches(ctx: FieldContext, t, mode: DegreeMode, top: int):
+    """The reach at window m = 1..top (_Chain.step) of one chain over t, cut
+    short once it covers t: t[:n] admits a window-m recurrence iff some m' <=
+    m reaches n, as a window-m' one is a window-m one (_within)."""
+    codes = list(t)
+    chain = _Chain(ctx, codes, mode)
+    for _ in range(top):
+        reach = chain.step()
+        yield reach
+        if reach == len(codes):
+            return
 
 
 def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
@@ -139,39 +170,25 @@ def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     n = len(codes)
     if not 1 <= m <= n - 1:
         raise ValueError(f"window length must be in 1..{n - 1}, got {m}")
-    chain = _Chain(ctx, codes, mode)
-    for _ in range(m - 1):
-        chain.grow()
-    return m + chain.spanned_rows(m) == n
+    return n in reaches(ctx, codes, mode, m)
 
 
 def complexity_profile(ctx: FieldContext, t, mode: DegreeMode) -> list[int]:
     """Complexities of every prefix: entry n-1 is the complexity of t[:n].
 
     A prefix that is all zero has complexity 0 and a single nonzero term 1.
-    Feasibility at window m is monotone in the prefix length, so each m has
-    a longest feasible prefix, of length m + _Chain.spanned_rows(m) (or the
-    whole of t); the complexity of t[:n] is the least m whose longest
-    feasible prefix reaches n.  One suffix chain on the whole of t serves
-    every prefix, since its levels restrict to each prefix's levels, so the
-    profile costs about as much as the complexity of t alone.  The walk
-    ends by m = max(len(t)-1, 1), where the constant recurrence covers
-    every prefix.
+    The complexity of t[:n] is the least m whose reach is at least n, and
+    one walk on the whole of t serves every prefix, as its levels restrict
+    to each prefix's.  It ends by m = max(len(t)-1, 1), where the constant
+    recurrence covers every prefix.
     """
     codes = list(t)
     # the all-zero prefixes; every later one has complexity >= 1
     profile = [0] * next((i for i, c in enumerate(codes) if c), len(codes))
-    if len(profile) == len(codes):
-        return profile
-    chain = _Chain(ctx, codes, mode)
-    m = 1
-    while True:
-        reach = m + chain.spanned_rows(m)
-        profile += [m] * (reach - len(profile))  # nothing if reach is covered
-        if reach == len(codes):
-            return profile
-        chain.grow()
-        m += 1
+    if len(profile) < len(codes):
+        for m, reach in enumerate(reaches(ctx, codes, mode, max(len(codes) - 1, 1)), 1):
+            profile += [m] * (reach - len(profile))  # nothing if reach is covered
+    return profile
 
 
 def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode) -> int:
@@ -214,8 +231,7 @@ def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     square.  Refuses, before listing a monomial, when a half has more
     than 16 columns or the larger half's table of |F|^min(half, r) sums
     exceeds 2**16.  The answer depends on t, m and the monomial set alone,
-    so verify's oracle-agreement check settles questions by verify._within,
-    the inclusion of those sets.
+    so verify's oracle-agreement check settles questions by _within.
     """
     terms = tuple(t)
     n = len(terms)

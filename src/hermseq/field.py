@@ -683,15 +683,14 @@ class SpanTracker:
     the form's vector, first and insert do all the arithmetic.  Columns
     arrive one at a time; at most len(target) of them are kept as basis
     vectors, so arbitrarily many columns stream in bounded memory.  offer()
-    inserts a column only while the target is unspanned and reports whether
-    it now is, so callers can stop the stream early.  spanned_prefix() is
-    the one read of spannedness: how many leading target rows the span
-    covers, len(target) once it covers them all.
+    is the one way in, and spanned_prefix() the one read of spannedness:
+    how many leading target rows the span covers, len(target) once it
+    covers them all, so callers can stop the stream early.
 
     Each basis vector's pivot is its first nonzero row and the vector is
     scaled to 1 there.  The basis is kept in insertion order: each vector is
     zero at every older pivot, so a column reduced against the vectors in
-    that order ends zero at every pivot.  Every insert keeps the residual
+    that order ends zero at every pivot.  Every offer keeps the residual
     target zero at every pivot too and records its first nonzero row, which
     is len(target) exactly when the target is spanned.
     """
@@ -707,7 +706,7 @@ class SpanTracker:
     def rank(self) -> int:
         return len(self._basis)
 
-    def insert(self, column):
+    def offer(self, column):
         """Reduce one column against the basis.  If anything is left, add it
         and return it scaled to 1 at its pivot, as the bytes of the whole
         vector, which the vector form's monomials() read; else None."""
@@ -716,12 +715,6 @@ class SpanTracker:
         vec, self._residual, self._first = self._form.insert(
             self._basis, column, self._rows, self._residual, self._first)
         return vec
-
-    def offer(self, column) -> bool:
-        """Insert column unless the target is spanned; True once it is."""
-        if self._first < self._rows:
-            self.insert(column)
-        return self._first == self._rows
 
     def spanned_prefix(self) -> int:
         """The largest R such that target[:R] lies in the span of the columns

@@ -9,6 +9,7 @@ fully reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -19,8 +20,10 @@ from . import bounds as bnd
 from .complexity import (
     PerVariable,
     TotalDegree,
+    _within,
     brute_force_oracle,
     exists_recurrence,
+    reaches,
 )
 from .curve import (
     affine_places,
@@ -229,22 +232,6 @@ def check_sequence_layer(ctx: FieldContext,
 # complexity layer: bound consistency and oracle agreement
 # ---------------------------------------------------------------------------
 
-def _within(a: tuple[int, bool, int], b: tuple[int, bool, int]) -> bool:
-    """Does shape a's monomial set lie in shape b's, read in b's last
-    variables?  A shape (m, per_variable, k) admits the monomials in m
-    variables of degree at most k in each variable, or in total.
-
-    The one law by which a feasibility answer settles another: a window-m
-    recurrence over a's set is a window-M one over b's, and one on a prefix
-    holds on every shorter one, so none at b on terms[:N] means none at a
-    on terms[:n] for any n >= N.  a's set holds x_1, so m <= M, and its
-    largest degree must fit: k <= K, or m*k <= K (x_1^k..x_m^k) for a
-    per-variable a in a total-degree b.
-    """
-    (m, per_variable, k), (M, per_variable_b, K) = a, b
-    return m <= M and k * (m if per_variable and not per_variable_b else 1) <= K
-
-
 def _covered(proofs, kind: str, k: int, m: int, n: int) -> bool:
     """Does a proof in proofs, (kind, k, m, n) each, cover this obligation?"""
     shape = (m, kind == "per-variable", k)
@@ -303,16 +290,21 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
     """Every prefix/degree point must respect the collinear bound of both
     degree disciplines: one CheckResult each, per-variable first.
 
-    Only bound_obligations' maximal list is proven.  Each kind's grid is
-    then walked in order, asking the solver only where no proof covers a
-    point (_covered): never on the passing path, and below a maximal proof
-    that found a recurrence, at every other obligation it covered, so the
-    failures read as if every point were proven.
+    Only bound_obligations' maximal list is proven, by one walk per (kind,
+    k) on its longest prefix: (m, n) is refuted iff some m' <= m reaches n.
+    Each kind's grid is then walked in order, asking the solver only where
+    no proof covers a point (_covered): never on the passing path, and below
+    a maximal proof that found a recurrence, at every other obligation it
+    covered, so the failures read as if every point were proven.
     """
     grids, maximal = bound_obligations(ctx.q, terms, ell, ks)
     zeros = next((i for i, t in enumerate(terms) if t), len(terms))
+    walks: dict[tuple[str, int], list[int]] = {}
+    for kind, k, m, n in maximal:  # a (kind, k)'s first has its largest m and n
+        if (kind, k) not in walks:
+            walks[kind, k] = list(reaches(ctx, terms[:n], _KINDS[kind][0](k), m))
     refuted = {(kind, k, m, n) for kind, k, m, n in maximal
-               if exists_recurrence(ctx, terms[:n], m, _KINDS[kind][0](k))}
+               if max(walks[kind, k][:m]) >= n}
     proven = [o for o in maximal if o not in refuted]
 
     def failures(kind):
@@ -324,21 +316,18 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
             for n in run:
                 if n <= zeros:
                     yield f"k={k} n={n}: zero prefix but bound {ceiling}"
-                    continue
-                if ceiling == 1:
+                elif ceiling == 1:
                     continue  # any nonzero prefix has complexity >= 1
-                if m > n - 1:
+                elif m > n - 1:
                     yield f"k={k} n={n}: bound {ceiling} exceeds n-1"
-                    continue
-                if (k, m) in settled:
-                    continue
-                if not _covered(proven, kind, k, m, n):
-                    if ((kind, k, m, n) in refuted
-                            or exists_recurrence(ctx, terms[:n], m, _KINDS[kind][0](k))):
-                        yield f"k={k} n={n}: recurrence of length {m} exists below bound"
-                        continue
-                    proven.append((kind, k, m, n))
-                settled.add((k, m))
+                elif (k, m) not in settled:
+                    if not _covered(proven, kind, k, m, n):
+                        if ((kind, k, m, n) in refuted
+                                or exists_recurrence(ctx, terms[:n], m, _KINDS[kind][0](k))):
+                            yield f"k={k} n={n}: recurrence of length {m} exists below bound"
+                            continue
+                        proven.append((kind, k, m, n))
+                    settled.add((k, m))
 
     return tuple(_result(f"bound-{kind}[q={ctx.q},ell={ell}]", failures(kind),
                          f"{sum(len(run) for _, run, _ in grids[kind])} grid points")
@@ -353,11 +342,10 @@ def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) ->
     Every sequence runs window 1 under all four modes and window 2 under
     three; per-variable k=2 at window 2, the largest case (9 monomial
     columns, 4^4 sums a half for the oracle), runs on every fourth
-    sequence.  Each distinct question asks the solver once, and the oracle
-    only what no answer it gave on the same sequence settles by _within, so
-    at m = 1 PerVariable(k) and TotalDegree(k), both 1, x, .., x^k, share
-    one answer.  Over GF(4) the 1,313 comparisons ask the solver 1,087
-    questions and the oracle 427.
+    sequence.  The solver walks a sequence once per mode, and the oracle
+    answers only what no answer it gave on it settles by _within: at m = 1
+    PerVariable(k) and TotalDegree(k), both 1, x, .., x^k, share one.  Over
+    GF(4) the 1,313 comparisons take 631 walks and 427 oracle answers.
     """
     sequences = 200
     modes = [cls(k) for k in (1, 2) for cls in (PerVariable, TotalDegree)]
@@ -376,6 +364,8 @@ def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) ->
     # one verdict per distinct question, keyed by plain values: a mode's
     # dataclass hash and eq run in Python
     verdicts, enumerated = {}, {}
+    walk = functools.lru_cache(maxsize=len(modes))(  # the latest sequence's walks
+        lambda t, cls, k: list(reaches(ctx, t, cls(k), min(2, len(t) - 1))))
 
     def truth(t, m, mode) -> bool:
         """The oracle's answer, settled by one it gave on t if one does."""
@@ -392,7 +382,8 @@ def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) ->
         t, m, mode = case
         key = (t, m, type(mode), mode.k)
         if (verdict := verdicts.get(key)) is None:
-            verdict = verdicts[key] = exists_recurrence(ctx, t, m, mode) != truth(t, m, mode)
+            solved = len(t) in walk(t, type(mode), mode.k)[:m]
+            verdict = verdicts[key] = solved != truth(t, m, mode)
         return verdict
 
     failures = ("disagree on {} m={} {}".format(*case) for case in cases

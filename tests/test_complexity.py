@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from hermseq import complexity
 from hermseq.bounds import bound
 from hermseq.complexity import (
     PerVariable,
@@ -553,12 +554,12 @@ def test_spanned_prefix_is_longest_spanned_cut(p, e):
             row = rng.randrange(rows)
             target[row] = ctx.add(target[row], rng.choice(ctx.elements[1:]))
         for order in (cols, rng.sample(cols, len(cols))):
-            # the residual is kept reduced on every insert, so the read
+            # the residual is kept reduced on every offer, so the read
             # holds after each one, not only at the end
             tracker = SpanTracker(ctx, target)
             for i in range(len(order) + 1):
                 if i:
-                    tracker.insert(order[i - 1])
+                    tracker.offer(order[i - 1])
                 want = max(r for r in range(rows + 1)
                            if dense_rank(ctx, [col[:r] for col in order[:i]])
                            == dense_rank(ctx, [col[:r] for col in order[:i]] + [target[:r]]))
@@ -608,34 +609,105 @@ def test_profile_memory_at_gf251_squared():
 
 
 def test_exists_recurrence_stops_offering_once_spanned(f4, monkeypatch):
-    # the offers stop at the column that spans the target, and a target
-    # spanned from the start is offered nothing
-    results = []
+    # a step's stream stops at the column that spans its target when no
+    # target disagrees, and a target spanned from the start is offered
+    # nothing; a target that disagrees keeps the stream to full rank
+    offers = {}  # tracker -> whether its target is spanned after each offer
     offer = SpanTracker.offer
 
     def counted(self, column):
-        results.append(offer(self, column))
-        return results[-1]
+        vec = offer(self, column)
+        offers.setdefault(self, []).append(self.spanned_prefix() == self._rows)
+        return vec
 
     monkeypatch.setattr(SpanTracker, "offer", counted)
-    one, zero = f4.one, f4.zero
+    one, zero, eps = f4.one, f4.zero, f4.epsilon
     # the constant column x_1^0 spans a constant target, so x_1 is not offered
     assert exists_recurrence(f4, (one,) * 5, 1, PerVariable(1))
-    assert results == [True]
-    results.clear()
+    assert list(offers.values()) == [[True]]
+    offers.clear()
     assert exists_recurrence(f4, (one, zero, zero, zero), 1, PerVariable(1))
-    assert results == []
+    assert offers == {}
+    # window 2 disagrees (one -> zero after one -> one): x_1^0 spans the
+    # points' target (one, one), and x_1 still goes in as the level's basis
+    assert not exists_recurrence(f4, (eps, one, one, zero), 1, PerVariable(1))
+    assert list(offers.values()) == [[True, True]]
     rng = random.Random(15)
     for _ in range(30):
         t = _random_terms(f4, rng, rng.randrange(3, 8))
         mode = rng.choice((PerVariable(1), TotalDegree(2)))
         m = max(nonlinear_complexity(f4, t, mode), 1)
-        results.clear()
+        offers.clear()
         assert exists_recurrence(f4, t, m, mode)
+        # the walk's steps below m cover less than t and each offer
+        # something; its last covers t
+        steps = list(offers.values())
         if any(t[m:]):
-            assert results and results[-1] and not any(results[:-1]), (t, mode)
+            assert len(steps) == m and steps[-1][-1] and not any(steps[-1][:-1]), (t, mode)
         else:
-            assert results == []
+            assert len(steps) == m - 1, (t, mode)
+
+
+def test_exists_recurrence_stops_at_the_first_window_that_covers(f4, monkeypatch):
+    # a window-m' recurrence is a window-m one for m >= m', so the walk
+    # answers True at the first m' <= m whose reach is all of t and builds
+    # no level past it
+    steps = []
+    step = complexity._Chain.step
+    monkeypatch.setattr(complexity._Chain, "step", lambda self: steps.append(self) or step(self))
+    one, eps = f4.one, f4.epsilon
+    # x -> x + one + eps swaps one and eps: a window-1 recurrence of degree 1
+    assert exists_recurrence(f4, (one, eps) * 3, 4, PerVariable(1))
+    assert len(steps) == 1
+    rng = random.Random(36)
+    for _ in range(30):
+        n = rng.randrange(4, 9)
+        t = _random_terms(f4, rng, n)
+        mode = rng.choice((PerVariable(1), TotalDegree(2)))
+        least = max(nonlinear_complexity(f4, t, mode), 1)
+        for m in range(least, n):
+            steps.clear()
+            assert exists_recurrence(f4, t, m, mode), (t, mode, m)
+            assert len(steps) == least, (t, mode, m)
+        assert least == 1 or not _reference_exists(f4, t, least - 1, mode), (t, mode)
+
+
+def _reference_reach(ctx, terms, m, mode):
+    """The longest prefix that a window-m recurrence covers, by the dense
+    reference; one window is always covered."""
+    return next(n for n in range(len(terms), m, -1)
+                if _reference_exists(ctx, terms[:n], m, mode))
+
+
+def _disagreement(terms, m):
+    """The first window j whose next term differs from that of an earlier
+    equal window, or None."""
+    seen = {}
+    return next((j for j in range(len(terms) - m)
+                 if seen.setdefault(terms[j:j + m], terms[j + m]) != terms[j + m]), None)
+
+
+# one byte a lane over GF(4) and GF(9), two over GF(37^2)
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (37, 1)])
+def test_reach_matches_reference_where_equal_windows_disagree(p, e):
+    # on two- and three-letter alphabets equal windows with different next
+    # terms are common, and the first one caps the step's reach at every
+    # window length m where it decides it; the walk is cut short once it
+    # covers t, and the reference covers t from there on
+    ctx = FieldContext(p, e)
+    rng = random.Random(p * 36 + e)
+    capped = 0
+    for _ in range(25):
+        n = rng.randrange(4, 9)
+        alphabet = rng.sample(ctx.elements, rng.choice((2, 3)))
+        t = tuple(rng.choice(alphabet) for _ in range(n))
+        for mode in (PerVariable(rng.randrange(1, 3)), TotalDegree(rng.randrange(1, 4))):
+            got = list(complexity.reaches(ctx, t, mode, n - 1))
+            want = [_reference_reach(ctx, t, m, mode) for m in range(1, n)]
+            assert got == want[:len(got)] and set(want[len(got) - 1:]) == {n}, (t, mode)
+            capped += sum(got[m - 1] == m + _disagreement(t, m) for m in range(1, len(got) + 1)
+                          if _disagreement(t, m) is not None)
+    assert capped >= 50, capped
 
 
 def _reference_profile(ctx, terms, mode):

@@ -304,7 +304,7 @@ def test_monomial_columns_match_scalar_products(p, e):
     # GF(64) reaches the byte form's largest sum of two logs, 62 + 62.
     # Larger fields sample x_1 and rows that hold 0, -1 and the element
     # whose digits are all p - 1.  A basis row comes in the form's layout
-    # as SpanTracker.insert returns it: one at row 0 keeps it unscaled
+    # as SpanTracker.offer returns it: one at row 0 keeps it unscaled
     ctx = FieldContext(p, e)
     form, top, rng = ctx.vector_form(), 3, random.Random(p * e)
     small = ctx.order <= 121
@@ -312,7 +312,7 @@ def test_monomial_columns_match_scalar_products(p, e):
     tail = list(ctx.elements) if small else [ctx.zero, ctx.neg(ctx.one), ctx.order - 1] + \
         rng.choices(ctx.elements, k=8)
     hs = [[ctx.one] + tail, [ctx.one] + tail[::-1]]
-    rows = [SpanTracker(ctx, [ctx.zero] * len(h)).insert(h) for h in hs]
+    rows = [SpanTracker(ctx, [ctx.zero] * len(h)).offer(h) for h in hs]
     points = [(x, s) for x in xs for s in range(len(tail) + 1)]
     column = form.monomials(points, top, rows)
     for a, j in itertools.product(range(top + 1), range(len(hs))):
@@ -417,8 +417,11 @@ def test_fiber_partitions_curve():
 def _streamed_consistent(columns, target, ctx):
     """Stream the columns into a SpanTracker until the target is spanned."""
     tracker = SpanTracker(ctx, target)
-    spanned = tracker.spanned_prefix() == len(target)
-    return spanned or any(tracker.offer(col) for col in columns)
+    for col in columns:
+        if tracker.spanned_prefix() == len(target):
+            break
+        tracker.offer(col)
+    return tracker.spanned_prefix() == len(target)
 
 
 def test_solver_standard_basis(layouts):
@@ -473,7 +476,7 @@ def test_row_op_at_every_pivot_of_a_full_basis(layout):
     for target in (column, [ctx.zero] * (rows - 1) + [ctx.one]):
         tracker = SpanTracker(ctx, target)
         for col in basis + [column]:
-            tracker.insert(col)
+            tracker.offer(col)
         assert tracker.rank == dense_rank(ctx, basis + [column])
         assert ((tracker.spanned_prefix() == rows)
                 == (dense_rank(ctx, basis + [column])
@@ -505,15 +508,19 @@ def test_solver_against_span_enumeration_f4_sampled_3x3(f4):
 
 
 def test_tracker_early_exit(layouts):
+    # offer keeps what a column adds, scaled to 1 at its pivot, and returns
+    # None for a column in the span; a caller stops its stream on
+    # spanned_prefix, which reads the target spanned after one column here
     for ctx in layouts:
         one, zero = ctx.one, ctx.zero
         tracker = SpanTracker(ctx, [one, one])
         assert tracker.spanned_prefix() == 0
-        assert tracker.offer([one, one])
-        # one column spans the target; once spanned, later offers add no pivot
-        assert tracker.rank == 1
-        assert tracker.offer([one, zero])
-        assert tracker.rank == 1
+        kept = tracker.offer([ctx.epsilon, ctx.epsilon])
+        assert int.from_bytes(kept, "big") == ctx.vector_form().vector([one, one])
+        assert (tracker.spanned_prefix(), tracker.rank) == (2, 1)
+        assert tracker.offer([one, one]) is None
+        assert tracker.offer([one, zero]) is not None
+        assert (tracker.spanned_prefix(), tracker.rank) == (2, 2)
 
 
 # ---------------------------------------------------------------------------

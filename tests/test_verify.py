@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hermseq import bounds, cli, complexity, verify
-from hermseq.complexity import PerVariable, TotalDegree
+from hermseq.complexity import PerVariable, TotalDegree, exists_recurrence
 from hermseq.field import FieldContext
 from hermseq.sequence import build_sequence
 from hermseq.verify import (
@@ -73,18 +73,19 @@ def test_exact_complexity_meets_the_collinear_bound(mode_cls, name):
 
 
 def test_bound_check_proves_at_the_ceiling(f9, monkeypatch):
-    # every infeasibility proof runs at window ceil(bound) - 1 of its prefix,
-    # for the bound of the proof's own mode, so a weaker obligation, such as
-    # a floor in place of the ceiling, fails.  A proof may discharge
-    # obligations of the other kind too, so the kinds are not checked apart
-    calls = _spy(monkeypatch, "exists_recurrence")
+    # every walk of the infeasibility proofs runs to window ceil(bound) - 1
+    # of its prefix, for the bound of the walk's own mode, so a weaker
+    # obligation, such as a floor in place of the ceiling, fails.  A proof
+    # may discharge obligations of the other kind too, so the kinds are not
+    # checked apart
+    calls = _spy_walk(monkeypatch)
     for ell in (2, 3):
         calls.clear()
         assert all(r.passed for r in check_bound_consistency(f9, build_sequence(f9, ell), ell))
         assert calls
-        for t, m, mode in calls:
+        for t, mode, top in calls:
             name = "N_collinear" if isinstance(mode, PerVariable) else "L_collinear"
-            assert m == math.ceil(bounds.bound(name, 3, mode.k, ell, len(t))) - 1, (ell, mode, len(t))
+            assert top == math.ceil(bounds.bound(name, 3, mode.k, ell, len(t))) - 1, (ell, mode, len(t))
 
 
 @pytest.mark.parametrize("argv,built", [
@@ -328,17 +329,38 @@ def _spy(monkeypatch, name, flip=lambda t, m, mode: False):
     return calls
 
 
+def _spy_walk(monkeypatch, corrupt=lambda t, mode, m, reach: reach):
+    """Record each walk (t, mode, top) the solver starts, from verify or
+    through exists_recurrence, passing the reach at each m through corrupt."""
+    original, calls = complexity.reaches, []
+
+    def spy(ctx, t, mode, top):
+        calls.append((t, mode, top))
+        return (corrupt(t, mode, m, reach)
+                for m, reach in enumerate(original(ctx, t, mode, top), 1))
+
+    monkeypatch.setattr(complexity, "reaches", spy)
+    monkeypatch.setattr(verify, "reaches", spy)
+    return calls
+
+
 def _oracle_agreement(ctx):
     return verify.check_oracle_agreement(ctx, build_sequence(ctx, 2))
 
 
 def test_oracle_agreement_answers_each_question_once(monkeypatch):
-    solver = _spy(monkeypatch, "exists_recurrence")
+    # the solver walks each (sequence, mode) to window 2 where the sequence
+    # has three terms or more, and keeps one sequence's walks at a time: of
+    # its 631 walks, three repeat, on (0, 3, 0), (1, 1, 0) and
+    # (1, 1, 1, 3, 0, 3) under PerVariable(2), drawn again with a window-2
+    # question their earlier draws did not ask
+    solver = _spy_walk(monkeypatch)
     oracle = _spy(monkeypatch, "brute_force_oracle")
     result = _oracle_agreement(FieldContext(2, 1))
     assert result == CheckResult("oracle-agreement", True,
                                  "1313 comparisons over 200 sequences")
-    assert (len(solver), len(set(solver))) == (1087, 1087)
+    assert (len(solver), len(set(solver))) == (631, 628)
+    assert all(top == min(2, len(t) - 1) for t, _, top in solver)
     assert (len(oracle), len(set(oracle))) == (427, 427)
 
 
@@ -347,8 +369,13 @@ def test_oracle_agreement_settles_exactly(monkeypatch, p, enumerated):
     # with a direct enumeration as the solver, the check passes only if the
     # answer it uses for each distinct question, enumerated or settled by
     # another, is the one the oracle gives when asked that question
+    def enumerated_walk(ctx, t, mode, top):
+        """All of t at each window with a recurrence, else the window."""
+        return (len(t) if complexity.brute_force_oracle(ctx, t, m, mode) else m
+                for m in range(1, top + 1))
+
     oracle = _spy(monkeypatch, "brute_force_oracle")
-    monkeypatch.setattr(verify, "exists_recurrence", complexity.brute_force_oracle)
+    monkeypatch.setattr(verify, "reaches", enumerated_walk)
     assert _oracle_agreement(FieldContext(p, 1)).passed
     assert len(oracle) == enumerated
 
@@ -395,16 +422,20 @@ def test_oracle_agreement_fails_at_each_repeat(monkeypatch, question, failures):
 
 def test_oracle_agreement_fails_where_the_truth_was_settled(monkeypatch):
     # (0, 3, 0), drawn three times, has a window-1 recurrence of degree 1,
-    # which settles its window-2 questions: the oracle never enumerates
-    # them, and a flipped solver answer on one still fails at each repeat
-    def flip(t, m, mode):
-        return (t, m, mode.k) == ((0, 3, 0), 2, 1) and isinstance(mode, TotalDegree)
+    # which settles its window-2 questions, and PerVariable(1)'s answer at
+    # m = 1 settles TotalDegree(1)'s: the oracle never enumerates them, and
+    # a walk corrupted to reach 2 at m = 1 under TotalDegree(1), so that it
+    # finds no recurrence, still fails both its questions at each repeat
+    def flip(t, mode, top=None):
+        return t == (0, 3, 0) and (type(mode), mode.k) == (TotalDegree, 1)
 
-    solver = _spy(monkeypatch, "exists_recurrence", flip)
+    solver = _spy_walk(monkeypatch,
+                       lambda t, mode, m, reach: 2 if flip(t, mode) and m == 1 else reach)
     oracle = _spy(monkeypatch, "brute_force_oracle")
     result = _oracle_agreement(FieldContext(2, 1))
-    assert result == CheckResult("oracle-agreement", False, "; ".join(
-        ["disagree on (0, 3, 0) m=2 TotalDegree(k=1)"] * 3))
+    failures = [f"disagree on (0, 3, 0) m={m} TotalDegree(k=1)" for m in (1, 2)] * 2
+    assert result == CheckResult("oracle-agreement", False,
+                                 "; ".join(failures) + "; ... 6 failures total")
     assert sum(flip(*call) for call in solver) == 1
     assert [(m, mode) for t, m, mode in oracle if t == (0, 3, 0)] == [(1, PerVariable(1))]
 
@@ -474,6 +505,7 @@ def test_bound_obligations_by_explicit_monomial_sets(p, e, proofs, monkeypatch):
         raise AssertionError("bound_obligations asked the solver")
 
     monkeypatch.setattr(verify, "exists_recurrence", refuse)
+    monkeypatch.setattr(verify, "reaches", refuse)
     ctx = FieldContext(p, e)
     for ell in range(2, ctx.q + 1):
         seq = build_sequence(ctx, ell)
@@ -488,47 +520,89 @@ def test_bound_obligations_by_explicit_monomial_sets(p, e, proofs, monkeypatch):
     assert proofs == 0
 
 
-@pytest.mark.parametrize("p,e,proofs", [(3, 1, 10), (2, 2, 44)])
-def test_bound_check_proves_only_the_maximal_obligations(p, e, proofs, monkeypatch):
-    # on the passing path the proofs are exactly bound_obligations' maximal
-    # list, the obligations that no other one covers (84 window lengths at
-    # q = 4 take 44 proofs)
-    calls = _spy(monkeypatch, "exists_recurrence")
+@pytest.mark.parametrize("p,e,chains,proofs", [(3, 1, 7, 10), (2, 2, 25, 44)],
+                         ids=["3-1-10", "2-2-44"])
+def test_bound_check_proves_only_the_maximal_obligations(p, e, chains, proofs, monkeypatch):
+    # on the passing path the proofs read are exactly bound_obligations'
+    # maximal list, the obligations that no other one covers (84 window
+    # lengths at q = 4 take 44 proofs), and they take one walk per (mode,
+    # k), on that group's longest prefix to its largest window
+    calls = _spy_walk(monkeypatch)
     ctx = FieldContext(p, e)
     for ell in range(2, ctx.q + 1):
         calls.clear()
         seq = build_sequence(ctx, ell)
         assert all(r.passed for r in check_bound_consistency(ctx, seq, ell))
         maximal = _maximal(_obligations(ctx.q, ell, len(seq)), _covers)
-        asked = [(type(mode), mode.k, m, len(t)) for t, m, mode in calls]
-        listed = verify.bound_obligations(ctx.q, seq, ell)[1]
-        assert asked == [(_KIND_CLASS[kind], k, m, n) for kind, k, m, n in listed]
-        assert (len(asked), set(asked)) == (len(maximal), maximal)
-        proofs -= len(asked)
-    assert proofs == 0
+        listed = [(_KIND_CLASS[kind], k, m, n)
+                  for kind, k, m, n in verify.bound_obligations(ctx.q, seq, ell)[1]]
+        assert (len(listed), set(listed)) == (len(maximal), maximal)
+        groups = {}
+        for mode_cls, k, m, n in listed:
+            groups.setdefault((mode_cls, k), []).append((m, n))
+        walked = [(type(mode), mode.k, top, len(t)) for t, mode, top in calls]
+        assert walked == [(*group, max(m for m, _ in obs), max(n for _, n in obs))
+                          for group, obs in groups.items()]
+        assert all(t == seq[:len(t)] for t, _, _ in calls)
+        chains -= len(walked)
+        proofs -= len(listed)
+    assert (chains, proofs) == (0, 0)
+
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
+def test_bound_check_answers_equal_exists_recurrence(p, e, monkeypatch):
+    # each maximal obligation's answer, read off its (mode, k) walk on the
+    # group's longest prefix, equals exists_recurrence on its own prefix, on
+    # every ell's sequence, where no recurrence exists, and on its period-5
+    # copy, where some do; the check passes exactly when none is found
+    original, walks = complexity.reaches, {}
+
+    def recorded(ctx, t, mode, top):
+        walk = walks[type(mode), mode.k] = list(original(ctx, t, mode, top))
+        return iter(walk)
+
+    monkeypatch.setattr(verify, "reaches", recorded)
+    ctx, found = FieldContext(p, e), set()
+    for ell in range(2, ctx.q + 1):
+        seq = build_sequence(ctx, ell)
+        for terms in (seq, tuple(seq[i % 5] for i in range(len(seq)))):
+            walks.clear()
+            results = check_bound_consistency(ctx, terms, ell)
+            reads = []
+            for kind, k, m, n in verify.bound_obligations(ctx.q, terms, ell)[1]:
+                mode = _KIND_CLASS[kind](k)
+                reads.append(max(walks[type(mode), k][:m]) >= n)
+                assert reads[-1] == exists_recurrence(ctx, terms[:n], m, mode), (ell, kind, k, m, n)
+            assert all(r.passed for r in results) == (not any(reads)), ell
+            found.update(reads)
+    assert found == {True, False}
 
 
 def test_bound_check_reproves_what_a_failed_maximal_proof_covered(f9, monkeypatch):
     # a recurrence planted at the maximal per-variable obligation k = 3,
-    # m = 1, n = 14 of q = 3, ell = 3: the obligations it covered fall
-    # through to proofs of their own, and the failure names the same n as a
-    # proof at every point would
+    # m = 1, n = 14 of q = 3, ell = 3, by a walk that reaches 14 at window 1
+    # under PerVariable(3): the obligations it covered fall through to
+    # proofs of their own, and the failure names the same n as a proof at
+    # every point would
     seq = build_sequence(f9, 3)
     planted = (PerVariable, 3, 1, 14)
-    calls = _spy(monkeypatch, "exists_recurrence")
+    listed = verify.bound_obligations(3, seq, 3)[1]
+    assert planted in [(_KIND_CLASS[kind], k, m, n) for kind, k, m, n in listed]
+    chains = _spy_walk(monkeypatch)
     check_bound_consistency(f9, seq, 3)
-    maximal = [(type(mode), mode.k, m, len(t)) for t, m, mode in calls]
-    assert planted in maximal
     monkeypatch.undo()
-    calls = _spy(monkeypatch, "exists_recurrence",
-                 lambda t, m, mode: (type(mode), mode.k, m, len(t)) == planted)
+
+    def corrupt(t, mode, m, reach):
+        return max(reach, 14) if (type(mode), mode.k, m) == planted[:3] else reach
+
+    calls = _spy_walk(monkeypatch, corrupt)
     assert check_bound_consistency(f9, seq, 3) == (
         CheckResult("bound-per-variable[q=3,ell=3]", False,
                     "k=3 n=14: recurrence of length 1 exists below bound"),
         CheckResult("bound-total-degree[q=3,ell=3]", True, "147 grid points"))
-    asked = [(type(mode), mode.k, m, len(t)) for t, m, mode in calls]
-    assert asked[:len(maximal)] == maximal
-    singles = asked[len(maximal):]
+    assert calls[:len(chains)] == chains
+    singles = [(type(mode), mode.k, top, len(t)) for t, mode, top in calls[len(chains):]]
     covered = [o for o in _obligations(3, 3, len(seq)) if o != planted and _covers(planted, o)]
     assert len(covered) == 3
     for mode_cls, k, m, n in covered:
@@ -573,13 +647,17 @@ def test_bound_check_names_a_lone_failure():
 def test_bound_check_asks_each_question_once(monkeypatch):
     # the same period-5 sequence: a maximal proof that finds a recurrence
     # keeps its answer, so the walk that reaches that point asks nothing
-    # again ((56, 3, PerVariable(1)) and (28, 5, TotalDegree(1)) were asked
-    # twice, in 19 calls)
+    # again.  Its six chains and eight fallback walks are all distinct, and
+    # (28, 5, TotalDegree(1)), refuted on the TotalDegree(1) chain over all
+    # 56 terms, starts no walk of its own ((56, 3, PerVariable(1)) and
+    # (28, 5, TotalDegree(1)) were asked twice, in 19 calls, when each
+    # proof was its own call)
     ctx = FieldContext(2, 2)
     seq = build_sequence(ctx, 2)
     terms = tuple(seq[i % 5] for i in range(len(seq)))
-    calls = _spy(monkeypatch, "exists_recurrence")
+    calls = _spy_walk(monkeypatch)
     check_bound_consistency(ctx, terms, 2)
-    asked = [(len(t), m, mode) for t, m, mode in calls]
-    assert (len(asked), len(set(asked))) == (17, 17)
-    assert {(56, 3, PerVariable(1)), (28, 5, TotalDegree(1))} <= set(asked)
+    asked = [(len(t), top, mode) for t, mode, top in calls]
+    assert (len(asked), len(set(asked))) == (14, 14)
+    assert {(56, 3, PerVariable(1)), (56, 8, TotalDegree(1))} <= set(asked)
+    assert not any(n == 28 and mode == TotalDegree(1) for n, _, mode in asked)
