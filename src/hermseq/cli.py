@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 
 from .bounds import (BOUNDS, FIGURE_PRESETS, MAX_Q_BITS, bound, decimal_string,
                      figure_rows, floor_ratios)
-from .complexity import PerVariable, TotalDegree, complexity_profile
+from .complexity import PerVariable, TotalDegree, complexity_profiles
 from .field import Element, FieldContext, _is_prime, element_from_str, element_names
 from .sequence import build_sequence, full_length
 from .verify import run_suite
@@ -115,11 +115,10 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     for n in args.ns:  # stops at the first bad n, at most top + 1 steps
         if not 1 <= n <= top:
             raise ValueError(f"n must be in 1..{top}, got {n}")
-    mode_cls = PerVariable if args.mode == "per-variable" else TotalDegree
-    # one profile per k covers every n, at about the cost of the largest n;
-    # the k grid ascends, so its first mode_cls(k) checks every k
-    prefix = terms[:last]
-    profiles = {k: complexity_profile(ctx, prefix, mode_cls(k)) for k in args.ks}
+    kind = PerVariable if args.mode == "per-variable" else TotalDegree
+    # one walk covers every k and n, at about the cost of the largest k's
+    # profile of the largest n
+    profiles = complexity_profiles(ctx, terms[:last], kind, args.ks)
     return _write_csv(
         args.out, ["n", "k", "mode", "result_kind", "value_or_lo", "hi"],
         (f"{n},{k},{args.mode},exact,{profiles[k][n - 1]},{profiles[k][n - 1]}\n"

@@ -76,54 +76,50 @@ def _within(a: tuple[int, bool, int], b: tuple[int, bool, int]) -> bool:
 
 
 class _Chain:
-    """Suffix levels of one code sequence under one degree mode.
+    """Suffix levels of one code sequence under one degree kind, for every k.
 
-    Level L describes the admissible polynomials in L variables on the
-    windows codes[j:j+L] of codes[:-1]: at[j] is the point number of window
-    j (equal windows share a point), and basis holds (degree tag, values on
-    the points) for a basis of those functions.  Level 0 is the constant 1
-    on the empty window.  Level L+1 is spanned by x_1^a * h for
-    a <= min(k, q^2-1) and h in level L; in total-degree mode only
-    a + tag(h) <= k is offered, lowest degree first, so the vectors tagged
-    <= d span the polynomials of degree <= d.  A level stops once its rank
-    equals its number of points.  Exponents above q^2-1 never yield new
-    functions (x^(q^2) = x pointwise), so they are capped; the degree
+    Level L describes the polynomials in L variables on the windows
+    codes[j:j+L] of codes[:-1]: at[j] is the point number of window j (equal
+    windows share a point), and basis holds (degree tag, values on the
+    points) for a basis of those functions.  Level 0 is the constant 1 on
+    the empty window, tagged 0.  Level L+1 is spanned by x_1^a * h for h in
+    level L, tagged a + tag(h) in total degree and max(a, tag(h)) per
+    variable and offered lowest tag first, so its vectors tagged <= k span
+    the polynomials of degree <= k: each kind is nested in k, and every k
+    reads one chain's low-degree part.  Exponents above q^2-1 never yield
+    new functions (x^(q^2) = x pointwise), so they are capped; the degree
     constraint itself is unchanged by this.
     """
 
-    def __init__(self, ctx: FieldContext, codes: list[int], mode: DegreeMode):
-        self.ctx, self.codes, self.mode = ctx, codes, mode
-        self.top = min(mode.k, ctx.order - 1)
+    def __init__(self, ctx: FieldContext, codes: list[int], kind: type):
+        self.ctx, self.codes, self.per_variable = ctx, codes, kind is PerVariable
         self.at = [0] * len(codes)
         self.basis = [(0, ctx.vector_form().unit)]  # 1 on the empty window
 
-    def products(self, points):
-        """(degree, column) of every admissible x_1^a * h with h in the
-        current level, lowest degree first, on points given as (code of x_1,
+    def products(self, points, top: int):
+        """(tag, column) of every x_1^a * h tagged at most top, with h in the
+        current level, lowest tag first, on points given as (code of x_1,
         point number of the suffix window)."""
-        column = self.ctx.vector_form().monomials(
-            points, self.top, [h for _, h in self.basis])
-        if isinstance(self.mode, PerVariable):
-            for a in range(self.top + 1):
-                for j in range(len(self.basis)):
-                    yield 0, column(a, j)
-            return
-        for degree, a, j in sorted((a + tag, a, j) for a in range(self.top + 1)
-                                   for j, (tag, _) in enumerate(self.basis)
-                                   if a + tag <= self.mode.k):
-            yield degree, column(a, j)
+        cap, pv, basis = min(top, self.ctx.order - 1), self.per_variable, self.basis
+        column = self.ctx.vector_form().monomials(points, cap, [h for _, h in basis])
+        for tag, a, j in sorted((d, a, j) for a in range(cap + 1) for j, (tag, _) in enumerate(basis)
+                                if (d := max(a, tag) if pv else a + tag) <= top):
+            yield tag, column(a, j)
 
-    def step(self) -> int:
-        """Build the next level, m, and return the reach at window m: m + R for
-        the largest R such that codes[:m+R] admits a window-m recurrence.
+    def step(self, ks: list[int]) -> list[int]:
+        """Build the next level, m, and return the reach at window m of each
+        k in ks, ascending: m + R for the largest R such that codes[:m+R]
+        admits a window-m recurrence of degree k.
 
         A point's target is codes[j+m] at its first window j, and stop is the
         first window whose target differs from its point's.  One tracker on
-        the point targets keeps the level's basis; its stream stops at full
-        rank, or once the target is spanned if stop is n-m, as the reach is
-        then all of codes.  Points are numbered by first appearance, so the
-        first R windows cover the points below the one at window R, and R is
-        the lesser of stop and the first window on point spanned_prefix().
+        the point targets keeps the level's basis, and each k reads its
+        spanned_prefix() once the stream passes tag k.  The stream stops at
+        full rank, or once the target is spanned if stop is n-m, as every k
+        still unread then reaches all of codes.  Points are numbered by first
+        appearance, so the first R windows cover the points below the one at
+        window R, and R is the lesser of stop and the first window on point
+        spanned_prefix().
         """
         codes, n = self.codes, len(self.codes)
         number: dict[tuple[int, int], int] = {}
@@ -135,29 +131,33 @@ class _Chain:
         disagree = map(ne, map(target.__getitem__, at), codes[m:])
         stop = next(itertools.compress(itertools.count(), disagree), n - m)
         whole = stop == n - m  # no target disagrees
-        tracker, basis = SpanTracker(self.ctx, target), []
-        stream = () if whole and tracker.spanned_prefix() == rows else self.products(list(number))
+        tracker, basis, covered, unread = SpanTracker(self.ctx, target), [], [], iter(ks)
+        stream = () if whole and tracker.spanned_prefix() == rows else self.products(list(number), ks[-1])
+        k = next(unread)
         for degree, col in stream:
+            while degree > k:  # the stream passes k, never the last
+                covered.append(tracker.spanned_prefix())
+                k = next(unread)
             if (vec := tracker.offer(col)) is not None:
                 basis.append((degree, vec))
                 if len(basis) == rows or whole and tracker.spanned_prefix() == rows:
                     break
         self.basis = basis
-        covered = tracker.spanned_prefix()
-        return m + min(stop, at.index(covered) if covered < rows else n - m)
+        covered += [tracker.spanned_prefix()] * (len(ks) - len(covered))
+        return [m + min(stop, at.index(c) if c < rows else n - m) for c in covered]
 
 
-def reaches(ctx: FieldContext, t, mode: DegreeMode, top: int):
-    """The reach at window m = 1..top (_Chain.step) of one chain over t, cut
-    short once it covers t: t[:n] admits a window-m recurrence iff some m' <=
-    m reaches n, as a window-m' one is a window-m one (_within)."""
-    codes = list(t)
-    chain = _Chain(ctx, codes, mode)
-    for _ in range(top):
-        reach = chain.step()
-        yield reach
-        if reach == len(codes):
-            return
+def reaches(ctx: FieldContext, t, kind: type, tops: dict[int, int]):
+    """The reach (_Chain.step) of each k in tops at window m = 1, 2, .., as
+    one {k: reach} a window, off one chain over t: a k is served to its top
+    window tops[k], or until it covers t, as t[:n] admits a window-m
+    recurrence iff some m' <= m reaches n (_within)."""
+    codes, m, step = list(t), 1, {}
+    chain, live = _Chain(ctx, codes, kind), sorted(tops)
+    while live := [k for k in live if tops[k] >= m and step.get(k, 0) < len(codes)]:
+        step = dict(zip(live, chain.step(live)))
+        yield step
+        m += 1
 
 
 def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
@@ -170,25 +170,34 @@ def exists_recurrence(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
     n = len(codes)
     if not 1 <= m <= n - 1:
         raise ValueError(f"window length must be in 1..{n - 1}, got {m}")
-    return n in reaches(ctx, codes, mode, m)
+    return any(step[mode.k] == n for step in reaches(ctx, codes, type(mode), {mode.k: m}))
 
 
-def complexity_profile(ctx: FieldContext, t, mode: DegreeMode) -> list[int]:
-    """Complexities of every prefix: entry n-1 is the complexity of t[:n].
+def complexity_profiles(ctx: FieldContext, t, kind: type, ks) -> dict[int, list[int]]:
+    """Complexities of every prefix under kind(k) for each k in ks: entry n-1
+    of a k's profile is the complexity of t[:n].
 
     A prefix that is all zero has complexity 0 and a single nonzero term 1.
     The complexity of t[:n] is the least m whose reach is at least n, and
-    one walk on the whole of t serves every prefix, as its levels restrict
-    to each prefix's.  It ends by m = max(len(t)-1, 1), where the constant
-    recurrence covers every prefix.
+    one walk on the whole of t serves every prefix and every k, as its
+    levels restrict to each prefix's.  It ends by m = max(len(t)-1, 1),
+    where the constant recurrence covers every prefix.
     """
     codes = list(t)
     # the all-zero prefixes; every later one has complexity >= 1
-    profile = [0] * next((i for i, c in enumerate(codes) if c), len(codes))
-    if len(profile) < len(codes):
-        for m, reach in enumerate(reaches(ctx, codes, mode, max(len(codes) - 1, 1)), 1):
-            profile += [m] * (reach - len(profile))  # nothing if reach is covered
-    return profile
+    zeros = next((i for i, c in enumerate(codes) if c), len(codes))
+    profiles = {kind(k).k: [0] * zeros for k in ks}  # a mode checks its k
+    if zeros < len(codes):
+        tops = dict.fromkeys(ks, max(len(codes) - 1, 1))
+        for m, step in enumerate(reaches(ctx, codes, kind, tops), 1):
+            for k, reach in step.items():
+                profiles[k] += [m] * (reach - len(profiles[k]))  # nothing if covered
+    return profiles
+
+
+def complexity_profile(ctx: FieldContext, t, mode: DegreeMode) -> list[int]:
+    """Complexities of every prefix under mode (complexity_profiles)."""
+    return complexity_profiles(ctx, t, type(mode), [mode.k])[mode.k]
 
 
 def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode) -> int:

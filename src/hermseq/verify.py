@@ -9,7 +9,6 @@ fully reproducible.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -290,8 +289,9 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
     """Every prefix/degree point must respect the collinear bound of both
     degree disciplines: one CheckResult each, per-variable first.
 
-    Only bound_obligations' maximal list is proven, by one walk per (kind,
-    k) on its longest prefix: (m, n) is refuted iff some m' <= m reaches n.
+    Only bound_obligations' maximal list is proven, by one walk per kind
+    serving each k to its largest window, on the kind's longest prefix:
+    (m, n) is refuted iff some m' <= m reaches n under k.
     Each kind's grid is then walked in order, asking the solver only where
     no proof covers a point (_covered): never on the passing path, and below
     a maximal proof that found a recurrence, at every other obligation it
@@ -299,12 +299,14 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
     """
     grids, maximal = bound_obligations(ctx.q, terms, ell, ks)
     zeros = next((i for i, t in enumerate(terms) if t), len(terms))
-    walks: dict[tuple[str, int], list[int]] = {}
-    for kind, k, m, n in maximal:  # a (kind, k)'s first has its largest m and n
-        if (kind, k) not in walks:
-            walks[kind, k] = list(reaches(ctx, terms[:n], _KINDS[kind][0](k), m))
-    refuted = {(kind, k, m, n) for kind, k, m, n in maximal
-               if max(walks[kind, k][:m]) >= n}
+    refuted = set()
+    for kind, (cls, _) in _KINDS.items():
+        group = [o for o in maximal if o[0] == kind]
+        if group:  # a k's first obligation has its largest m and n
+            tops = {k: m for _, k, m, _ in reversed(group)}
+            walk = list(reaches(ctx, terms[:max(o[3] for o in group)], cls, tops))
+            refuted.update(o for o in group
+                           if max(step.get(o[1], 0) for step in walk[:o[2]]) >= o[3])
     proven = [o for o in maximal if o not in refuted]
 
     def failures(kind):
@@ -342,10 +344,11 @@ def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) ->
     Every sequence runs window 1 under all four modes and window 2 under
     three; per-variable k=2 at window 2, the largest case (9 monomial
     columns, 4^4 sums a half for the oracle), runs on every fourth
-    sequence.  The solver walks a sequence once per mode, and the oracle
-    answers only what no answer it gave on it settles by _within: at m = 1
+    sequence.  The solver walks each distinct (sequence, kind) once, serving
+    each k to the largest window asked of it, and the oracle answers only
+    what no answer it gave on the sequence settles by _within: at m = 1
     PerVariable(k) and TotalDegree(k), both 1, x, .., x^k, share one.  Over
-    GF(4) the 1,313 comparisons take 631 walks and 427 oracle answers.
+    GF(4) the 1,313 comparisons take 314 walks and 427 oracle answers.
     """
     sequences = 200
     modes = [cls(k) for k in (1, 2) for cls in (PerVariable, TotalDegree)]
@@ -361,16 +364,11 @@ def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) ->
             if case % 4 == 0:
                 cases.append((t, 2, per2))
     cases += [(constructed, m, mode) for m in (1, 2) for mode in modes]
-    # one verdict per distinct question, keyed by plain values: a mode's
-    # dataclass hash and eq run in Python
-    verdicts, enumerated = {}, {}
-    walk = functools.lru_cache(maxsize=len(modes))(  # the latest sequence's walks
-        lambda t, cls, k: list(reaches(ctx, t, cls(k), min(2, len(t) - 1))))
 
-    def truth(t, m, mode) -> bool:
-        """The oracle's answer, settled by one it gave on t if one does."""
+    def truth(known, t, m, mode) -> bool:
+        """The oracle's answer, settled by one in known, those it gave on t,
+        if one does."""
         shape = (m, type(mode) is PerVariable, mode.k)
-        known = enumerated.setdefault(t, [])
         for at, found in known:
             if _within(at, shape) if found else _within(shape, at):
                 return found
@@ -378,16 +376,31 @@ def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) ->
         known.append((shape, found))
         return found
 
-    def disagrees(case) -> bool:
-        t, m, mode = case
-        key = (t, m, type(mode), mode.k)
-        if (verdict := verdicts.get(key)) is None:
-            solved = len(t) in walk(t, type(mode), mode.k)[:m]
-            verdict = verdicts[key] = solved != truth(t, m, mode)
-        return verdict
+    # the questions on one sequence are answered together, keyed by plain
+    # values (a mode's dataclass hash and eq run in Python): one walk per
+    # kind, each k to the largest window asked of it, and one verdict per
+    # distinct question
+    bad = [False] * len(cases)  # does the solver disagree on the case?
+    by_sequence = sorted(range(len(cases)), key=lambda i: cases[i][0])  # stable
+    for t, group in itertools.groupby(by_sequence, key=lambda i: cases[i][0]):
+        group = list(group)
+        tops: dict = {}  # kind -> {k: the largest window asked}
+        for i in group:
+            _, m, mode = cases[i]
+            asked = tops.setdefault(type(mode), {})
+            asked[mode.k] = max(asked.get(mode.k, 0), m)
+        walks = {kind: list(reaches(ctx, t, kind, asked)) for kind, asked in tops.items()}
+        known, verdicts = [], {}  # (m, kind, k) -> the verdict
+        for i in group:
+            _, m, mode = cases[i]
+            key = (m, type(mode), mode.k)
+            if (verdict := verdicts.get(key)) is None:
+                solved = any(step.get(mode.k) == len(t) for step in walks[key[1]][:m])
+                verdict = verdicts[key] = solved != truth(known, t, m, mode)
+            bad[i] = verdict
 
-    failures = ("disagree on {} m={} {}".format(*case) for case in cases
-                if disagrees(case))
+    failures = ("disagree on {} m={} {}".format(*case)
+                for case, disagrees in zip(cases, bad) if disagrees)
     return _result("oracle-agreement", failures,
                    f"{len(cases)} comparisons over {sequences} sequences")
 

@@ -360,7 +360,10 @@ def test_bounds_large_prime_quickly(capsys):
 # layout: four 4-bit digits, two 8-bit and two 16-bit digits, and the code
 # in characteristic 2.  The one over GF(3^10), ten 4-bit digits in 64-bit
 # lanes, the widest the lanes take, was recorded before the byte form
-# became the lanes' one-byte case.  A wrong "infeasible" moves a value
+# became the lanes' one-byte case.  The two wide-k profiles at q = 5, k up
+# to 24 per variable, where exponents cap at q^2 - 1, and up to 48 = 2(q^2 -
+# 1) in total degree, were recorded when each k walked its own chain.  A
+# wrong "infeasible" moves a value
 PINS = {
     "verify-default": (["verify"], "perfbench/reference/verify-default/verify.txt.gz"),
     "prove-q4": (["verify", "--p", "2", "--e", "2"],
@@ -390,6 +393,12 @@ PINS = {
     "complexity-q5": (["complexity", "--p", "5", "--ell", "5", "--mode", "per-variable",
                        "--k-range", "1:2", "--n-range", "1:115"],
                       "tests/data/complexity_q5_ell5_per_variable.csv"),
+    "complexity-q5-k24": (["complexity", "--p", "5", "--ell", "5", "--mode", "per-variable",
+                           "--k-range", "1:24", "--n-range", "1:115"],
+                          "tests/data/complexity_q5_ell5_per_variable_k24.csv"),
+    "complexity-q5-k48": (["complexity", "--p", "5", "--ell", "5", "--mode", "total-degree",
+                           "--k-range", "1:48", "--n-range", "1:115"],
+                          "tests/data/complexity_q5_ell5_total_degree_k48.csv"),
     "complexity-q7": (["complexity", "--p", "7", "--ell", "7", "--mode", "total-degree",
                        "--k-range", "1:2", "--n-range", "1:120"],
                       "tests/data/complexity_q7_ell7_total_degree.csv"),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -654,7 +655,8 @@ def test_exists_recurrence_stops_at_the_first_window_that_covers(f4, monkeypatch
     # no level past it
     steps = []
     step = complexity._Chain.step
-    monkeypatch.setattr(complexity._Chain, "step", lambda self: steps.append(self) or step(self))
+    monkeypatch.setattr(complexity._Chain, "step",
+                        lambda self, ks: steps.append(ks) or step(self, ks))
     one, eps = f4.one, f4.epsilon
     # x -> x + one + eps swaps one and eps: a window-1 recurrence of degree 1
     assert exists_recurrence(f4, (one, eps) * 3, 4, PerVariable(1))
@@ -668,7 +670,7 @@ def test_exists_recurrence_stops_at_the_first_window_that_covers(f4, monkeypatch
         for m in range(least, n):
             steps.clear()
             assert exists_recurrence(f4, t, m, mode), (t, mode, m)
-            assert len(steps) == least, (t, mode, m)
+            assert steps == [[mode.k]] * least, (t, mode, m)
         assert least == 1 or not _reference_exists(f4, t, least - 1, mode), (t, mode)
 
 
@@ -702,12 +704,79 @@ def test_reach_matches_reference_where_equal_windows_disagree(p, e):
         alphabet = rng.sample(ctx.elements, rng.choice((2, 3)))
         t = tuple(rng.choice(alphabet) for _ in range(n))
         for mode in (PerVariable(rng.randrange(1, 3)), TotalDegree(rng.randrange(1, 4))):
-            got = list(complexity.reaches(ctx, t, mode, n - 1))
+            got = [step[mode.k] for step in complexity.reaches(ctx, t, type(mode), {mode.k: n - 1})]
             want = [_reference_reach(ctx, t, m, mode) for m in range(1, n)]
             assert got == want[:len(got)] and set(want[len(got) - 1:]) == {n}, (t, mode)
             capped += sum(got[m - 1] == m + _disagreement(t, m) for m in range(1, len(got) + 1)
                           if _disagreement(t, m) is not None)
     assert capped >= 50, capped
+
+
+# one byte a lane over GF(4) and GF(9), two over GF(37^2); k runs above
+# q^2 - 1 over the two small fields, where the reference can still list
+# every monomial
+@pytest.mark.parametrize("p,e,ks", [(2, 1, range(1, 7)), (3, 1, range(1, 11)),
+                                    (37, 1, range(1, 5))])
+def test_graded_walk_matches_reference_for_every_k(p, e, ks, monkeypatch):
+    # one walk serves a random set of ks, each to a random top window:
+    # every k's reach at every window it is served equals its own reference
+    # reach, and a k leaves the walk at its top or once it covers t.
+    # Random, periodic, field-cycle and quadratic-map sequences make both
+    # in-level stops happen: full rank before the last product, and the
+    # target spanned inside a degree block above a smaller k still served
+    ctx = FieldContext(p, e)
+    rng = random.Random(p * 37 + e)
+    stops = {"full rank": 0, "spanned": 0}
+    products, step = complexity._Chain.products, complexity._Chain.step
+
+    def traced(self, points, top):
+        self.stream = products(self, points, top)
+        for self.last in self.stream:
+            yield self.last
+
+    def stepped(self, ks):
+        self.stream = None
+        reaches = step(self, ks)
+        if self.stream is not None and next(self.stream, None) is not None:
+            if len(self.basis) == len(set(self.at)):
+                stops["full rank"] += 1
+            elif self.last[0] > ks[0]:
+                stops["spanned"] += 1
+        return reaches
+
+    monkeypatch.setattr(complexity._Chain, "products", traced)
+    monkeypatch.setattr(complexity._Chain, "step", stepped)
+    for _ in range(80):
+        n = rng.randrange(3, 9)
+        alphabet = rng.sample(ctx.elements, rng.choice((2, 3, ctx.order)))
+        t = [rng.choice(alphabet) for _ in range(n)]
+        if rng.random() < 0.3:
+            period = rng.randrange(1, 4)
+            t = [t[i % period] for i in range(n)]
+        elif ctx.order < 16 and rng.random() < 0.5:
+            # t_{i+1} = f(t_i) for f a cycle through the field: of degree at
+            # most order - 2, so it is spanned short of full rank
+            cycle = rng.sample(ctx.elements, ctx.order)
+            t = [cycle[i % ctx.order] for i in range(ctx.order + 2)]
+        elif rng.random() < 0.5:  # t_{i+1} = f(t_i), f of degree 2
+            f = [rng.choice(ctx.elements) for _ in range(3)]
+            for i in range(1, n):
+                x = t[i - 1]
+                t[i] = functools.reduce(ctx.add, map(ctx.mul, f, (ctx.one, x, ctx.mul(x, x))))
+        t, n = tuple(t), len(t)
+        for kind in (PerVariable, TotalDegree):
+            tops = {k: rng.randrange(1, min(n - 1, 3) + 1)
+                    for k in rng.sample(ks, rng.randrange(2, 4))}
+            got = {k: [] for k in tops}
+            for m, reaches in enumerate(complexity.reaches(ctx, t, kind, tops), 1):
+                for k, reach in reaches.items():
+                    assert len(got[k]) == m - 1, (t, kind, tops)
+                    got[k].append(reach)
+            for k, reach in got.items():
+                want = [_reference_reach(ctx, t, m, kind(k)) for m in range(1, tops[k] + 1)]
+                covers = want.index(n) + 1 if n in want else tops[k]
+                assert reach == want[:covers], (t, kind, k, tops)
+    assert min(stops.values()) >= 15, stops
 
 
 def _reference_profile(ctx, terms, mode):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -73,19 +74,37 @@ def test_exact_complexity_meets_the_collinear_bound(mode_cls, name):
 
 
 def test_bound_check_proves_at_the_ceiling(f9, monkeypatch):
-    # every walk of the infeasibility proofs runs to window ceil(bound) - 1
-    # of its prefix, for the bound of the walk's own mode, so a weaker
-    # obligation, such as a floor in place of the ceiling, fails.  A proof
-    # may discharge obligations of the other kind too, so the kinds are not
-    # checked apart
+    # every walk of the infeasibility proofs serves each k to window
+    # ceil(bound) - 1 of k's own longest maximal prefix, for the bound of
+    # the walk's own kind, and runs on the longest of those prefixes, so a
+    # weaker obligation, such as a floor in place of the ceiling, fails for
+    # any k.  A proof may discharge obligations of the other kind too, so
+    # the kinds are not checked apart
     calls = _spy_walk(monkeypatch)
+    pinned = {2: {PerVariable: {1: 2, 2: 1}, TotalDegree: {1: 3}},
+              3: {PerVariable: {1: 3, 2: 2, 3: 1, 5: 1}}}
     for ell in (2, 3):
         calls.clear()
-        assert all(r.passed for r in check_bound_consistency(f9, build_sequence(f9, ell), ell))
-        assert calls
-        for t, mode, top in calls:
-            name = "N_collinear" if isinstance(mode, PerVariable) else "L_collinear"
-            assert top == math.ceil(bounds.bound(name, 3, mode.k, ell, len(t))) - 1, (ell, mode, len(t))
+        seq = build_sequence(f9, ell)
+        assert all(r.passed for r in check_bound_consistency(f9, seq, ell))
+        _, maximal = verify.bound_obligations(3, seq, ell)
+        assert len(calls) == len(pinned[ell])  # one walk per kind
+        assert {kind: tops for _, kind, tops in calls} == pinned[ell]
+        for t, kind, tops in calls:
+            name = "N_collinear" if kind is PerVariable else "L_collinear"
+
+            def window(k, n):
+                return math.ceil(bounds.bound(name, 3, k, ell, n)) - 1
+
+            longest = {}  # k -> its longest maximal prefix under this kind
+            for o_kind, k, _, n in maximal:
+                if (o_kind == "per-variable") == (kind is PerVariable):
+                    longest[k] = max(longest.get(k, 0), n)
+            assert tops.keys() == longest.keys(), (ell, kind)
+            assert len(t) == max(longest.values()), (ell, kind)
+            for k, top in tops.items():
+                assert top == window(k, longest[k]), (ell, kind, k)
+            assert any(top == window(k, len(t)) for k, top in tops.items()), (ell, kind)
 
 
 @pytest.mark.parametrize("argv,built", [
@@ -329,15 +348,16 @@ def _spy(monkeypatch, name, flip=lambda t, m, mode: False):
     return calls
 
 
-def _spy_walk(monkeypatch, corrupt=lambda t, mode, m, reach: reach):
-    """Record each walk (t, mode, top) the solver starts, from verify or
-    through exists_recurrence, passing the reach at each m through corrupt."""
+def _spy_walk(monkeypatch, corrupt=lambda t, kind, k, m, reach: reach):
+    """Record each walk (t, kind, tops) the solver starts, from verify or
+    through exists_recurrence, passing the reach of each k at each m
+    through corrupt."""
     original, calls = complexity.reaches, []
 
-    def spy(ctx, t, mode, top):
-        calls.append((t, mode, top))
-        return (corrupt(t, mode, m, reach)
-                for m, reach in enumerate(original(ctx, t, mode, top), 1))
+    def spy(ctx, t, kind, tops):
+        calls.append((t, kind, tops))
+        return ({k: corrupt(t, kind, k, m, reach) for k, reach in step.items()}
+                for m, step in enumerate(original(ctx, t, kind, tops), 1))
 
     monkeypatch.setattr(complexity, "reaches", spy)
     monkeypatch.setattr(verify, "reaches", spy)
@@ -349,18 +369,22 @@ def _oracle_agreement(ctx):
 
 
 def test_oracle_agreement_answers_each_question_once(monkeypatch):
-    # the solver walks each (sequence, mode) to window 2 where the sequence
-    # has three terms or more, and keeps one sequence's walks at a time: of
-    # its 631 walks, three repeat, on (0, 3, 0), (1, 1, 0) and
-    # (1, 1, 1, 3, 0, 3) under PerVariable(2), drawn again with a window-2
-    # question their earlier draws did not ask
+    # the solver walks each distinct (sequence, kind) once, 314 walks over
+    # the 157 distinct sequences, serving each k to the largest window asked
+    # of it: window 2 where the sequence has three terms or more, but under
+    # PerVariable(2) only on the 36 sequences that every fourth draw asks it
     solver = _spy_walk(monkeypatch)
     oracle = _spy(monkeypatch, "brute_force_oracle")
     result = _oracle_agreement(FieldContext(2, 1))
     assert result == CheckResult("oracle-agreement", True,
                                  "1313 comparisons over 200 sequences")
-    assert (len(solver), len(set(solver))) == (631, 628)
-    assert all(top == min(2, len(t) - 1) for t, _, top in solver)
+    walks = [(t, kind, tuple(tops.items())) for t, kind, tops in solver]
+    assert (len(walks), len(set(walks))) == (314, 314)
+    assert collections.Counter((kind, tops) for _, kind, tops in walks) == {
+        (TotalDegree, ((1, 2), (2, 2))): 141, (TotalDegree, ((1, 1), (2, 1))): 16,
+        (PerVariable, ((1, 2), (2, 2))): 36, (PerVariable, ((1, 2), (2, 1))): 105,
+        (PerVariable, ((1, 1), (2, 1))): 16}
+    assert all(max(tops.values()) == min(2, len(t) - 1) for t, _, tops in solver)
     assert (len(oracle), len(set(oracle))) == (427, 427)
 
 
@@ -369,10 +393,11 @@ def test_oracle_agreement_settles_exactly(monkeypatch, p, enumerated):
     # with a direct enumeration as the solver, the check passes only if the
     # answer it uses for each distinct question, enumerated or settled by
     # another, is the one the oracle gives when asked that question
-    def enumerated_walk(ctx, t, mode, top):
+    def enumerated_walk(ctx, t, kind, tops):
         """All of t at each window with a recurrence, else the window."""
-        return (len(t) if complexity.brute_force_oracle(ctx, t, m, mode) else m
-                for m in range(1, top + 1))
+        return ({k: len(t) if complexity.brute_force_oracle(ctx, t, m, kind(k)) else m
+                 for k, top in tops.items() if m <= top}
+                for m in range(1, max(tops.values()) + 1))
 
     oracle = _spy(monkeypatch, "brute_force_oracle")
     monkeypatch.setattr(verify, "reaches", enumerated_walk)
@@ -403,7 +428,8 @@ def test_oracle_agreement_calls_no_mode_hash_or_eq(monkeypatch):
     # (3, 3, 2) is drawn three times, so its window-2 questions repeat
     (((3, 3, 2), 2, 1), ["disagree on (3, 3, 2) m=2 TotalDegree(k=1)"] * 3),
     # (2, 0) is drawn seven times; at m = 1 one oracle answer serves both
-    # modes with k = 1, so the flip fails 14 comparisons and the cap stops it
+    # modes with k = 1, so the flip fails 14 comparisons and the cap stops
+    # the report
     (((2, 0), 1, 1), ["disagree on (2, 0) m=1 PerVariable(k=1)",
                       "disagree on (2, 0) m=1 TotalDegree(k=1)"] * 2
      + ["... stopped after 7 failures"]),
@@ -426,17 +452,17 @@ def test_oracle_agreement_fails_where_the_truth_was_settled(monkeypatch):
     # m = 1 settles TotalDegree(1)'s: the oracle never enumerates them, and
     # a walk corrupted to reach 2 at m = 1 under TotalDegree(1), so that it
     # finds no recurrence, still fails both its questions at each repeat
-    def flip(t, mode, top=None):
-        return t == (0, 3, 0) and (type(mode), mode.k) == (TotalDegree, 1)
+    def flip(t, kind, k):
+        return t == (0, 3, 0) and (kind, k) == (TotalDegree, 1)
 
     solver = _spy_walk(monkeypatch,
-                       lambda t, mode, m, reach: 2 if flip(t, mode) and m == 1 else reach)
+                       lambda t, kind, k, m, reach: 2 if flip(t, kind, k) and m == 1 else reach)
     oracle = _spy(monkeypatch, "brute_force_oracle")
     result = _oracle_agreement(FieldContext(2, 1))
     failures = [f"disagree on (0, 3, 0) m={m} TotalDegree(k=1)" for m in (1, 2)] * 2
     assert result == CheckResult("oracle-agreement", False,
                                  "; ".join(failures) + "; ... 6 failures total")
-    assert sum(flip(*call) for call in solver) == 1
+    assert sum(flip(t, kind, 1) and 1 in tops for t, kind, tops in solver) == 1
     assert [(m, mode) for t, m, mode in oracle if t == (0, 3, 0)] == [(1, PerVariable(1))]
 
 
@@ -520,13 +546,13 @@ def test_bound_obligations_by_explicit_monomial_sets(p, e, proofs, monkeypatch):
     assert proofs == 0
 
 
-@pytest.mark.parametrize("p,e,chains,proofs", [(3, 1, 7, 10), (2, 2, 25, 44)],
+@pytest.mark.parametrize("p,e,chains,proofs", [(3, 1, 3, 10), (2, 2, 6, 44)],
                          ids=["3-1-10", "2-2-44"])
 def test_bound_check_proves_only_the_maximal_obligations(p, e, chains, proofs, monkeypatch):
     # on the passing path the proofs read are exactly bound_obligations'
     # maximal list, the obligations that no other one covers (84 window
-    # lengths at q = 4 take 44 proofs), and they take one walk per (mode,
-    # k), on that group's longest prefix to its largest window
+    # lengths at q = 4 take 44 proofs), and they take one walk per kind, on
+    # that kind's longest prefix, serving each k to its largest window
     calls = _spy_walk(monkeypatch)
     ctx = FieldContext(p, e)
     for ell in range(2, ctx.q + 1):
@@ -537,12 +563,13 @@ def test_bound_check_proves_only_the_maximal_obligations(p, e, chains, proofs, m
         listed = [(_KIND_CLASS[kind], k, m, n)
                   for kind, k, m, n in verify.bound_obligations(ctx.q, seq, ell)[1]]
         assert (len(listed), set(listed)) == (len(maximal), maximal)
-        groups = {}
+        groups = {PerVariable: {}, TotalDegree: {}}
         for mode_cls, k, m, n in listed:
-            groups.setdefault((mode_cls, k), []).append((m, n))
-        walked = [(type(mode), mode.k, top, len(t)) for t, mode, top in calls]
-        assert walked == [(*group, max(m for m, _ in obs), max(n for _, n in obs))
-                          for group, obs in groups.items()]
+            groups[mode_cls].setdefault(k, []).append((m, n))
+        walked = [(kind, tops, len(t)) for t, kind, tops in calls]
+        assert walked == [(kind, {k: max(m for m, _ in obs) for k, obs in ks.items()},
+                           max(n for obs in ks.values() for _, n in obs))
+                          for kind, ks in groups.items() if ks]
         assert all(t == seq[:len(t)] for t, _, _ in calls)
         chains -= len(walked)
         proofs -= len(listed)
@@ -552,14 +579,14 @@ def test_bound_check_proves_only_the_maximal_obligations(p, e, chains, proofs, m
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
 def test_bound_check_answers_equal_exists_recurrence(p, e, monkeypatch):
-    # each maximal obligation's answer, read off its (mode, k) walk on the
-    # group's longest prefix, equals exists_recurrence on its own prefix, on
+    # each maximal obligation's answer, read off its kind's walk on the
+    # kind's longest prefix, equals exists_recurrence on its own prefix, on
     # every ell's sequence, where no recurrence exists, and on its period-5
     # copy, where some do; the check passes exactly when none is found
     original, walks = complexity.reaches, {}
 
-    def recorded(ctx, t, mode, top):
-        walk = walks[type(mode), mode.k] = list(original(ctx, t, mode, top))
+    def recorded(ctx, t, kind, tops):
+        walk = walks[kind] = list(original(ctx, t, kind, tops))
         return iter(walk)
 
     monkeypatch.setattr(verify, "reaches", recorded)
@@ -572,7 +599,7 @@ def test_bound_check_answers_equal_exists_recurrence(p, e, monkeypatch):
             reads = []
             for kind, k, m, n in verify.bound_obligations(ctx.q, terms, ell)[1]:
                 mode = _KIND_CLASS[kind](k)
-                reads.append(max(walks[type(mode), k][:m]) >= n)
+                reads.append(max(step.get(k, 0) for step in walks[type(mode)][:m]) >= n)
                 assert reads[-1] == exists_recurrence(ctx, terms[:n], m, mode), (ell, kind, k, m, n)
             assert all(r.passed for r in results) == (not any(reads)), ell
             found.update(reads)
@@ -593,8 +620,8 @@ def test_bound_check_reproves_what_a_failed_maximal_proof_covered(f9, monkeypatc
     check_bound_consistency(f9, seq, 3)
     monkeypatch.undo()
 
-    def corrupt(t, mode, m, reach):
-        return max(reach, 14) if (type(mode), mode.k, m) == planted[:3] else reach
+    def corrupt(t, kind, k, m, reach):
+        return max(reach, 14) if (kind, k, m) == planted[:3] else reach
 
     calls = _spy_walk(monkeypatch, corrupt)
     assert check_bound_consistency(f9, seq, 3) == (
@@ -602,7 +629,8 @@ def test_bound_check_reproves_what_a_failed_maximal_proof_covered(f9, monkeypatc
                     "k=3 n=14: recurrence of length 1 exists below bound"),
         CheckResult("bound-total-degree[q=3,ell=3]", True, "147 grid points"))
     assert calls[:len(chains)] == chains
-    singles = [(type(mode), mode.k, top, len(t)) for t, mode, top in calls[len(chains):]]
+    singles = [(kind, k, top, len(t)) for t, kind, tops in calls[len(chains):]
+               for k, top in tops.items()]
     covered = [o for o in _obligations(3, 3, len(seq)) if o != planted and _covers(planted, o)]
     assert len(covered) == 3
     for mode_cls, k, m, n in covered:
@@ -647,9 +675,9 @@ def test_bound_check_names_a_lone_failure():
 def test_bound_check_asks_each_question_once(monkeypatch):
     # the same period-5 sequence: a maximal proof that finds a recurrence
     # keeps its answer, so the walk that reaches that point asks nothing
-    # again.  Its six chains and eight fallback walks are all distinct, and
-    # (28, 5, TotalDegree(1)), refuted on the TotalDegree(1) chain over all
-    # 56 terms, starts no walk of its own ((56, 3, PerVariable(1)) and
+    # again.  Its two walks, one per kind, and eight fallback walks are all
+    # distinct, and (28, 5, TotalDegree(1)), refuted on the total-degree walk
+    # over all 56 terms, starts no walk of its own ((56, 3, PerVariable(1)) and
     # (28, 5, TotalDegree(1)) were asked twice, in 19 calls, when each
     # proof was its own call)
     ctx = FieldContext(2, 2)
@@ -657,7 +685,7 @@ def test_bound_check_asks_each_question_once(monkeypatch):
     terms = tuple(seq[i % 5] for i in range(len(seq)))
     calls = _spy_walk(monkeypatch)
     check_bound_consistency(ctx, terms, 2)
-    asked = [(len(t), top, mode) for t, mode, top in calls]
-    assert (len(asked), len(set(asked))) == (14, 14)
-    assert {(56, 3, PerVariable(1)), (56, 8, TotalDegree(1))} <= set(asked)
-    assert not any(n == 28 and mode == TotalDegree(1) for n, _, mode in asked)
+    asked = [(len(t), kind, tuple(tops.items())) for t, kind, tops in calls]
+    assert (len(asked), len(set(asked))) == (10, 10)
+    assert {(56, PerVariable, ((1, 3),)), (56, TotalDegree, ((1, 8), (2, 5), (3, 3)))} <= set(asked)
+    assert not any(n == 28 and kind is TotalDegree for n, kind, _ in asked)
