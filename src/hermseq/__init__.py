@@ -16,8 +16,8 @@ from .complexity import (
     DegreeMode,
     PerVariable,
     TotalDegree,
-    brute_force_oracle,
     complexity_profile,
+    dense_reference,
     exists_recurrence,
     nonlinear_complexity,
 )

@@ -19,21 +19,18 @@ incremental span tracker in the context's vector form: one lane of F_p
 digits per row, a byte for q in {2, 3, 4, 5, 7, 8} and wider elsewhere.
 Every reader walks one chain (reaches), whose steps each build a level and
 read the longest prefix its window length covers in one elimination.  A
-brute-force oracle provides an independent ground truth at small sizes: it
-searches every coefficient assignment of the full monomial basis, meeting
-in the middle between the spans of two halves of the columns, without
-elimination, on tables of the field's log and Zech mul and add
-(FieldContext.mul_add_tables), so it shares no arithmetic with the solver.
+dense reference provides an independent ground truth: it eliminates the
+full monomial basis on the field's scalar arithmetic (dense_reference), so
+it shares no code with the solver.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
-from operator import getitem, ne
-from typing import Union
+from operator import ne
+from typing import Optional, Union
 
 from .field import FieldContext, SpanTracker
 
@@ -213,75 +210,54 @@ def nonlinear_complexity(ctx: FieldContext, t, mode: DegreeMode) -> int:
 @functools.lru_cache(maxsize=64)  # the verify suite asks 8 shapes
 def _exponents(m: int, per_variable: bool, k: int) -> tuple[tuple[int, ...], ...]:
     """The exponent vectors of every monomial in m variables of degree at
-    most k in each variable or in total, uncapped: the oracle's full basis
-    (at most 33 monomials), keyed by plain values, as a mode's dataclass
-    hash runs in Python."""
+    most k in each variable or in total, uncapped: the dense reference's
+    full basis, keyed by plain values, as a mode's dataclass hash runs in
+    Python."""
     return tuple(a for a in itertools.product(range(k + 1), repeat=m)
                  if per_variable or sum(a) <= k)
 
 
-def brute_force_oracle(ctx: FieldContext, t, m: int, mode: DegreeMode) -> bool:
-    """Ground truth for exists_recurrence by exhaustive search.
+def dense_reference(ctx: FieldContext, t, m: int, exponents) -> Optional[int]:
+    """Ground truth for exists_recurrence: the least c such that t[m:] lies
+    in the span of the first c columns, where column i holds the monomial
+    with exponent vector exponents[i] on each window of t, or None if not
+    even all of them span it.
 
-    Builds one column per monomial of the full (uncapped) monomial basis
-    (_exponents) on every window, and decides whether some
-    coefficient assignment sums the columns to the target t[m:].  Its
-    arithmetic is lookups in ctx.mul_add_tables(), rows built from the
-    field's log and Zech mul and add, never the solver's vector form, and
-    each column, multiple or sum is one C-level map over those rows.  The
-    search meets in the middle: it looks up target + s in the left half's
-    span for each s in the right half's span, which holds -s too, so it
-    stays exhaustive and free of elimination at |F|^min(half, r) sums a
-    half (4^4, not 4^9, for k = 2 per variable, m = 2, six terms, GF(4)).
-    A half's span grows one column at a time; the zero vector's sums with
-    the column's multiples are the multiples themselves, so they go in as
-    they are.  A column's multiples are read off the mul rows of its own
-    entries, so the tables hold the rows the question reads, not the field's
-    square.  Refuses, before listing a monomial, when a half has more
-    than 16 columns or the larger half's table of |F|^min(half, r) sums
-    exceeds 2**16.  The answer depends on t, m and the monomial set alone,
-    so verify's oracle-agreement check settles questions by _within.
+    It builds the full (uncapped) monomial columns and eliminates them one
+    at a time, Gaussian elimination on ctx.mul, ctx.sub, ctx.inv and
+    ctx.pow alone, reducing the target as each pivot is found, and stops
+    as soon as the target is spanned.  It shares no code with the solver:
+    no vector form, SpanTracker or _Chain.  A caller with nested monomial
+    sets lists each set's exponents before the rest of the next (as
+    _exponents lists them for one set); a set of s monomials then admits a
+    window-m recurrence on t iff the answer is at most s, so one call
+    decides them all.
     """
     terms = tuple(t)
     n = len(terms)
     if not 1 <= m <= n - 1:
         raise ValueError(f"window length must be in 1..{n - 1}, got {m}")
-    per_variable = isinstance(mode, PerVariable)
-    count = (mode.k + 1) ** m if per_variable else math.comb(m + mode.k, mode.k)
-    half, r = count // 2, n - m
-    # a larger half of more than 16 columns is refused by its count, before
-    # any monomial is listed; a smaller one spans at most r dimensions, so
-    # its table holds |F|^min(columns, r) sums
-    dims = count - half if count - half > 16 else min(count - half, r)
-    if count - half > 16 or ctx.order ** dims > 1 << 16:
-        raise ValueError(f"enumeration too large: a table of {ctx.order}^{dims} sums")
-    mul, add = ctx.mul_add_tables()
-    muls, adds = mul.__getitem__, add.__getitem__
+    mul, sub, zero = ctx.mul, ctx.sub, ctx.zero
+    residual = list(terms[m:])
+    basis = []  # (pivot row, column): one at its pivot, zero at earlier pivots
+    for c, alpha in enumerate(exponents):
+        if not any(residual):  # zero's code is 0
+            return c
+        col = [ctx.one] * (n - m)
+        for j, a in enumerate(alpha):
+            if a:
+                col = [mul(v, ctx.pow(x, a)) for v, x in zip(col, terms[j:j + n - m])]
+        for row, vec in basis:
+            if (f := col[row]) != zero:
+                col = [sub(v, mul(f, w)) for v, w in zip(col, vec)]
+        row = next((i for i, v in enumerate(col) if v != zero), None)
+        if row is not None:
+            inv = ctx.inv(col[row])
+            basis.append((row, vec := [mul(inv, v) for v in col]))
+            if (f := residual[row]) != zero:
+                residual = [sub(v, mul(f, w)) for v, w in zip(residual, vec)]
+    return None if any(residual) else len(exponents)
 
-    def times(u, v) -> tuple:
-        """The entrywise product of two columns."""
-        return tuple(map(getitem, map(muls, u), v))
 
-    power = [(ctx.one,) * (n - 1)]  # power[a]: x^a for each x in terms[:-1]
-    for _ in range(mode.k):
-        power.append(times(power[-1], terms[:-1]))
-    powers = [[xa[j:j + r] for xa in power] for j in range(m)]  # x_{j+1}^a by window
-    columns = [functools.reduce(times, map(getitem, powers, alpha))
-               for alpha in _exponents(m, per_variable, mode.k)]
-    full, origin = ctx.order ** r, (ctx.zero,) * r
-
-    def sums(cols) -> set:
-        """Every sum of c_i * col_i, a subspace: a column in it adds nothing."""
-        acc = {origin}
-        for col in cols:
-            if len(acc) < full and col not in acc:
-                multiples = list(zip(*map(muls, col)))[1:]  # c * col for c != 0
-                acc |= {tuple(map(getitem, rows, v))
-                        for rows in [list(map(adds, s)) for s in acc if s != origin]
-                        for v in multiples}
-                acc.update(multiples)
-        return acc
-
-    left, target = sums(columns[:half]), list(map(adds, terms[m:]))  # target's add rows
-    return (len(left) == full or terms[m:] in left
-            or any(tuple(map(getitem, target, s)) in left for s in sums(columns[half:])))
+# perfbench/spans.py traces the reference by this name
+brute_force_oracle = dense_reference

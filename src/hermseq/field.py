@@ -11,11 +11,11 @@ smallest primitive element, so two runs always agree element for element.
 Every operation is a pure function of its inputs: mul, inv and pow read
 log/antilog tables on epsilon, add, sub and neg its Zech logarithms, and
 mul_row, sub_row, add_rows, log_row and exp_row return a whole row per
-call.  add_rows XORs codes in characteristic 2, but add stays on Zech logs:
-the brute-force oracle looks up rows of mul and add (mul_add_tables()) and
-shares no XOR with the solver.  The fiber table, those rows and the
-solver's vector form are built on first use and cached, so callers that
-never run the solver never pay for the latter.
+call.  add_rows XORs codes in characteristic 2, but add stays on Zech logs,
+so the dense reference, which computes on add, sub, mul, inv and pow alone,
+shares no XOR with the solver.  The fiber table and the solver's vector
+form are built on first use and cached, so callers that never run the
+solver never pay for the latter.
 
 The field picks the vector form that SpanTracker and the suffix chain
 compute in (vector_form()).  Both keep a vector as one int with a lane of
@@ -189,7 +189,6 @@ class FieldContext:
         # slows every later self.x read, add by about 70% on CPython 3.11
         self._fibers: Optional[dict[Element, tuple[Element, ...]]] = None
         self._vector_form = None
-        self._mul_add_tables = (_Rows(self.mul, self._codes), _Rows(self.add, self._codes))
 
     # -- construction helpers ------------------------------------------------
 
@@ -357,13 +356,6 @@ class FieldContext:
         exp, n = self._exp, self.order - 1
         return [exp[s % n] for s in logs]
 
-    def mul_add_tables(self) -> tuple[dict, dict]:
-        """(mul, add): entry [a][b] is the code of mul(a, b) or add(a, b).
-        Each row is built from those two calls on its first read (_Rows) and
-        kept with the context, so the brute-force oracle looks its
-        arithmetic up without sharing any with the vector form."""
-        return self._mul_add_tables
-
     # -- the curve fiber ------------------------------------------------------
 
     def hermitian_fiber(self, a: Element) -> tuple[Element, ...]:
@@ -424,22 +416,9 @@ def element_from_str(text: str, ctx: FieldContext) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# the oracle's lazy tables, and the solver's lanes of F_p digits: one byte
-# per row, or wider lanes with greased basis entries
+# the solver's lanes of F_p digits: one byte per row, or wider lanes with
+# greased basis entries
 # ---------------------------------------------------------------------------
-
-class _Rows(dict):
-    """A table of op(a, b) for every code b in one row per code a, the row
-    built on a's first read and kept, so later reads are C-level lookups."""
-    __slots__ = ("op", "codes")
-
-    def __init__(self, op, codes: list[int]):
-        self.op, self.codes = op, codes
-
-    def __missing__(self, a: int) -> list[int]:
-        row = self[a] = list(map(self.op, [a] * len(self.codes), self.codes))
-        return row
-
 
 class _LaneVectors:
     """Vectors as ints of lanes, one lane per row, row 0 most significant.

@@ -9,6 +9,7 @@ fully reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -19,8 +20,9 @@ from . import bounds as bnd
 from .complexity import (
     PerVariable,
     TotalDegree,
+    _exponents,
     _within,
-    brute_force_oracle,
+    dense_reference,
     exists_recurrence,
     reaches,
 )
@@ -228,7 +230,7 @@ def check_sequence_layer(ctx: FieldContext,
 
 
 # ---------------------------------------------------------------------------
-# complexity layer: bound consistency and oracle agreement
+# complexity layer: bound consistency and reference agreement
 # ---------------------------------------------------------------------------
 
 def _covered(proofs, kind: str, k: int, m: int, n: int) -> bool:
@@ -336,19 +338,40 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
                  for kind in _KINDS)
 
 
+@functools.lru_cache(maxsize=16)  # the oracle-agreement check asks 3 sets
+def _nested_columns(shapes: tuple) -> tuple[tuple[int, ...], ...]:
+    """The exponent vectors of the shapes (m, per_variable, k) of one window
+    in order of size, each shape's listed before the rest of the next, so
+    the first len(_exponents(*shape)) columns are exactly its monomials.
+    Raises if a shape does not contain the one before it."""
+    columns: list[tuple[int, ...]] = []
+    for shape in sorted(shapes, key=lambda shape: len(_exponents(*shape))):
+        exponents, listed = _exponents(*shape), set(columns)
+        columns += [a for a in exponents if a not in listed]
+        if len(columns) != len(exponents):
+            raise ValueError(f"shape {shape} does not contain the shape before it")
+    return tuple(columns)
+
+
 def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) -> CheckResult:
-    """Solver vs brute-force oracle on 200 random sequences (seed 2024;
+    """Solver vs dense reference on 200 random sequences (seed 2024;
     n <= 6, m <= 2, k <= 2, both modes) and on the constructed ell = 2
     sequence, which the caller builds.
 
     Every sequence runs window 1 under all four modes and window 2 under
     three; per-variable k=2 at window 2, the largest case (9 monomial
-    columns, 4^4 sums a half for the oracle), runs on every fourth
-    sequence.  The solver walks each distinct (sequence, kind) once, serving
-    each k to the largest window asked of it, and the oracle answers only
-    what no answer it gave on the sequence settles by _within: at m = 1
-    PerVariable(k) and TotalDegree(k), both 1, x, .., x^k, share one.  Over
-    GF(4) the 1,313 comparisons take 314 walks and 427 oracle answers.
+    columns), runs on every fourth sequence.  The modes asked at one window
+    are nested monomial sets (TD(1) in PV(1) in TD(2) in PV(2) at m = 2,
+    and PV(k) = TD(k) at m = 1), so one dense_reference call per distinct
+    (sequence, window), on columns listed in that order (_nested_columns),
+    answers them all: a set of s monomials is feasible iff the answer is at
+    most s.  The solver side groups the distinct sequences into prefix
+    families: in sorted order a sequence's extensions come right after it,
+    so it joins the family of the next one when that one extends it.  One
+    walk per (family, kind), on the longest member, serves each k to the
+    largest window any member asks, and a member t answers (m, k) iff some
+    step <= m reaches len(t).  Over GF(4) the 1,313 comparisons take 214
+    walks over 107 families and 298 reference calls.
     """
     sequences = 200
     modes = [cls(k) for k in (1, 2) for cls in (PerVariable, TotalDegree)]
@@ -365,42 +388,38 @@ def check_oracle_agreement(ctx: FieldContext, constructed: Sequence[Element]) ->
                 cases.append((t, 2, per2))
     cases += [(constructed, m, mode) for m in (1, 2) for mode in modes]
 
-    def truth(known, t, m, mode) -> bool:
-        """The oracle's answer, settled by one in known, those it gave on t,
-        if one does."""
-        shape = (m, type(mode) is PerVariable, mode.k)
-        for at, found in known:
-            if _within(at, shape) if found else _within(shape, at):
-                return found
-        found = brute_force_oracle(ctx, t, m, mode)
-        known.append((shape, found))
-        return found
+    # the distinct questions on each sequence as shapes (m, per_variable, k),
+    # plain values: a mode's dataclass hash and eq run in Python
+    asked: dict = {}  # t -> {shape}
+    for t, m, mode in cases:
+        asked.setdefault(t, set()).add((m, type(mode) is PerVariable, mode.k))
+    disagree = set()  # (t, shape)
+    distinct, family = sorted(asked), []
+    for t, after in zip(distinct, distinct[1:] + [()]):
+        family.append(t)
+        if after[:len(t)] == t:
+            continue  # after extends t, so t is not its family's longest
+        tops: dict = {}  # per_variable -> {k: the largest window any member asks}
+        for member in family:
+            for m, per_variable, k in asked[member]:
+                top = tops.setdefault(per_variable, {})
+                top[k] = max(top.get(k, 0), m)
+        walks = {pv: list(reaches(ctx, t, PerVariable if pv else TotalDegree, top))
+                 for pv, top in tops.items()}
+        for member in family:
+            for m in {m for m, _, _ in asked[member]}:
+                shapes = sorted(shape for shape in asked[member] if shape[0] == m)
+                least = dense_reference(ctx, member, m, _nested_columns(tuple(shapes)))
+                for shape in shapes:
+                    _, per_variable, k = shape
+                    solved = any(step.get(k, 0) >= len(member) for step in walks[per_variable][:m])
+                    feasible = least is not None and least <= len(_exponents(*shape))
+                    if solved != feasible:
+                        disagree.add((member, shape))
+        family = []
 
-    # the questions on one sequence are answered together, keyed by plain
-    # values (a mode's dataclass hash and eq run in Python): one walk per
-    # kind, each k to the largest window asked of it, and one verdict per
-    # distinct question
-    bad = [False] * len(cases)  # does the solver disagree on the case?
-    by_sequence = sorted(range(len(cases)), key=lambda i: cases[i][0])  # stable
-    for t, group in itertools.groupby(by_sequence, key=lambda i: cases[i][0]):
-        group = list(group)
-        tops: dict = {}  # kind -> {k: the largest window asked}
-        for i in group:
-            _, m, mode = cases[i]
-            asked = tops.setdefault(type(mode), {})
-            asked[mode.k] = max(asked.get(mode.k, 0), m)
-        walks = {kind: list(reaches(ctx, t, kind, asked)) for kind, asked in tops.items()}
-        known, verdicts = [], {}  # (m, kind, k) -> the verdict
-        for i in group:
-            _, m, mode = cases[i]
-            key = (m, type(mode), mode.k)
-            if (verdict := verdicts.get(key)) is None:
-                solved = any(step.get(mode.k) == len(t) for step in walks[key[1]][:m])
-                verdict = verdicts[key] = solved != truth(known, t, m, mode)
-            bad[i] = verdict
-
-    failures = ("disagree on {} m={} {}".format(*case)
-                for case, disagrees in zip(cases, bad) if disagrees)
+    failures = ("disagree on {} m={} {}".format(t, m, mode) for t, m, mode in cases
+                if (t, (m, type(mode) is PerVariable, mode.k)) in disagree)
     return _result("oracle-agreement", failures,
                    f"{len(cases)} comparisons over {sequences} sequences")
 

@@ -4,7 +4,7 @@ table, span tracker or suffix chain."""
 
 import itertools
 
-from hermseq.complexity import PerVariable
+from hermseq.complexity import PerVariable, _exponents
 
 
 def dense_rank(ctx, vectors):
@@ -43,14 +43,12 @@ def enumerated_span_contains(ctx, columns, target):
 
 
 def monomial_columns(ctx, terms, m, mode):
-    """One column per admissible monomial of mode in m variables: its values
-    on the windows terms[i:i + m], i = 0 .. len(terms) - m - 1, computed
-    with ctx.pow and ctx.mul.  A recurrence of window m exists iff terms[m:]
-    lies in their span."""
-    monomials = [alpha for alpha in itertools.product(range(mode.k + 1), repeat=m)
-                 if isinstance(mode, PerVariable) or sum(alpha) <= mode.k]
+    """One column per admissible monomial of mode in m variables, in the
+    order _exponents lists them: its values on the windows terms[i:i + m],
+    i = 0 .. len(terms) - m - 1, computed with ctx.pow and ctx.mul.  A
+    recurrence of window m exists iff terms[m:] lies in their span."""
     columns = []
-    for alpha in monomials:
+    for alpha in _exponents(m, isinstance(mode, PerVariable), mode.k):
         column = []
         for i in range(len(terms) - m):
             v = ctx.one

@@ -3,7 +3,6 @@ import functools
 import itertools
 import math
 import random
-import time
 import tracemalloc
 
 import pytest
@@ -13,8 +12,9 @@ from hermseq.bounds import bound
 from hermseq.complexity import (
     PerVariable,
     TotalDegree,
-    brute_force_oracle,
+    _exponents,
     complexity_profile,
+    dense_reference,
     exists_recurrence,
     nonlinear_complexity,
 )
@@ -106,13 +106,13 @@ def test_degree_cap_at_field_size(f4):
 
 
 def test_cap_agrees_with_uncapped_oracle(f4):
-    # oracle enumerates the raw, uncapped monomial basis
+    # the dense reference eliminates the raw, uncapped monomial basis
     rng = random.Random(3)
     for _ in range(15):
         t = _random_terms(f4, rng, 4)
         for k in (4, 5):
             assert exists_recurrence(f4, t, 1, PerVariable(k)) == \
-                brute_force_oracle(f4, t, 1, PerVariable(k))
+                _reference(f4, t, 1, PerVariable(k))
 
 
 def test_monotone_in_prefix_length(f4):
@@ -190,27 +190,33 @@ def test_modes_are_frozen_values_of_their_own_kind():
 
 
 # ---------------------------------------------------------------------------
-# oracle agreement (small deterministic slice; the bulk run is verify's
+# the dense reference (small deterministic slice; the bulk run is verify's
 # oracle-agreement check)
 # ---------------------------------------------------------------------------
 
+def _reference(ctx, t, m, mode):
+    """Does the dense reference span t[m:] by mode's whole monomial set?"""
+    exponents = _exponents(m, isinstance(mode, PerVariable), mode.k)
+    return dense_reference(ctx, t, m, exponents) is not None
+
+
 def test_oracle_trivial_cases(f4):
     t = (f4.one, f4.epsilon, f4.one)
-    assert brute_force_oracle(f4, t, 2, PerVariable(1))      # m = n-1
+    assert dense_reference(f4, t, 2, _exponents(2, True, 1)) == 1   # m = n-1: the constant
     z = (f4.zero,) * 4
-    assert brute_force_oracle(f4, z, 1, PerVariable(1))      # zero polynomial
+    assert dense_reference(f4, z, 1, _exponents(1, True, 1)) == 0   # zero polynomial
 
 
 @pytest.mark.parametrize("m", [0, 3])
 def test_oracle_refuses_a_window_outside_the_sequence(f4, m):
     with pytest.raises(ValueError, match=f"window length must be in 1..2, got {m}"):
-        brute_force_oracle(f4, (f4.one,) * 3, m, PerVariable(1))
+        dense_reference(f4, (f4.one,) * 3, m, _exponents(m, True, 1))
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_window_one_modes_agree(p):
     # at m = 1 both disciplines admit exactly 1, x, .., x^k, so each k has
-    # one answer for both modes, from the oracle and from the solver alike
+    # one answer for both modes, from the reference and from the solver alike
     ctx = FieldContext(p, 1)
     rng = random.Random(60 + p)
     outcomes = set()
@@ -218,33 +224,22 @@ def test_window_one_modes_agree(p):
         alphabet = rng.sample(ctx.elements, rng.choice((2, 3, ctx.order)))
         t = tuple(rng.choice(alphabet) for _ in range(rng.randrange(3, 8)))
         for k in (1, 2, 3):
-            for answer in (brute_force_oracle, exists_recurrence):
+            for answer in (_reference, exists_recurrence):
                 got = answer(ctx, t, 1, PerVariable(k))
                 assert got == answer(ctx, t, 1, TotalDegree(k)), (t, k, answer)
                 outcomes.add(got)
     assert outcomes == {True, False}
 
 
-def test_oracle_guard(f4):
-    # 27 monomials, halves of 13 and 14 columns: on six terms the three
-    # windows cap each half's span at a 4^3 table, on twelve terms at 4^9
-    rng = random.Random(8)
-    t = _random_terms(f4, rng, 6)
-    assert brute_force_oracle(f4, t, 3, PerVariable(2)) == \
-        exists_recurrence(f4, t, 3, PerVariable(2))
-    with pytest.raises(ValueError, match=r"a table of 4\^9 sums"):
-        brute_force_oracle(f4, _random_terms(f4, rng, 12), 3, PerVariable(2))
-
-
 def test_oracle_admits_short_gf16_sequences():
-    # nine monomials at m = 2 over GF(16), a 16^4 table on four windows
+    # nine monomials at m = 2 over GF(16)
     ctx = FieldContext(2, 2)
     rng = random.Random(16)
     outcomes = set()
     for _ in range(8):
         alphabet = rng.sample(ctx.elements, rng.choice((2, 3, ctx.order)))
         t = tuple(rng.choice(alphabet) for _ in range(6))
-        got = brute_force_oracle(ctx, t, 2, PerVariable(2))
+        got = _reference(ctx, t, 2, PerVariable(2))
         assert got == exists_recurrence(ctx, t, 2, PerVariable(2)), t
         outcomes.add(got)
     assert outcomes == {True, False}
@@ -257,77 +252,77 @@ def test_oracle_matches_solver_spot(f4):
         t = _random_terms(f4, rng, n)
         m = rng.randrange(1, min(3, n))
         for mode in (PerVariable(1), TotalDegree(2)):
-            assert exists_recurrence(f4, t, m, mode) == \
-                brute_force_oracle(f4, t, m, mode)
+            assert exists_recurrence(f4, t, m, mode) == _reference(f4, t, m, mode)
 
 
-def _monomial_count(m, mode):
-    if isinstance(mode, PerVariable):
-        return (mode.k + 1) ** m
-    return math.comb(m + mode.k, m)
-
-
-# GF(9) and GF(4): the oracle's arithmetic in odd characteristic too, up to
-# the sizes its guard allows, with both outcomes in each field
+# GF(9) and GF(4): the reference's arithmetic in odd characteristic too, up
+# to 27 columns, with both outcomes in each field
 @pytest.mark.parametrize("p,cases", [(3, 120), (2, 40)])
 def test_oracle_matches_solver_random(p, cases):
     ctx = FieldContext(p, 1)
     rng = random.Random(40 + p)
     outcomes = set()
-    compared = 0
     for _ in range(cases):
         m = rng.randrange(1, 4)
         n = m + rng.randrange(2, 7)
         alphabet = rng.sample(ctx.elements, rng.choice((2, 3, ctx.order)))
         t = tuple(rng.choice(alphabet) for _ in range(n))
         for mode in (PerVariable(1), PerVariable(2), TotalDegree(1), TotalDegree(2)):
-            if ctx.order ** _monomial_count(m, mode) > 1 << 24:
-                continue  # beyond this test's time budget
-            got = brute_force_oracle(ctx, t, m, mode)
+            got = _reference(ctx, t, m, mode)
             assert got == exists_recurrence(ctx, t, m, mode), (t, m, mode)
             outcomes.add(got)
-            compared += 1
-    assert outcomes == {True, False}
-    assert compared > cases
-
-
-@pytest.mark.parametrize("m,mode", [
-    (3, PerVariable(1)), (2, PerVariable(2)), (3, TotalDegree(2)),
-])
-def test_oracle_admits_gf9_by_half_table(m, mode):
-    # 8 to 10 columns over GF(9): 9^8 or more candidates, but at most 9^5
-    # sums in the larger half's table, which the guard admits
-    ctx = FieldContext(3, 1)
-    rng = random.Random(70 + m)
-    outcomes = set()
-    for _ in range(15):
-        alphabet = rng.sample(ctx.elements, 2)
-        t = tuple(rng.choice(alphabet) for _ in range(m + rng.choice((2, 3))))
-        got = brute_force_oracle(ctx, t, m, mode)
-        assert got == exists_recurrence(ctx, t, m, mode), (t, m, mode)
-        outcomes.add(got)
     assert outcomes == {True, False}
 
 
-def test_oracle_guard_refuses_before_enumerating(f4):
-    # 2^40 monomials: the guard must refuse from the count alone and name
-    # the larger half's table, 4^(2^39) sums
-    t = (f4.one,) * 42
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"4\^549755813888 sums"):
-        brute_force_oracle(f4, t, 40, PerVariable(1))
-    assert time.perf_counter() - start < 1.0
+def test_reference_is_least_window_of_the_gf9_sequence(f9):
+    # the constructed ell = 2 sequence over GF(9), 21 terms: at every prefix
+    # the reference's least window up to 4 is complexity_profile's entry,
+    # including PV(2) and TD(3) at m = 3 and 4 (27 to 81 columns)
+    terms = build_sequence(f9, 2)
+    assert len(terms) == 21
+    checked = set()
+    for mode in (PerVariable(1), PerVariable(2), TotalDegree(2), TotalDegree(3)):
+        profile = complexity_profile(f9, terms, mode)
+        for n in range(2, len(terms) + 1):
+            least = next((m for m in range(1, min(4, n - 1) + 1)
+                          if _reference(f9, terms[:n], m, mode)), None)
+            assert least == (profile[n - 1] if profile[n - 1] <= 4 else None), (mode, n)
+            checked.add((mode, least))
+    # PV(2) and TD(3) need window 3, PV(1) and TD(2) windows 4 and 5
+    assert {(PerVariable(2), 3), (TotalDegree(3), 3), (PerVariable(1), 4),
+            (TotalDegree(2), 4), (PerVariable(1), None), (TotalDegree(2), None)} <= checked
 
 
 def _enumerated(ctx, t, m, mode):
     """Whether some assignment of coefficients to the full monomial basis,
-    tried one at a time, fits every window: no halves, spans or lookups."""
+    tried one at a time, fits every window: no elimination at all."""
     return enumerated_span_contains(ctx, monomial_columns(ctx, t, m, mode), t[m:])
 
 
+def test_reference_matches_enumeration_at_every_column_count(f4):
+    # toy sizes over GF(4): the least c whose first c columns span t[m:],
+    # read off enumerations of every c-column prefix, is the reference's
+    rng = random.Random(44)
+    answers = set()
+    for _ in range(30):
+        m = rng.randrange(1, 3)
+        alphabet = rng.sample(f4.elements, rng.choice((2, 3, f4.order)))
+        t = tuple(rng.choice(alphabet) for _ in range(m + rng.randrange(1, 4)))
+        for mode in (PerVariable(1), TotalDegree(1), PerVariable(2)):
+            if m == 2 and mode == PerVariable(2):
+                continue  # nine columns: 4^9 assignments
+            columns = monomial_columns(f4, t, m, mode)
+            want = next((c for c in range(len(columns) + 1)
+                         if enumerated_span_contains(f4, columns[:c], t[m:])), None)
+            exponents = _exponents(m, isinstance(mode, PerVariable), mode.k)
+            assert dense_reference(f4, t, m, exponents) == want, (t, m, mode)
+            answers.add(want)
+    assert {None, 0, 1, 2, 3} <= answers
+
+
 def test_oracle_skips_dependent_columns():
-    # over GF(9) with an alphabet of 2 the columns of a half repeat or
-    # depend on each other, so the oracle skips some; a constant sequence
+    # over GF(9) with an alphabet of 2 the columns repeat or depend on each
+    # other, so some reduce to zero and give no pivot; a constant sequence
     # makes every column a multiple of the first
     ctx = FieldContext(3, 1)
     rng = random.Random(81)
@@ -338,93 +333,45 @@ def test_oracle_skips_dependent_columns():
         cases += [(t, 2, PerVariable(1)), (t, 1, PerVariable(2)), (t, 2, TotalDegree(1))]
     outcomes = set()
     for t, m, mode in cases:
-        got = brute_force_oracle(ctx, t, m, mode)
+        got = _reference(ctx, t, m, mode)
         assert got == _enumerated(ctx, t, m, mode), (t, m, mode)
         outcomes.add(got)
     assert outcomes == {True, False}
 
 
 def test_oracle_full_left_span():
-    # per-variable k = 1 at m = 2 on four terms: two rows, and the left
-    # half (columns 1 and x_2) spans all of F^2 when t_1 != t_2, so every
-    # target is reached
+    # per-variable k = 1 at m = 2 on four terms: two rows, and the leading
+    # columns 1 and x_2 span all of F^2 when t_1 != t_2, so every target is
+    # reached by them and the reference stops there
     ctx = FieldContext(3, 1)
     rng = random.Random(82)
     for _ in range(10):
         t = tuple(rng.choice(ctx.elements) for _ in range(4))
         if t[1] == t[2]:
             continue
-        assert brute_force_oracle(ctx, t, 2, PerVariable(1))
+        assert dense_reference(ctx, t, 2, _exponents(2, True, 1)) <= 2
         assert _enumerated(ctx, t, 2, PerVariable(1))
 
 
-def test_oracle_needs_minus_one_across_halves():
-    # total degree 1 at m = 1 has the halves [1] and [x_1]; over GF(9)
-    # (characteristic 3), t_(i+1) = -t_i is met only by coefficient -1 on
-    # x_1, and breaking the alternation leaves no fit
-    ctx = FieldContext(3, 1)
-    a = ctx.epsilon
-    alternating = (a, ctx.neg(a), a, ctx.neg(a))
-    assert ctx.neg(a) != a
-    for t, want in ((alternating, True), (alternating[:3] + (a,), False)):
-        assert brute_force_oracle(ctx, t, 1, TotalDegree(1)) is want
-        assert _enumerated(ctx, t, 1, TotalDegree(1)) is want
-
-
-def test_oracle_builds_no_code_tables():
-    # SpanTracker and the suffix chain both build the context's vector
-    # form, so none built means the oracle used neither: it shares no arithmetic and no
-    # elimination with the solver
-    ctx = FieldContext(3, 1)
-    rng = random.Random(12)
-    for _ in range(5):
-        t = _random_terms(ctx, rng, 5)
-        for mode in (PerVariable(1), TotalDegree(2)):
-            brute_force_oracle(ctx, t, 2, mode)
-    assert ctx._vector_form is None
-
-
-def test_oracle_computes_on_its_own_tables(monkeypatch):
-    # every row and vector call of a fresh GF(9) refuses, and the oracle
-    # still answers: it reads only ctx.mul_add_tables(), rows built from
-    # ctx.mul and ctx.add, which must equal them on every pair
+def test_oracle_builds_no_code_tables(monkeypatch):
+    # every row and vector call of a fresh GF(9) refuses, and the reference
+    # still answers as the solver does on another context: SpanTracker and
+    # the suffix chain both read the context's vector form, so it shares no
+    # arithmetic and no elimination with the solver
     ctx, solver_ctx = FieldContext(3, 1), FieldContext(3, 1)
 
     def refuse(*args):
-        raise AssertionError("the oracle called the solver's arithmetic")
+        raise AssertionError("the reference called the solver's arithmetic")
 
     for name in ("mul_row", "sub_row", "add_rows", "log_row", "exp_row", "vector_form"):
         monkeypatch.setattr(ctx, name, refuse)
-    rng = random.Random(9)
+    rng = random.Random(12)
     for _ in range(10):
         t = _random_terms(ctx, rng, 5)
-        for m, mode in ((1, PerVariable(2)), (2, TotalDegree(1)), (2, PerVariable(1))):
-            assert (brute_force_oracle(ctx, t, m, mode)
-                    == exists_recurrence(solver_ctx, t, m, mode)), (t, m, mode)
-    for field in (FieldContext(2, 1), ctx, FieldContext(2, 2)):
-        mul, add = field.mul_add_tables()
-        for a, b in itertools.product(field.elements, repeat=2):
-            assert mul[a][b] == field.mul(a, b) and add[a][b] == field.add(a, b)
-        assert field.mul_add_tables() is field.mul_add_tables()  # kept with the context
-
-
-def test_oracle_tables_hold_the_rows_read():
-    # GF(256), m = 1, per-variable k = 1 on four terms: the multiples of the
-    # columns 1 and x come from the mul rows of their entries (at most 1 + 3)
-    # and target + s from the target's add rows (3), so each question reads
-    # at most 7 of the 512 rows, not the 65,536 entries of the field's square
-    ctx = FieldContext(2, 4)
-    rng = random.Random(256)
-    c, d, x = ctx.epsilon, ctx.one, rng.choice(ctx.elements)
-    affine = [x]
-    for _ in range(3):
-        affine.append(ctx.add(ctx.mul(c, affine[-1]), d))
-    questions = [tuple(affine)] + [_random_terms(ctx, rng, 4) for _ in range(3)]
-    answers = [brute_force_oracle(ctx, t, 1, PerVariable(1)) for t in questions]
-    assert answers[0]
-    assert answers == [exists_recurrence(ctx, t, 1, PerVariable(1)) for t in questions]
-    read = sum(len(row) for table in ctx.mul_add_tables() for row in table.values())
-    assert read <= 7 * len(questions) * ctx.order
+        for m, mode in ((1, PerVariable(2)), (2, TotalDegree(1)), (2, PerVariable(1)),
+                        (2, TotalDegree(2))):
+            assert _reference(ctx, t, m, mode) == exists_recurrence(solver_ctx, t, m, mode)
+    assert ctx._vector_form is None
 
 
 def test_curve_and_sequence_layers_build_no_code_tables():

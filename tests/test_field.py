@@ -272,9 +272,8 @@ def test_whole_rows_match_scalar_arithmetic(p, e):
 
 
 def test_whole_rows_share_one_int_per_code():
-    # the oracle's tables and the sequence builder read rows of 1,024
-    # entries over GF(1024), so every row reads its entries from one int
-    # object per code
+    # the sequence builder reads rows of 1,024 entries over GF(1024), so
+    # every row reads its entries from one int object per code
     ctx = FieldContext(2, 5)
     identity = ctx.mul_row(ctx.one)
     assert identity == list(ctx.elements)

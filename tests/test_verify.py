@@ -332,19 +332,20 @@ def test_figures_name_the_first_failing_n(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# oracle agreement: one solver answer per distinct question, and one oracle
-# answer for each that no earlier answer on the same sequence settles
+# oracle agreement: one solver walk per prefix family and degree kind, and
+# one dense reference call per distinct (sequence, window)
 # ---------------------------------------------------------------------------
 
-def _spy(monkeypatch, name, flip=lambda t, m, mode: False):
-    """Record each call of verify's `name`, flipping the answers flip marks."""
-    original, calls = getattr(verify, name), []
+def _spy_reference(monkeypatch, corrupt=lambda t, m, least: least):
+    """Record each (t, m) verify asks the dense reference, passing its
+    answer through corrupt."""
+    original, calls = verify.dense_reference, []
 
-    def spy(ctx, t, m, mode):
-        calls.append((t, m, mode))
-        return original(ctx, t, m, mode) != flip(t, m, mode)
+    def spy(ctx, t, m, exponents):
+        calls.append((t, m))
+        return corrupt(t, m, original(ctx, t, m, exponents))
 
-    monkeypatch.setattr(verify, name, spy)
+    monkeypatch.setattr(verify, "dense_reference", spy)
     return calls
 
 
@@ -369,44 +370,54 @@ def _oracle_agreement(ctx):
 
 
 def test_oracle_agreement_answers_each_question_once(monkeypatch):
-    # the solver walks each distinct (sequence, kind) once, 314 walks over
-    # the 157 distinct sequences, serving each k to the largest window asked
-    # of it: window 2 where the sequence has three terms or more, but under
-    # PerVariable(2) only on the 36 sequences that every fourth draw asks it
+    # the 157 distinct sequences fall into 107 prefix families, one for each
+    # sequence that no other extends, and the solver walks each (family,
+    # kind) once, on that longest member, serving each k to the largest
+    # window any member asks: window 2 everywhere, as every longest member
+    # has three terms or more, but under PerVariable(2) only in the 36
+    # families with a member from every fourth draw, the draws that ask it;
+    # the reference answers each distinct (sequence, window) once
     solver = _spy_walk(monkeypatch)
-    oracle = _spy(monkeypatch, "brute_force_oracle")
+    reference = _spy_reference(monkeypatch)
     result = _oracle_agreement(FieldContext(2, 1))
     assert result == CheckResult("oracle-agreement", True,
                                  "1313 comparisons over 200 sequences")
     walks = [(t, kind, tuple(tops.items())) for t, kind, tops in solver]
-    assert (len(walks), len(set(walks))) == (314, 314)
+    assert (len(walks), len(set(walks))) == (214, 214)
     assert collections.Counter((kind, tops) for _, kind, tops in walks) == {
-        (TotalDegree, ((1, 2), (2, 2))): 141, (TotalDegree, ((1, 1), (2, 1))): 16,
-        (PerVariable, ((1, 2), (2, 2))): 36, (PerVariable, ((1, 2), (2, 1))): 105,
-        (PerVariable, ((1, 1), (2, 1))): 16}
-    assert all(max(tops.values()) == min(2, len(t) - 1) for t, _, tops in solver)
-    assert (len(oracle), len(set(oracle))) == (427, 427)
+        (TotalDegree, ((1, 2), (2, 2))): 107,
+        (PerVariable, ((1, 2), (2, 2))): 36, (PerVariable, ((1, 2), (2, 1))): 71}
+    distinct = {t for t, _ in reference}
+    longest = {t for t in distinct if not any(u[:len(t)] == t != u for u in distinct)}
+    assert (len(distinct), len(longest)) == (157, 107)
+    assert {t for t, _, _ in solver} == longest
+    assert (len(reference), len(set(reference))) == (298, 298)
 
 
-@pytest.mark.parametrize("p,enumerated", [(2, 427), (3, 516)])
-def test_oracle_agreement_settles_exactly(monkeypatch, p, enumerated):
-    # with a direct enumeration as the solver, the check passes only if the
-    # answer it uses for each distinct question, enumerated or settled by
-    # another, is the one the oracle gives when asked that question
-    def enumerated_walk(ctx, t, kind, tops):
-        """All of t at each window with a recurrence, else the window."""
-        return ({k: len(t) if complexity.brute_force_oracle(ctx, t, m, kind(k)) else m
-                 for k, top in tops.items() if m <= top}
+@pytest.mark.parametrize("p,calls", [(2, 298), (3, 351)])
+def test_oracle_agreement_reads_families_exactly(monkeypatch, p, calls):
+    # with the reference's own reach as the solver, the check passes only if
+    # a member's answer read off its family's walk, on the longest member,
+    # is the one the reference gives when asked on the member itself
+    def reference_walk(ctx, t, kind, tops):
+        """At each window m, the longest prefix of t the reference spans."""
+        def reach(m, k):
+            exponents = complexity._exponents(m, kind is PerVariable, k)
+            return max((n for n in range(m + 1, len(t) + 1)
+                        if complexity.dense_reference(ctx, t[:n], m, exponents) is not None),
+                       default=m)
+
+        return ({k: reach(m, k) for k, top in tops.items() if m <= top}
                 for m in range(1, max(tops.values()) + 1))
 
-    oracle = _spy(monkeypatch, "brute_force_oracle")
-    monkeypatch.setattr(verify, "reaches", enumerated_walk)
+    reference = _spy_reference(monkeypatch)
+    monkeypatch.setattr(verify, "reaches", reference_walk)
     assert _oracle_agreement(FieldContext(p, 1)).passed
-    assert len(oracle) == enumerated
+    assert len(reference) == calls
 
 
 def test_oracle_agreement_in_odd_characteristic(f9):
-    # the byte form's guard-bit mod-p arithmetic against the oracle
+    # the byte form's guard-bit mod-p arithmetic against the dense reference
     assert _oracle_agreement(f9) == CheckResult(
         "oracle-agreement", True, "1335 comparisons over 200 sequences")
 
@@ -425,45 +436,46 @@ def test_oracle_agreement_calls_no_mode_hash_or_eq(monkeypatch):
 
 
 @pytest.mark.parametrize("question,failures", [
-    # (3, 3, 2) is drawn three times, so its window-2 questions repeat
-    (((3, 3, 2), 2, 1), ["disagree on (3, 3, 2) m=2 TotalDegree(k=1)"] * 3),
-    # (2, 0) is drawn seven times; at m = 1 one oracle answer serves both
-    # modes with k = 1, so the flip fails 14 comparisons and the cap stops
-    # the report
-    (((2, 0), 1, 1), ["disagree on (2, 0) m=1 PerVariable(k=1)",
+    # (3, 3, 2) is drawn three times; an answer of 4 columns at m = 2 fails
+    # TotalDegree(1)'s three monomials alone, at each repeat
+    (((3, 3, 2), 2, 4), ["disagree on (3, 3, 2) m=2 TotalDegree(k=1)"] * 3),
+    # (2, 0) is drawn seven times; at m = 1 both modes with k = 1 hold the
+    # two monomials 1 and x, so an answer of 3 fails 14 comparisons and the
+    # cap stops the report
+    (((2, 0), 1, 3), ["disagree on (2, 0) m=1 PerVariable(k=1)",
                       "disagree on (2, 0) m=1 TotalDegree(k=1)"] * 2
      + ["... stopped after 7 failures"]),
 ])
 def test_oracle_agreement_fails_at_each_repeat(monkeypatch, question, failures):
-    # the flipped oracle answer is asked once but counts at every occurrence
-    def flip(t, m, mode):
-        return ((t, m, mode.k) == question
-                and (m == 1 or isinstance(mode, TotalDegree)))
-
-    oracle = _spy(monkeypatch, "brute_force_oracle", flip)
+    # the corrupted reference answer is asked once but counts at every occurrence
+    asked, m_asked, wrong = question
+    reference = _spy_reference(
+        monkeypatch, lambda t, m, least: wrong if (t, m) == (asked, m_asked) else least)
     result = _oracle_agreement(FieldContext(2, 1))
     assert result == CheckResult("oracle-agreement", False, "; ".join(failures))
-    assert sum(flip(*call) for call in oracle) == 1
+    assert reference.count((asked, m_asked)) == 1
 
 
-def test_oracle_agreement_fails_where_the_truth_was_settled(monkeypatch):
-    # (0, 3, 0), drawn three times, has a window-1 recurrence of degree 1,
-    # which settles its window-2 questions, and PerVariable(1)'s answer at
-    # m = 1 settles TotalDegree(1)'s: the oracle never enumerates them, and
-    # a walk corrupted to reach 2 at m = 1 under TotalDegree(1), so that it
-    # finds no recurrence, still fails both its questions at each repeat
-    def flip(t, kind, k):
-        return t == (0, 3, 0) and (kind, k) == (TotalDegree, 1)
+def test_oracle_agreement_fails_at_a_shorter_family_member(monkeypatch):
+    # (1, 1), (1, 1, 0) and (1, 1, 0, 1, 0, 0) form one family, walked on
+    # the longest; its TotalDegree(1) reach at m = 1 is 2, and a walk
+    # corrupted to reach 3 there finds a window-1 recurrence on (1, 1, 0),
+    # drawn three times, alone: the shorter (1, 1) already had one and the
+    # longest is still out of reach
+    longest = (1, 1, 0, 1, 0, 0)
 
-    solver = _spy_walk(monkeypatch,
-                       lambda t, kind, k, m, reach: 2 if flip(t, kind, k) and m == 1 else reach)
-    oracle = _spy(monkeypatch, "brute_force_oracle")
+    def corrupt(t, kind, k, m, reach):
+        if (t, kind, k, m) == (longest, TotalDegree, 1, 1):
+            assert reach == 2
+            return 3
+        return reach
+
+    solver = _spy_walk(monkeypatch, corrupt)
     result = _oracle_agreement(FieldContext(2, 1))
-    failures = [f"disagree on (0, 3, 0) m={m} TotalDegree(k=1)" for m in (1, 2)] * 2
     assert result == CheckResult("oracle-agreement", False,
-                                 "; ".join(failures) + "; ... 6 failures total")
-    assert sum(flip(t, kind, 1) and 1 in tops for t, kind, tops in solver) == 1
-    assert [(m, mode) for t, m, mode in oracle if t == (0, 3, 0)] == [(1, PerVariable(1))]
+                                 "; ".join(["disagree on (1, 1, 0) m=1 TotalDegree(k=1)"] * 3))
+    assert sum(t == longest and kind is TotalDegree for t, kind, _ in solver) == 1
+    assert not any(t in ((1, 1), (1, 1, 0)) for t, _, _ in solver)
 
 
 # ---------------------------------------------------------------------------
