@@ -274,6 +274,25 @@ def test_oracle_matches_solver_random(p, cases):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("m,mode", [
+    (3, PerVariable(1)), (2, PerVariable(2)), (3, TotalDegree(2)),
+])
+def test_oracle_admits_gf9_by_half_table(m, mode):
+    # 8 to 10 columns over GF(9): 9^8 or more coefficient assignments, which
+    # only a half-table split could enumerate; the reference eliminates
+    # them directly and answers as the solver does, with both outcomes
+    ctx = FieldContext(3, 1)
+    rng = random.Random(70 + m)
+    outcomes = set()
+    for _ in range(15):
+        alphabet = rng.sample(ctx.elements, 2)
+        t = tuple(rng.choice(alphabet) for _ in range(m + rng.choice((2, 3))))
+        got = _reference(ctx, t, m, mode)
+        assert got == exists_recurrence(ctx, t, m, mode), (t, m, mode)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
 def test_reference_is_least_window_of_the_gf9_sequence(f9):
     # the constructed ell = 2 sequence over GF(9), 21 terms: at every prefix
     # the reference's least window up to 4 is complexity_profile's entry,
@@ -353,11 +372,24 @@ def test_oracle_full_left_span():
         assert _enumerated(ctx, t, 2, PerVariable(1))
 
 
-def test_oracle_builds_no_code_tables(monkeypatch):
-    # every row and vector call of a fresh GF(9) refuses, and the reference
-    # still answers as the solver does on another context: SpanTracker and
-    # the suffix chain both read the context's vector form, so it shares no
+def test_oracle_builds_no_code_tables():
+    # SpanTracker and the suffix chain both build the context's vector
+    # form, so none built means the reference used neither: it shares no
     # arithmetic and no elimination with the solver
+    ctx = FieldContext(3, 1)
+    rng = random.Random(12)
+    for _ in range(5):
+        t = _random_terms(ctx, rng, 5)
+        for mode in (PerVariable(1), TotalDegree(2)):
+            _reference(ctx, t, 2, mode)
+    assert ctx._vector_form is None
+
+
+def test_oracle_computes_on_its_own_tables(monkeypatch):
+    # every row and vector call of a fresh GF(9) refuses, and the reference
+    # still answers as the solver does on another context: it computes on
+    # the field's scalar tables alone, through ctx.mul, ctx.sub, ctx.inv
+    # and ctx.pow, each of which it reaches
     ctx, solver_ctx = FieldContext(3, 1), FieldContext(3, 1)
 
     def refuse(*args):
@@ -365,12 +397,19 @@ def test_oracle_builds_no_code_tables(monkeypatch):
 
     for name in ("mul_row", "sub_row", "add_rows", "log_row", "exp_row", "vector_form"):
         monkeypatch.setattr(ctx, name, refuse)
-    rng = random.Random(12)
+    calls = {}
+    for name in ("mul", "sub", "inv", "pow"):
+        def counted(*args, _name=name, _op=getattr(ctx, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _op(*args)
+        monkeypatch.setattr(ctx, name, counted)
+    rng = random.Random(9)
     for _ in range(10):
         t = _random_terms(ctx, rng, 5)
         for m, mode in ((1, PerVariable(2)), (2, TotalDegree(1)), (2, PerVariable(1)),
                         (2, TotalDegree(2))):
             assert _reference(ctx, t, m, mode) == exists_recurrence(solver_ctx, t, m, mode)
+    assert set(calls) == {"mul", "sub", "inv", "pow"}
     assert ctx._vector_form is None
 
 
