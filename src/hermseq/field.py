@@ -10,10 +10,10 @@ smallest primitive element, so two runs always agree element for element.
 
 Every operation is a pure function of its inputs: mul, inv and pow read
 log/antilog tables on epsilon, add, sub and neg its Zech logarithms, and
-mul_row, sub_row, add_rows, log_row and exp_row return a whole row per
-call.  add_rows XORs codes in characteristic 2, but add stays on Zech logs,
-so the dense reference, which computes on add, sub, mul, inv and pow alone,
-shares no XOR with the solver.  The fiber table and the solver's vector
+mul_row, sub_row, add_rows, log_row, exp_row and trace_row return a whole
+row per call.  add_rows XORs codes in characteristic 2, but add stays on
+Zech logs, so the dense reference, which computes on add, sub, mul, inv and
+pow alone, shares no XOR with the solver.  The fiber table and the solver's vector
 form are built on first use and cached, so callers that never run the
 solver never pay for the latter.
 
@@ -184,6 +184,7 @@ class FieldContext:
         self.elements = range(self.order)
         self._codes = list(self.elements)  # one int per code: shared by the rows built here
         self._exp, self._log, self._zech = self._build_tables()
+        self._exp_twice = self._exp * 2  # exp_row's index: a log in [-2n, 2n)
         self.epsilon: Element = self._exp[1]
         # caches set here, not by functools.cached_property: its __dict__ write
         # slows every later self.x read, add by about 70% on CPython 3.11
@@ -214,46 +215,95 @@ class FieldContext:
             raise ValueError("modulus is reducible over the prime field")
         return tuple(coeffs)
 
-    # coefficient tuples, for the search for epsilon and the walk of its powers
+    # coefficient tuples, for the search for epsilon and the images its walk reads
     def _raw_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         prod = _pmod(_pmul(list(a), list(b), self.p), list(self.modulus), self.p)
         return tuple(prod) + (0,) * (self.degree - len(prod))
 
     def _raw_pow(self, a: tuple[int, ...], n: int) -> tuple[int, ...]:
-        """a^n by square-and-multiply on _raw_mul."""
-        result = self.coeffs(self.one)
+        """a^n by square-and-multiply on _raw_mul, with no product by one
+        and no square past the top bit of n."""
+        result = None
         while n:
             if n & 1:
-                result = self._raw_mul(result, a)
-            a = self._raw_mul(a, a)
+                result = a if result is None else self._raw_mul(result, a)
             n >>= 1
-        return result
+            if n:
+                a = self._raw_mul(a, a)
+        return self.coeffs(self.one) if result is None else result
 
     def _build_tables(self):
         """Epsilon is the canonically first nonzero c with c^((q^2-1)/r) != 1
         for every prime r dividing q^2-1: the first primitive element.  One
-        walk of its powers, each encoded once, gives exp[i] = epsilon^i, log
-        by code (log[0] is None) and zech[i] = log(1 + epsilon^i) or None.
-        A step is one F_p-linear map: images[i] packs epsilon*x^i (x^i being
-        weights[i]) in fields so wide that the sum of power[i]*images[i] holds
-        every coefficient of epsilon*power, read mod p, in its own field."""
-        p, n, one, unit = self.p, self.order - 1, self.one, self.coeffs(self.one)
+        walk of its powers gives exp[i] = epsilon^i, log by code (log[0] is
+        None) and zech[i] = log(1 + epsilon^i) or None.
+
+        Multiplying by epsilon is F_p-linear, so a step adds two table reads:
+        the images of a power's high and of its low code digits, each table
+        about sqrt(order) entries.  The walk holds a power as lanes, digit i
+        of its code at bit i*w.  In characteristic 2, w = 1: the lanes are
+        the code, a sum is XOR and the tables are lists.  Otherwise two
+        reduced digits add below the guard bit 2^(w-1), which marks the
+        digits that take p off (the add of _LaneVectors); the tables are keyed
+        by lanes, and two more, from a half's lanes to its code, encode the
+        walk.  A table sums the F_p multiples of epsilon * p^i over its
+        digits i, each from one _raw_mul."""
+        p, d, n, order = self.p, self.degree, self.order - 1, self.order
+        unit = self.coeffs(self.one)
         exponents = [n // r for r in _prime_factors(n)]
         epsilon = next(c for c in map(self.coeffs, self.elements[1:])
                        if all(self._raw_pow(c, x) != unit for x in exponents))
-        width = (self.degree * (p - 1) ** 2).bit_length()
-        shifts, mask = range(0, width * self.degree, width), (1 << width) - 1
-        images = [sum(c << s for c, s in zip(self._raw_mul(epsilon, self.coeffs(w)), shifts))
-                  for w in self._weights]
-        exp, log, power = [], [None] * self.order, unit
-        for i in range(n):
-            exp.append(self._codes[sum(map(operator.mul, power, self._weights))])
-            log[exp[-1]] = i
-            packed = sum(map(operator.mul, power, images))
-            power = [(packed >> s & mask) % p for s in shifts]
-        # adding one raises the leading digit mod p
-        top = (p - 1) * one
-        return exp, log, [log[c + one if c < top else c - top] for c in exp]
+        if p == 2:
+            w, add = 1, operator.xor
+        else:
+            w = (p - 1).bit_length() + 1
+            ones = ((1 << d * w) - 1) // ((1 << w) - 1)  # bit 0 of every digit
+            k, g, h = ones * ((1 << w - 1) - p), ones << w - 1, w - 1
+
+            def add(x: int, y: int) -> int:
+                s = x + y
+                return s - ((s + k & g) >> h) * p
+
+        # coefficient j of an element is digit d-1-j of its code
+        places = [1 << i * w for i in reversed(range(d))]
+        low = d // 2  # digits in the low half
+        upper, lower = [0], [0]  # in the code order of the half's digits
+        for i in range(d):
+            unit_image = sum(map(operator.mul, self._raw_mul(epsilon, self.coeffs(p ** i)), places))
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(add(multiples[-1], unit_image))
+            table = lower if i < low else upper
+            table[:] = [add(m, y) for m in multiples for y in table]
+        cut, mask = low * w, (1 << low * w) - 1
+        lane = places[0]  # one
+        walk = [lane]
+        if p == 2:
+            for _ in range(n - 1):
+                lane = upper[lane >> cut] ^ lower[lane & mask]
+                walk.append(lane)
+        else:
+            keys = [0]  # lanes of each code, digits 0.. in turn
+            for i in range(d - low):
+                keys = [v << i * w | x for v in range(p) for x in keys]
+            upper_keys, lower_keys = keys, keys[:p ** low]
+            upper, lower = dict(zip(upper_keys, upper)), dict(zip(lower_keys, lower))
+            for _ in range(n - 1):
+                s = upper[lane >> cut] + lower[lane & mask]
+                lane = s - ((s + k & g) >> h) * p
+                walk.append(lane)
+            # a power's code: its high half's code plus its low half's
+            highs = dict(zip(upper_keys, range(0, order, p ** low)))
+            walk = map(operator.add,
+                       map(highs.__getitem__, map(operator.rshift, walk, itertools.repeat(cut))),
+                       map(dict(zip(lower_keys, range(order))).__getitem__,
+                           map(operator.and_, walk, itertools.repeat(mask))))
+        exp = list(map(self._codes.__getitem__, walk))
+        log = [None] * order
+        for i, c in enumerate(exp):
+            log[c] = i
+        # adding one raises the leading digit mod p: code c + one, mod order
+        return exp, log, list(map(log.__getitem__, map(order.__rmod__, map(self.one.__add__, exp))))
 
     # -- element construction and rendering ----------------------------------
 
@@ -317,6 +367,12 @@ class FieldContext:
         satisfies t^q == t."""
         return self.add(self.pow(b, self.q), b)
 
+    def trace_row(self) -> list[Element]:
+        """Entry b is rel_trace(b) = b^q + b: b^q from one log row times q,
+        the sum from one add_rows."""
+        powers = self.exp_row(map(self.q.__mul__, self.log_row(self.elements[1:])))
+        return self.add_rows([0] + powers, self.elements)
+
     def rel_norm(self, a: Element) -> Element:
         """a^(q+1), the norm onto the subfield F_q."""
         return self.pow(a, self.q + 1)
@@ -352,9 +408,15 @@ class FieldContext:
 
     def exp_row(self, logs: Iterable[int]) -> list[Element]:
         """epsilon^s for each s in logs, any integer s: so a product is the
-        exp_row of a sum of log_rows, and an inverse that of their negatives."""
-        exp, n = self._exp, self.order - 1
-        return [exp[s % n] for s in logs]
+        exp_row of a sum of log_rows, and an inverse that of their negatives.
+        Logs in [-2n, 2n), n = q^2 - 1, index exp twice over in one C-level
+        map, negative ones from its end; any other row reduces mod n."""
+        logs = list(logs)
+        try:
+            return list(map(self._exp_twice.__getitem__, logs))
+        except IndexError:
+            exp, n = self._exp, self.order - 1
+            return [exp[s % n] for s in logs]
 
     # -- the curve fiber ------------------------------------------------------
 
@@ -366,8 +428,8 @@ class FieldContext:
         """
         if self._fibers is None:
             fibers: dict[Element, list[Element]] = {}
-            for b in self.elements:
-                fibers.setdefault(self.rel_trace(b), []).append(b)
+            for b, t in zip(self.elements, self.trace_row()):
+                fibers.setdefault(t, []).append(b)
             self._fibers = {t: tuple(bs) for t, bs in fibers.items()}
         return self._fibers[self.rel_norm(a)]
 

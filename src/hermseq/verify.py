@@ -294,22 +294,35 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
     Only bound_obligations' maximal list is proven, by one walk per kind
     serving each k to its largest window, on the kind's longest prefix:
     (m, n) is refuted iff some m' <= m reaches n under k.
-    Each kind's grid is then walked in order, asking the solver only where
-    no proof covers a point (_covered): never on the passing path, and below
-    a maximal proof that found a recurrence, at every other obligation it
-    covered, so the failures read as if every point were proven.
+    Each kind's grid is then walked in order, asking about a point only where
+    no proof covers it (_covered): never on the passing path, and below a
+    maximal proof that found a recurrence, at every other obligation it
+    covered, so the failures read as if every point were proven.  Such an
+    obligation is read off its kind's walk where the walk served its k to
+    its window on a prefix at least as long, and proven by exists_recurrence
+    only elsewhere.
     """
     grids, maximal = bound_obligations(ctx.q, terms, ell, ks)
     zeros = next((i for i, t in enumerate(terms) if t), len(terms))
-    refuted = set()
+    walks = {}  # kind -> (prefix length, the walk's {k: reach} per window)
     for kind, (cls, _) in _KINDS.items():
         group = [o for o in maximal if o[0] == kind]
         if group:  # a k's first obligation has its largest m and n
             tops = {k: m for _, k, m, _ in reversed(group)}
-            walk = list(reaches(ctx, terms[:max(o[3] for o in group)], cls, tops))
-            refuted.update(o for o in group
-                           if max(step.get(o[1], 0) for step in walk[:o[2]]) >= o[3])
-    proven = [o for o in maximal if o not in refuted]
+            length = max(o[3] for o in group)
+            walks[kind] = length, list(reaches(ctx, terms[:length], cls, tops))
+
+    def recurs(kind: str, k: int, m: int, n: int) -> Optional[bool]:
+        """Does terms[:n] admit a window-m recurrence under kind(k), read
+        off the kind's walk; None where the walk cannot tell."""
+        length, walk = walks.get(kind, (0, []))
+        if n > length:
+            return None
+        if max((step.get(k, 0) for step in walk[:m]), default=0) >= n:
+            return True
+        return False if m <= len(walk) and k in walk[m - 1] else None
+
+    proven = [o for o in maximal if not recurs(*o)]
 
     def failures(kind):
         settled: set[tuple[int, int]] = set()  # (k, m) covered on a shorter prefix
@@ -326,8 +339,10 @@ def check_bound_consistency(ctx: FieldContext, terms: Sequence[Element], ell: in
                     yield f"k={k} n={n}: bound {ceiling} exceeds n-1"
                 elif (k, m) not in settled:
                     if not _covered(proven, kind, k, m, n):
-                        if ((kind, k, m, n) in refuted
-                                or exists_recurrence(ctx, terms[:n], m, _KINDS[kind][0](k))):
+                        found = recurs(kind, k, m, n)
+                        if found is None:
+                            found = exists_recurrence(ctx, terms[:n], m, _KINDS[kind][0](k))
+                        if found:
                             yield f"k={k} n={n}: recurrence of length {m} exists below bound"
                             continue
                         proven.append((kind, k, m, n))

@@ -80,6 +80,18 @@ def test_power_walk_matches_raw_mul(p, e):
     assert ctx.exp_row(ctx.log_row(units)) == list(units)
 
 
+@pytest.mark.parametrize("p,e", [(2, 5), (3, 3), (251, 1)])
+def test_every_walk_step_is_one_raw_mul(p, e):
+    # the walk reads each step off two half-code tables; every step must be
+    # the coefficient-tuple product by epsilon, which reads no table, over
+    # GF(2^10), GF(3^6) and GF(251^2), whose halves are one digit each
+    ctx = FieldContext(p, e)
+    epsilon, exp = ctx.coeffs(ctx.epsilon), ctx._exp + ctx._exp[:1]
+    assert exp[1] == ctx.epsilon
+    assert all(nxt == ctx.element(ctx._raw_mul(epsilon, ctx.coeffs(power)))
+               for power, nxt in zip(exp, exp[1:]))
+
+
 @pytest.mark.parametrize("p,e", [(2, e) for e in range(1, 9)] + [(3, e) for e in range(1, 6)]
                          + [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (13, 2), (251, 1)])
 def test_modulus_search_matches_exhaustive_walk(p, e):

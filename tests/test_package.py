@@ -32,6 +32,40 @@ def test_runtime_imports_only_stdlib():
     assert not foreign, foreign
 
 
+# every name the package exported when its __init__ imported each module
+_EXPORTED = """
+AffinePlace BOUNDS CollinearFamily DegreeMode FieldContext PerVariable PoleError
+SpanTracker TotalDegree affine_places bound build_sequence collinear_family
+complexity_profile dense_reference element_from_str element_to_str eval_quotient
+eval_tangent exists_recurrence figure_rows floor_ratios full_length
+l_bound_improves l_bound_improves_twopoint l_twopoint_condition n_bound_improves
+nonlinear_complexity on_curve orbit scale_place zero_set
+""".split()
+
+_IMPORT_FIELD_ALONE = """
+import sys
+import hermseq.field
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("hermseq", "fractions", "decimal")))
+import hermseq
+print(sorted(name for name in sys.argv[1:] if not hasattr(hermseq, name)))
+print(sorted(set(sys.argv[1:]) - set(dir(hermseq))))
+print(hermseq.verify.__name__, hermseq.build_sequence.__module__)
+"""
+
+
+def test_field_imports_alone_and_names_resolve_lazily():
+    # the namespace imports a submodule on first use, so the field module
+    # loads without the bounds, complexity, curve and sequence modules (nor
+    # fractions and decimal); every exported name still resolves
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_FIELD_ALONE, *_EXPORTED],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['hermseq', 'hermseq.field']", "[]", "[]", "hermseq.verify hermseq.sequence"]
+
+
 def test_traced_names_resolve():
     # the benchmark's span tracer patches these by name at run time, so a
     # rename would otherwise break only the benchmark, and only when it runs

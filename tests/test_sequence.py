@@ -62,34 +62,39 @@ def test_terms_match_independent_recomputation():
 
 
 def test_q32_sampled_terms_match_reference():
+    # ell = 32 and 31 read 1/P off the trace polynomial, 17 and 2 off the
+    # rows of its roots
     ctx = FieldContext(2, 5)
     rng = random.Random(32)
     for a in (None, rng.randrange(1, ctx.order)):
         fam = collinear_family(ctx, ctx.epsilon if a is None else a)
-        seq = build_sequence(ctx, 32, a)
-        for idx in rng.sample(range(len(seq)), 200):
-            assert seq[idx] == _reference_term(ctx, fam, 32, idx), (
-                f"a={fam.a} index={idx}")
+        for ell in (32, 2, 17, 31):
+            seq = build_sequence(ctx, ell, a)
+            for idx in rng.sample(range(len(seq)), 200 if ell == 32 else 60):
+                assert seq[idx] == _reference_term(ctx, fam, ell, idx), (
+                    f"a={fam.a} ell={ell} index={idx}")
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 5)])
 def test_inverse_product_table(p, e):
-    # None exactly at the roots b_1..b_(ell-1), 1 / prod(Y - b_i) elsewhere;
-    # in odd characteristic ell = 2 and ell = 3 pin both signs (-1)^(ell-1)
+    # None exactly at the roots b_1..b_(ell-1), 1 / prod(Y - b_i) elsewhere,
+    # for every ell: from the rows of the roots while ell - 1 <= q - ell + 1,
+    # from the trace polynomial over the omitted roots above it, so both
+    # sides of that choice and, in odd characteristic, both signs
+    # (-1)^(ell-1); on the default line and one other
     ctx = FieldContext(p, e)
-    fam = collinear_family(ctx, ctx.epsilon)
-    for ell in sorted({2, 3, ctx.q}):
-        roots = fam.b_list[:ell - 1]
-        table = _inverse_product_table(ctx, roots)
-        assert len(table) == ctx.order
-        assert {y for y in ctx.elements if table[y] is None} == set(roots)
+    for a in (ctx.epsilon, random.Random(p * 10 + e).randrange(2, ctx.order)):
+        fiber = collinear_family(ctx, a).b_list
+        tables = {ell: _inverse_product_table(ctx, fiber, ell) for ell in range(2, ctx.q + 1)}
+        for ell, table in tables.items():
+            assert len(table) == ctx.order
+            assert {y for y in ctx.elements if table[y] is None} == set(fiber[:ell - 1])
         for y in ctx.elements:
-            if y in roots:
-                continue
-            prod = ctx.one
-            for b in roots:
-                prod = ctx.mul(prod, ctx.sub(y, b))
-            assert ctx.mul(table[y], prod) == ctx.one
+            prod = ctx.one  # prod(y - b for b in fiber[:ell - 1]), ell by ell
+            for ell, table in tables.items():
+                prod = ctx.mul(prod, ctx.sub(y, fiber[ell - 2]))
+                if prod != ctx.zero:
+                    assert ctx.mul(table[y], prod) == ctx.one, (a, ell, y)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (2, 2), (5, 1)])
@@ -111,7 +116,7 @@ def test_prefix_build_stops_after_its_rows(p, e):
 def test_pole_in_table_raises(f9, monkeypatch):
     # a None entry is a pole: it must raise, never be multiplied in as zero
     monkeypatch.setattr(sequence, "_inverse_product_table",
-                        lambda ctx, roots: [None] * ctx.order)
+                        lambda ctx, fiber, ell: [None] * ctx.order)
     with pytest.raises(PoleError):
         build_sequence(f9, 2)
 

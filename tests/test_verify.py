@@ -622,8 +622,8 @@ def test_bound_check_reproves_what_a_failed_maximal_proof_covered(f9, monkeypatc
     # a recurrence planted at the maximal per-variable obligation k = 3,
     # m = 1, n = 14 of q = 3, ell = 3, by a walk that reaches 14 at window 1
     # under PerVariable(3): the obligations it covered fall through to
-    # proofs of their own, and the failure names the same n as a proof at
-    # every point would
+    # answers of their own, read off the per-variable walk or proven apart,
+    # and the failure names the same n as a proof at every point would
     seq = build_sequence(f9, 3)
     planted = (PerVariable, 3, 1, 14)
     listed = verify.bound_obligations(3, seq, 3)[1]
@@ -645,10 +645,20 @@ def test_bound_check_reproves_what_a_failed_maximal_proof_covered(f9, monkeypatc
                for k, top in tops.items()]
     covered = [o for o in _obligations(3, 3, len(seq)) if o != planted and _covers(planted, o)]
     assert len(covered) == 3
+    served = {kind: (len(t), tops) for t, kind, tops in chains}
+
+    def answered(mode_cls, k, m, n):
+        # read off the kind's walk, which served k to window m on a prefix
+        # of at least n terms, or proven by a walk of its own
+        length, tops = served.get(mode_cls, (0, {}))
+        return n <= length and tops.get(k, 0) >= m or (mode_cls, k, m, n) in singles
+
     for mode_cls, k, m, n in covered:
-        # proven at its own point, in its own mode or per-variable, which
+        # answered at its own point, in its own mode or per-variable, which
         # also discharges the total-degree obligation at the same point
-        assert {(mode_cls, k, m, n), (PerVariable, k, m, n)} & set(singles), (mode_cls, k)
+        assert answered(mode_cls, k, m, n) or answered(PerVariable, k, m, n), (mode_cls, k)
+    # every maximal obligation is per-variable, so no walk serves total degree
+    assert singles == [(TotalDegree, 3, 1, 14)]
     # and nothing is proven again outside what the planted obligation covered
     assert all(_covers(planted, o) for o in singles)
 
@@ -686,18 +696,21 @@ def test_bound_check_names_a_lone_failure():
 
 def test_bound_check_asks_each_question_once(monkeypatch):
     # the same period-5 sequence: a maximal proof that finds a recurrence
-    # keeps its answer, so the walk that reaches that point asks nothing
-    # again.  Its two walks, one per kind, and eight fallback walks are all
-    # distinct, and (28, 5, TotalDegree(1)), refuted on the total-degree walk
-    # over all 56 terms, starts no walk of its own ((56, 3, PerVariable(1)) and
-    # (28, 5, TotalDegree(1)) were asked twice, in 19 calls, when each
-    # proof was its own call)
+    # keeps its answer, and each obligation it covered is read off its
+    # kind's walk wherever that walk served its k to its window, so
+    # (28, 5, TotalDegree(1)), refuted on the total-degree walk over all 56
+    # terms, and every other total-degree obligation start no walk of their
+    # own.  Only PerVariable(1), which no maximal obligation lists and so no
+    # walk serves, is proven apart, at the two points where it is asked:
+    # four distinct walks, where a fallback walk per covered obligation
+    # made ten, and each proof its own call 19
     ctx = FieldContext(2, 2)
     seq = build_sequence(ctx, 2)
     terms = tuple(seq[i % 5] for i in range(len(seq)))
     calls = _spy_walk(monkeypatch)
     check_bound_consistency(ctx, terms, 2)
     asked = [(len(t), kind, tuple(tops.items())) for t, kind, tops in calls]
-    assert (len(asked), len(set(asked))) == (10, 10)
-    assert {(56, PerVariable, ((1, 3),)), (56, TotalDegree, ((1, 8), (2, 5), (3, 3)))} <= set(asked)
-    assert not any(n == 28 and kind is TotalDegree for n, kind, _ in asked)
+    assert asked == [(56, PerVariable, ((2, 1), (3, 1), (4, 1))),
+                     (56, TotalDegree, ((1, 8), (2, 5), (3, 3))),
+                     (42, PerVariable, ((1, 2),)),
+                     (56, PerVariable, ((1, 3),))]
